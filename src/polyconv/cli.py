@@ -163,7 +163,7 @@ def _lmi_checks_doc(problem, values, tol) -> dict:
 
 
 def _strong_certificate_doc(cert, tol) -> dict:
-    from .inclusion import CQLF_GAMMA
+    from .lti import CQLF_GAMMA
     dec = cert.decomposition
     doc = {
         "t": dec.t.tolist(),
@@ -361,7 +361,7 @@ def _verify_ksp(doc, family, tol, checks) -> None:
 
 def _verify_vertices(doc, family, tol, checks) -> None:
     import numpy as np
-    from .linalg import kernel
+    from .linalg import nested_kernel_dims
     from .lti import DISPROVEN, EXACT_BAND, UNKNOWN_BAND
     name = "vertex_verdicts"
     recs = doc.get("vertex_verdicts")
@@ -384,10 +384,7 @@ def _verify_vertices(doc, family, tol, checks) -> None:
         if lam0 is None or lam0 != (1.0 if family.mode == "dt" else 0.0):
             checks.add(label, False, "wrong critical value")
             continue
-        kscale = scale + abs(lam0)
-        shifted = a - lam0 * np.eye(n)
-        g = kernel(shifted, tol, scale=kscale).dim
-        g2 = kernel(shifted @ shifted, tol, scale=kscale * kscale).dim
+        g, g2, kscale = nested_kernel_dims(a, lam0, tol)
         if not checks.add(label, det.get("kernel_dim") == g
                           and det.get("nested_kernel_dim") == g2,
                           "kernel dimensions do not recompute"):
@@ -417,14 +414,6 @@ def _verify_vertices(doc, family, tol, checks) -> None:
                        "no machine-critical eigenvalue recomputes")
         else:
             checks.add(label, False, f"unknown disproof method {method!r}")
-
-
-def _rebuilt_decomposition(family, t, m):
-    from .inclusion import FamilyDecomposition
-    from .linalg import Subspace
-    r = family.n - m
-    return FamilyDecomposition(family.mode, t, m, Subspace(t[:, r:]),
-                               Subspace(t[:, :r]), (), (), 0.0)
 
 
 def _margin_matches(recorded, computed, slack: float) -> bool:
@@ -462,8 +451,7 @@ def _check_lmi(name, problem, values, recorded_checks, tol, checks) -> None:
 
 def _verify_strong_certificate(doc, family, tol, checks) -> None:
     import numpy as np
-    from .feasibility import Constraint, LmiProblem, Term, VarBlock
-    from .inclusion import CQLF_GAMMA, _strong_lmi_problem
+    from .lti import CQLF_GAMMA, block_form, cqlf_problem, reduced_problem
     name = "certificates/strong"
     sec = doc["certificates"]["strong"]
     n = family.n
@@ -483,12 +471,14 @@ def _verify_strong_certificate(doc, family, tol, checks) -> None:
     if not checks.add(name, float(np.abs(t.T @ t - np.eye(n)).max()) <= 1e-7,
                       "T is not orthonormal"):
         return
+    if len(blocks) != family.m_count or len(couplings) != family.m_count:
+        checks.add(name, False, "per-vertex block count mismatch")
+        return
     wc, wk = t[:, :r], t[:, r:]
     scale = 1.0 + max(float(np.linalg.norm(a, 2)) for a in family.matrices)
     slack = tol.residual_tol * scale
+    a_as, a_r, resid = block_form(family.matrices, family.mode, wc, wk)
     eye = np.eye(n)
-    target = np.eye(m) if family.mode == "dt" else np.zeros((m, m))
-    resid = 0.0
     for i, a in enumerate(family.matrices):
         shifted = a - eye if family.mode == "dt" else a
         if not checks.add(name,
@@ -496,20 +486,11 @@ def _verify_strong_certificate(doc, family, tol, checks) -> None:
                           if wk.size else True,
                           f"kernel block not fixed by vertex {i + 1}"):
             return
-        if len(blocks) != family.m_count or len(couplings) != family.m_count:
-            checks.add(name, False, "per-vertex block count mismatch")
-            return
         if not checks.add(name,
-                          _close(blocks[i], wc.T @ a @ wc, slack)
-                          and _close(couplings[i], wk.T @ a @ wc, slack),
+                          _close(blocks[i], a_as[i], slack)
+                          and _close(couplings[i], a_r[i], slack),
                           f"vertex {i + 1} blocks do not recompute"):
             return
-        upper = wc.T @ a @ wk
-        corner = wk.T @ a @ wk
-        if upper.size:
-            resid = max(resid, float(np.linalg.norm(upper, 2)))
-        if corner.size:
-            resid = max(resid, float(np.linalg.norm(corner - target, 2)))
     if not checks.add(name,
                       _close(sec.get("decomposition_residual", np.nan),
                              resid, slack),
@@ -526,36 +507,18 @@ def _verify_strong_certificate(doc, family, tol, checks) -> None:
         if not checks.add(name, sec.get("gamma") == CQLF_GAMMA,
                           "unexpected definiteness offset"):
             return
-        if r == 0:
-            if not checks.add(name, p.size == 0, "P block should be empty"):
-                return
-            prob = LmiProblem([VarBlock("P", 0, strict=True)], [], tol)
-            _check_lmi(name, prob, {"P": np.zeros((0, 0))},
-                       sec.get("checks", {}), tol, checks)
-            return
-        if p.shape != (r, r):
+        if p.shape != (r, r) and not (r == 0 and p.size == 0):
             checks.add(name, False, "P block shape mismatch")
             return
-        eye_r = np.eye(r)
-        cons = []
-        for i, b in enumerate(blocks):
-            if family.mode == "dt":
-                terms = (Term("P", 1.0, b, b), Term("P", -1.0, eye_r, eye_r))
-            else:
-                terms = (Term("P", 2.0, b, eye_r),)
-            cons.append(Constraint(f"vertex{i + 1}", r, np.zeros((r, r)),
-                                   terms,
-                                   trace_terms=(("P", CQLF_GAMMA / r),)))
-        prob = LmiProblem([VarBlock("P", r, strict=True)], cons, tol)
-        _check_lmi(name, prob, {"P": p}, sec.get("checks", {}), tol, checks)
+        _check_lmi(name, cqlf_problem(blocks, family.mode, tol),
+                   {"P": p.reshape(r, r)}, sec.get("checks", {}), tol, checks)
     elif kind == "strong-lmi":
         p1 = np.asarray(sec.get("p1", []), dtype=float)
         q = np.asarray(sec.get("q", []), dtype=float)
         if p1.shape != (r, r) or q.shape != (n, n):
             checks.add(name, False, "P1/Q shape mismatch")
             return
-        prob = _strong_lmi_problem(family, _rebuilt_decomposition(
-            family, t, m), tol)
+        prob = reduced_problem(family.matrices, family.mode, wc, tol)
         _check_lmi(name, prob, {"P1": p1, "Q": q}, sec.get("checks", {}),
                    tol, checks)
     else:
@@ -564,7 +527,8 @@ def _verify_strong_certificate(doc, family, tol, checks) -> None:
 
 def _verify_weak_certificate(doc, family, tol, checks) -> None:
     import numpy as np
-    from .inclusion import _weak_problem
+    from .lti import (EPS_GRID, ETA_GRID, aligned_bases, damped_problem,
+                      vertex_kernels)
     name = "certificates/weak"
     sec = doc["certificates"]["weak"]
     try:
@@ -578,12 +542,13 @@ def _verify_weak_certificate(doc, family, tol, checks) -> None:
         return
     # the margin can sit at exactly zero independent of the damping, so an
     # edited parameter may still recompute; pin it to the search grid
-    from .lti import EPS_GRID, ETA_GRID
     grid = ETA_GRID if family.mode == "dt" else EPS_GRID
     if not checks.add(name, parameter in grid,
                       "parameter is not on the search grid"):
         return
-    prob = _weak_problem(family, parameter, tol)
+    mats, mode = family.matrices, family.mode
+    bases = aligned_bases(vertex_kernels(mats, mode, tol), tol)
+    prob = damped_problem(mats, mode, parameter, bases, tol)
     _check_lmi(name, prob, {"P": p}, sec.get("checks", {}), tol, checks)
 
 
@@ -817,18 +782,13 @@ def _cmd_certify(args) -> int:
         dec = strong_decompose(family, tol)
         if args.method == "cqlf":
             out = cqlf_stability(dec.a_as, family.mode, tol)
-            if out.feasible:
-                cert = StrongCertificate(family.mode, dec.kernel, dec,
-                                         cqlf=out)
-                doc["status"] = "Proven"
-                doc["certificate"] = _strong_certificate_doc(cert, tol)
+            cert = StrongCertificate(family.mode, dec.kernel, dec, cqlf=out)
         else:
             out = strong_lmi(family, tol)
-            if out.feasible:
-                cert = StrongCertificate(family.mode, dec.kernel, dec,
-                                         lmi=out)
-                doc["status"] = "Proven"
-                doc["certificate"] = _strong_certificate_doc(cert, tol)
+            cert = StrongCertificate(family.mode, dec.kernel, dec, lmi=out)
+        if out.feasible:
+            doc["status"] = "Proven"
+            doc["certificate"] = _strong_certificate_doc(cert, tol)
     _emit(doc, args.out)
     return 0
 

@@ -663,8 +663,11 @@ def lp_simplex_membership(m, tol: Tolerances = DEFAULT_TOL):
 
     Phase-1 simplex with Bland's rule on: minimize sum(a) subject to
     [M; 1^T] w + a = [0; 1], w >= 0, a >= 0.  M is normalized by its
-    largest column norm first (the solution set is scale-invariant), and a
-    candidate is accepted only if ||M w|| <= residual_tol afterwards.
+    largest entry first (the solution set is scale-invariant), and a
+    candidate is accepted only if ||M w|| <= residual_tol (1 + max |M|)
+    afterwards.  M alone cannot tell rounding noise from a small genuine
+    column; a caller whose M is a product zeroes its noise columns first
+    (see lasalle.weak_kernel_membership).
     """
     m = as_matrix(m, square=False, name="membership matrix")
     nrow, ncol = m.shape

@@ -16,36 +16,32 @@ import numpy as np
 
 from .errors import InputError
 from .family import MatrixFamily, family_from_dict, family_to_dict
-from .feasibility import (
-    Constraint,
-    FeasibilityResult,
-    LmiProblem,
-    Term,
-    VarBlock,
-    sdp_feasible,
-)
+from .feasibility import FeasibilityResult, LmiProblem, sdp_feasible
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerances,
     as_matrix,
     induced_norm_1,
-    kernel,
     lozinski_measure_1,
-    orthogonal_complement,
     subspace_equal,
     subspace_intersection,
 )
 from .lti import (
     DISPROVEN,
-    EPS_GRID,
-    ETA_GRID,
     PROVEN,
     UNKNOWN,
+    Decomposition,
     LmiOutcome,
     Verdict,
+    aligned_bases,
+    cqlf_problem,
+    damped_lmi,
+    decompose,
     lti_convergent_ct,
     lti_convergent_dt,
+    reduced_problem,
+    vertex_kernels,
 )
 from .sim import WitnessConfig, find_nonconvergence_witness
 
@@ -54,7 +50,6 @@ __all__ = [
     "family_to_dict",
     "family_from_dict",
     "KspResult",
-    "FamilyDecomposition",
     "StrongCertificate",
     "WeakCertificate",
     "RateEstimate",
@@ -72,11 +67,6 @@ __all__ = [
     "analyze",
 ]
 
-# relative strictness margin for the common-Lyapunov inequalities: any
-# gamma > 0 certifies strict vertex decay by homogeneity, and the trace
-# form keeps the whole problem homogeneous for the solver
-CQLF_GAMMA = 1e-3
-
 
 @dataclass
 class KspResult:
@@ -86,25 +76,10 @@ class KspResult:
 
 
 @dataclass
-class FamilyDecomposition:
-    """One orthogonal T = [complement | kernel] for the whole family, with
-    per-vertex blocks a_as[i], a_r[i] of T' A_i T."""
-
-    mode: str
-    t: np.ndarray
-    m: int
-    kernel: Subspace
-    complement: Subspace
-    a_as: tuple
-    a_r: tuple
-    residual: float
-
-
-@dataclass
 class StrongCertificate:
     mode: str
     kernel: Subspace
-    decomposition: FamilyDecomposition
+    decomposition: Decomposition
     cqlf: LmiOutcome | None = None
     lmi: LmiOutcome | None = None
 
@@ -147,66 +122,38 @@ class AnalysisReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _shifted(family: MatrixFamily, i: int) -> np.ndarray:
-    a = family.matrices[i]
-    if family.mode == "dt":
-        return a - np.eye(family.n)
-    return a
-
-
-def _vertex_scale(family: MatrixFamily) -> float:
-    return 1.0 + max(float(np.linalg.norm(a, 2)) for a in family.matrices)
+def _kernel_facts(family: MatrixFamily, tol: Tolerances):
+    """The common fixed kernel and the kernel-sharing facts, from one pass
+    over the vertex kernels."""
+    kernels = vertex_kernels(family.matrices, family.mode, tol)
+    common = subspace_intersection(kernels, tol)
+    holds = all(subspace_equal(k, common, tol) for k in kernels)
+    return common, KspResult(holds, tuple(k.dim for k in kernels), common.dim)
 
 
 def common_fixed_kernel(family: MatrixFamily,
                         tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """DT: intersection of ker(A_i - I); CT: intersection of ker(A_i)."""
-    scale = _vertex_scale(family)
-    kernels = [kernel(_shifted(family, i), tol, scale=scale)
-               for i in range(family.m_count)]
-    return subspace_intersection(kernels, tol)
+    return subspace_intersection(
+        vertex_kernels(family.matrices, family.mode, tol), tol)
 
 
 def ksp_check(family: MatrixFamily,
               tol: Tolerances = DEFAULT_TOL) -> KspResult:
     """True when every per-vertex kernel equals the common one."""
-    scale = _vertex_scale(family)
-    kernels = [kernel(_shifted(family, i), tol, scale=scale)
-               for i in range(family.m_count)]
-    common = subspace_intersection(kernels, tol)
-    holds = all(subspace_equal(k, common, tol) for k in kernels)
-    return KspResult(holds, tuple(k.dim for k in kernels), common.dim)
+    return _kernel_facts(family, tol)[1]
 
 
 def strong_decompose(family: MatrixFamily,
-                     tol: Tolerances = DEFAULT_TOL) -> FamilyDecomposition:
-    ksp = ksp_check(family, tol)
+                     tol: Tolerances = DEFAULT_TOL) -> Decomposition:
+    common, ksp = _kernel_facts(family, tol)
     if not ksp.holds:
         raise InputError(
             "family-wide decomposition needs every vertex fixed space to "
             f"equal the common one (dims {ksp.kernel_dims} vs common "
             f"{ksp.common_dim}); a shared kernel is necessary for strong "
             "convergence")
-    ker = common_fixed_kernel(family, tol)
-    comp = orthogonal_complement(ker, tol)
-    t = np.hstack([comp.basis, ker.basis])
-    a_as = []
-    a_r = []
-    residual = 0.0
-    target = np.eye(ker.dim) if family.mode == "dt" else np.zeros(
-        (ker.dim, ker.dim))
-    for a in family.matrices:
-        a_as.append(comp.basis.T @ a @ comp.basis)
-        a_r.append(ker.basis.T @ a @ comp.basis)
-        upper = comp.basis.T @ a @ ker.basis
-        corner = ker.basis.T @ a @ ker.basis
-        if upper.size:
-            residual = max(residual, float(np.linalg.norm(upper, 2)))
-        if corner.size:
-            residual = max(residual,
-                           float(np.linalg.norm(corner - target, 2)))
-    return FamilyDecomposition(family.mode, t, ker.dim, ker, comp,
-                               tuple(a_as), tuple(a_r), residual)
+    return decompose(family.matrices, family.mode, common, tol)
 
 
 def cqlf_stability(blocks, mode: str,
@@ -224,56 +171,14 @@ def cqlf_stability(blocks, mode: str,
     for b in blocks:
         if b.shape != (nb, nb):
             raise InputError("blocks must share one square size")
+    problem = cqlf_problem(blocks, mode, tol)
     if nb == 0:
-        problem = LmiProblem([VarBlock("P", 0, strict=True)], [], tol)
         return LmiOutcome(True, None,
                           FeasibilityResult("Feasible",
                                             {"P": np.zeros((0, 0))},
                                             {}, {}, 0), problem)
-    eye = np.eye(nb)
-    cons = []
-    for i, b in enumerate(blocks):
-        if mode == "dt":
-            terms = (Term("P", 1.0, b, b), Term("P", -1.0, eye, eye))
-        else:
-            terms = (Term("P", 2.0, b, eye),)
-        cons.append(Constraint(f"vertex{i + 1}", nb, np.zeros((nb, nb)),
-                               terms, trace_terms=(("P", CQLF_GAMMA / nb),)))
-    problem = LmiProblem([VarBlock("P", nb, strict=True)], cons, tol)
     res = sdp_feasible(problem)
     return LmiOutcome(res.feasible, None, res, problem)
-
-
-def _strong_lmi_problem(family: MatrixFamily, dec: FamilyDecomposition,
-                        tol: Tolerances) -> LmiProblem:
-    """Rank-reduced joint form: P = Wc P1 Wc', Q > 0, and for every vertex
-    A_i'PA_i - P + (A_i'-I)Q(A_i-I) <= 0 (dt) or
-    A_i'P + PA_i + A_i'QA_i <= 0 (ct).
-
-    All terms vanish identically on the shared kernel coordinates, so each
-    vertex constraint is posed on the complement coordinates only; the null
-    rows would otherwise pin the slack blocks to a face of the PSD cone and
-    stall the projection solver.
-    """
-    n = family.n
-    eye = np.eye(n)
-    wc = dec.complement.basis
-    r = n - dec.m
-    cons = []
-    for i, a in enumerate(family.matrices):
-        l_p_a = wc.T @ a @ wc
-        if family.mode == "dt":
-            l_q = (a - eye) @ wc
-            terms = (Term("P1", 1.0, l_p_a, l_p_a),
-                     Term("P1", -1.0, np.eye(r), np.eye(r)),
-                     Term("Q", 1.0, l_q, l_q))
-        else:
-            l_q = a @ wc
-            terms = (Term("P1", 2.0, l_p_a, np.eye(r)),
-                     Term("Q", 1.0, l_q, l_q))
-        cons.append(Constraint(f"vertex{i + 1}", r, np.zeros((r, r)), terms))
-    return LmiProblem([VarBlock("P1", r, strict=True),
-                       VarBlock("Q", n, strict=True)], cons, tol)
 
 
 def strong_lmi(family: MatrixFamily,
@@ -282,39 +187,10 @@ def strong_lmi(family: MatrixFamily,
     shared-kernel property (the rank condition on P is stated against the
     common fixed space), and is sufficient only."""
     dec = strong_decompose(family, tol)
-    prob = _strong_lmi_problem(family, dec, tol)
+    prob = reduced_problem(family.matrices, family.mode,
+                           dec.complement.basis, tol)
     res = sdp_feasible(prob)
     return LmiOutcome(res.feasible, None, res, prob)
-
-
-def _weak_problem(family: MatrixFamily, parameter: float,
-                  tol: Tolerances) -> LmiProblem:
-    """Vertex-wise damped inequalities for one grid parameter, each vertex
-    constraint conjugated by that vertex's own kernel-aligned basis.
-
-    Each constraint is scaled so the damped term has unit weight (feasible
-    set unchanged): a damping-shrunk violation could otherwise hide inside
-    the residual acceptance threshold.
-    """
-    n = family.n
-    eye = np.eye(n)
-    scale = _vertex_scale(family)
-    cons = []
-    for i, a in enumerate(family.matrices):
-        ker = kernel(_shifted(family, i), tol, scale=scale)
-        t = np.hstack([orthogonal_complement(ker, tol).basis, ker.basis])
-        at = a @ t
-        if family.mode == "dt":
-            amt = (a - eye) @ t
-            k = parameter / (1.0 - parameter)
-            terms = (Term("P", k, at, at),
-                     Term("P", -k, t, t),
-                     Term("P", 1.0, amt, amt))
-        else:
-            terms = (Term("P", 2.0 / parameter, at, t),
-                     Term("P", 1.0, at, at))
-        cons.append(Constraint(f"vertex{i + 1}", n, np.zeros((n, n)), terms))
-    return LmiProblem([VarBlock("P", n, strict=True)], cons, tol)
 
 
 def weak_lmi(family: MatrixFamily, parameter: float | None = None,
@@ -325,28 +201,15 @@ def weak_lmi(family: MatrixFamily, parameter: float | None = None,
     DT feasibility is monotone increasing in eta, so the largest grid eta
     decides the grid and the scan then reports the smallest feasible one.
     CT feasibility is monotone decreasing in eps, so the smallest grid eps
-    decides the grid on its own.
+    decides the grid on its own (see damped_lmi).
     """
-    def attempt(par: float):
-        prob = _weak_problem(family, par, tol)
-        res = sdp_feasible(prob)
-        if res.feasible:
-            return WeakCertificate(family.mode, res.values["P"], par, res,
-                                   prob)
+    mats, mode = family.matrices, family.mode
+    bases = aligned_bases(vertex_kernels(mats, mode, tol), tol)
+    out = damped_lmi(mats, mode, parameter, bases, tol)
+    if not out.feasible:
         return None
-
-    if parameter is not None:
-        return attempt(parameter)
-    if family.mode == "ct":
-        return attempt(EPS_GRID[-1])
-    top = attempt(ETA_GRID[-1])
-    if top is None:
-        return None
-    for eta in ETA_GRID[:-1]:
-        cert = attempt(eta)
-        if cert is not None:
-            return cert
-    return top
+    return WeakCertificate(mode, out.result.values["P"], out.parameter,
+                           out.result, out.problem)
 
 
 def verify_polyhedral_strong(family: MatrixFamily, x,
@@ -509,8 +372,7 @@ def _analyze_pipeline(family: MatrixFamily, tol: Tolerances,
     vertex_check = (lti_convergent_dt if family.mode == "dt"
                     else lti_convergent_ct)
     vertex_verdicts = tuple(vertex_check(a, tol) for a in family.matrices)
-    ker = common_fixed_kernel(family, tol)
-    ksp = ksp_check(family, tol)
+    ker, ksp = _kernel_facts(family, tol)
     report = AnalysisReport(family, Verdict(UNKNOWN, "pending"),
                             Verdict(UNKNOWN, "pending"), ker, ksp,
                             vertex_verdicts=vertex_verdicts)
@@ -533,7 +395,9 @@ def _analyze_pipeline(family: MatrixFamily, tol: Tolerances,
              "common_dim": ksp.common_dim})
 
     if report.strong.status == UNKNOWN:
-        dec = strong_decompose(family, tol)
+        # reached only when the kernels are shared, so the common kernel
+        # already computed is the decomposition's
+        dec = decompose(family.matrices, family.mode, ker, tol)
         cqlf = cqlf_stability(dec.a_as, family.mode, tol)
         if cqlf.feasible:
             cert = StrongCertificate(family.mode, ker, dec, cqlf=cqlf)

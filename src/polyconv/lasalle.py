@@ -83,16 +83,27 @@ def _state_vector(x, n: int) -> np.ndarray:
 
 def weak_kernel_membership(family: MatrixFamily, x,
                            tol: Tolerances = DEFAULT_TOL) -> WeakKernelResult:
-    """Decide whether some simplex weight freezes x: A(w) x = 0."""
+    """Decide whether some simplex weight freezes x: A(w) x = 0.
+
+    A column A_i x with ||A_i x|| <= rank_rel n ||A_i||_F ||x|| is rounding
+    noise of an exact zero (x in ker A_i) and enters the LP as zero: the LP
+    normalizes M by its largest entry, which would turn an all-noise M into
+    O(1) transverse columns.  The cutoff is relative to A_i and x, so
+    scaling either leaves the answer unchanged.
+    """
     _require_ct(family, "weak_kernel_membership")
     x = _state_vector(x, family.n)
     m_count = family.m_count
-    if float(np.linalg.norm(x)) == 0.0:
+    xnorm = float(np.linalg.norm(x))
+    if xnorm == 0.0:
         w = np.zeros(m_count)
         w[0] = 1.0
         return WeakKernelResult(x, True, w, 0.0)
     m = np.column_stack([a @ x for a in family.matrices])
-    w = lp_simplex_membership(m, tol)
+    floors = [tol.rank_rel * family.n * float(np.linalg.norm(a)) * xnorm
+              for a in family.matrices]
+    noise = np.linalg.norm(m, axis=0) <= np.asarray(floors)
+    w = lp_simplex_membership(np.where(noise, 0.0, m), tol)
     if w is None:
         return WeakKernelResult(x, False, None, float("inf"))
     return WeakKernelResult(x, True, w, float(np.linalg.norm(m @ w)))

@@ -8,7 +8,7 @@ kernel test rather than by trusting eigenvalue clustering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -85,24 +85,11 @@ class Subspace:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues with algebraic multiplicity plus clustered summaries.
-
-    eigenvalues: all n eigenvalues (complex, sorted by (real, imag)).
-    clusters: list of (center, algebraic multiplicity, geometric
-        multiplicity) for eigenvalues grouped at radius 1e-6 * (1 + ||A||).
-    """
+    """All n eigenvalues with algebraic multiplicity (complex, sorted by
+    (real, imag)).  Multiplicity questions go through the nested kernel
+    test, not through eigenvalue clustering."""
 
     eigenvalues: np.ndarray
-    clusters: tuple = field(default_factory=tuple)
-
-    def geometric_multiplicity(self, value: complex) -> int:
-        """Geometric multiplicity of the cluster nearest to value."""
-        best = None
-        for center, _alg, geo in self.clusters:
-            d = abs(center - value)
-            if best is None or d < best[0]:
-                best = (d, geo)
-        return 0 if best is None else best[1]
 
 
 def as_matrix(a, square: bool = True, name: str = "matrix") -> np.ndarray:
@@ -151,7 +138,8 @@ def subspace_intersection(spaces, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Intersection of subspaces of a common ambient space.
 
     Computed as the kernel of the stacked projector complements: x is in
-    every S_i iff (I - B_i B_i^T) x = 0 for all i.
+    every S_i iff (I - B_i B_i^T) x = 0 for all i.  A single subspace is
+    returned as it is.
     """
     spaces = list(spaces)
     if not spaces:
@@ -160,6 +148,8 @@ def subspace_intersection(spaces, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     for s in spaces:
         if s.ambient_dim != n:
             raise InputError("subspaces live in different ambient dimensions")
+    if len(spaces) == 1:
+        return spaces[0]
     rows = [np.eye(n) - s.basis @ s.basis.T for s in spaces]
     stacked = np.vstack(rows)
     # projector stack has O(1) scale; guard keeps the cutoff meaningful
@@ -200,60 +190,43 @@ def _sorted_eigs(vals: np.ndarray) -> np.ndarray:
     return vals[order]
 
 
-def spectrum(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
-    """Eigenvalues plus clustered algebraic/geometric multiplicities."""
+def spectrum(a) -> Spectrum:
+    """Eigenvalues, sorted by (real, imag)."""
     m = as_matrix(a)
-    n = m.shape[0]
-    if n == 0:
-        return Spectrum(np.zeros(0, dtype=complex), ())
+    if m.shape[0] == 0:
+        return Spectrum(np.zeros(0, dtype=complex))
     try:
         vals = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"eigenvalue computation failed: {e}") from None
     if not np.all(np.isfinite(vals)):
         raise NumericalError("non-finite eigenvalues")
-    vals = _sorted_eigs(vals)
-    radius = 1e-6 * (1.0 + np.linalg.norm(m, 2))
-    used = np.zeros(n, dtype=bool)
-    clusters = []
-    for i in range(n):
-        if used[i]:
-            continue
-        mask = ~used & (np.abs(vals - vals[i]) <= radius)
-        used |= mask
-        center = complex(vals[mask].mean())
-        alg = int(mask.sum())
-        if abs(center.imag) <= radius:
-            shifted = m - center.real * np.eye(n)
-        else:
-            shifted = (m.astype(complex) - center * np.eye(n))
-        geo = _kernel_dim_general(shifted, tol, scale=1.0 + np.linalg.norm(m, 2))
-        clusters.append((center, alg, geo))
-    return Spectrum(vals, tuple(clusters))
+    return Spectrum(_sorted_eigs(vals))
 
 
-def _kernel_dim_general(m, tol: Tolerances, scale: float) -> int:
-    s = np.linalg.svd(m, compute_uv=False)
-    cutoff = _svd_cutoff(s, m.shape, tol.rank_rel, scale)
-    return int(np.sum(s <= cutoff))
+def nested_kernel_dims(a, lam0: float, tol: Tolerances = DEFAULT_TOL):
+    """dim ker(A - lam0 I) and dim ker((A - lam0 I)^2), with the scale.
+
+    The rank cutoffs are guarded by scale = 1 + ||A|| + |lam0| (squared for
+    the squared matrix), so that e.g. A = I at lam0 = 1 resolves exactly
+    even though A - I vanishes.  Returns (d1, d2, scale).
+    """
+    m = as_matrix(a)
+    n = m.shape[0]
+    scale = 1.0 + float(np.linalg.norm(m, 2)) + abs(lam0) if n else 1.0
+    shifted = m - lam0 * np.eye(n)
+    d1 = kernel(shifted, tol, scale=scale).dim
+    d2 = kernel(shifted @ shifted, tol, scale=scale * scale).dim
+    return d1, d2, scale
 
 
 def is_semisimple_at(a, lam0: float, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Nested kernel test: dim ker(A - lam0 I) == dim ker((A - lam0 I)^2).
 
-    Vacuously true when lam0 is not an eigenvalue (both kernels trivial).
-    The cutoff is guarded by the scale of A so that e.g. A = I at lam0 = 1
-    resolves exactly even though A - I vanishes.
+    Vacuously true when lam0 is not an eigenvalue (trivial kernel).
     """
-    m = as_matrix(a)
-    n = m.shape[0]
-    shifted = m - float(lam0) * np.eye(n)
-    scale1 = 1.0 + np.linalg.norm(m, 2) + abs(float(lam0))
-    d1 = _kernel_dim_general(shifted, tol, scale1)
-    if d1 == 0:
-        return True
-    d2 = _kernel_dim_general(shifted @ shifted, tol, scale1 * scale1)
-    return d1 == d2
+    d1, d2, _ = nested_kernel_dims(a, float(lam0), tol)
+    return d1 == 0 or d1 == d2
 
 
 def matrix_exponential(a) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Single-matrix (LTI) convergence analysis.
+"""Single-matrix (LTI) convergence analysis, and the vertex LMI forms and
+kernel-aligned decomposition shared with the polytopic routes.
 
 A discrete-time x(k+1) = A x(k) converges for every x0 iff every eigenvalue
 has modulus < 1 or equals 1 and is semisimple; continuous-time xdot = A x
@@ -13,6 +14,13 @@ The LMI routes never look at eigenvalues; they assemble the corresponding
 feasibility problems in kernel-aligned coordinates (which exposes the
 structurally-zero rows to the solver's facial reduction) and adjudicate
 purely through sdp_feasible/verify_lmi.
+
+This module owns the one implementation of each object that the family
+routes in `inclusion` pose at every vertex: the kernel-aligned
+decomposition, the damped vertex LMI, the rank-reduced vertex LMI, the
+common quadratic Lyapunov (CQLF) LMI and the DT eta-scan.  Each is written
+over a tuple of vertex matrices A_1..A_m; a single matrix is the one-vertex
+case (a,).
 """
 
 from __future__ import annotations
@@ -38,8 +46,10 @@ from .linalg import (
     Tolerances,
     as_matrix,
     kernel,
+    nested_kernel_dims,
     orthogonal_complement,
     spectrum,
+    subspace_intersection,
 )
 
 __all__ = [
@@ -78,6 +88,11 @@ EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 EXACT_BAND = 1e-12
 UNKNOWN_BAND = 1e-8
 
+# relative strictness margin for the common-Lyapunov inequalities: any
+# gamma > 0 certifies strict vertex decay by homogeneity, and the trace
+# form keeps the whole problem homogeneous for the solver
+CQLF_GAMMA = 1e-3
+
 
 @dataclass
 class Verdict:
@@ -96,16 +111,18 @@ class Verdict:
 
 @dataclass
 class Decomposition:
-    """Orthogonal block form T^-1 A T = [[a_as, 0], [a_r, I_m]] (dt) or
-    [[a_as, 0], [a_r, 0_m]] (ct), T = [complement basis | kernel basis]."""
+    """One orthogonal T = [complement basis | kernel basis] for vertices
+    A_1..A_m sharing the kernel, with per-vertex blocks
+    T' A_i T = [[a_as[i], 0], [a_r[i], I_m]] (dt) or
+    [[a_as[i], 0], [a_r[i], 0_m]] (ct)."""
 
     mode: str
     t: np.ndarray
     m: int
-    a_as: np.ndarray
-    a_r: np.ndarray
     kernel: Subspace
     complement: Subspace
+    a_as: tuple
+    a_r: tuple
     residual: float
 
 
@@ -148,28 +165,20 @@ def eas(a, tau: float) -> np.ndarray:
     return np.eye(a.shape[0]) + tau * a
 
 
+def _critical(mode: str) -> float:
+    return 1.0 if mode == "dt" else 0.0
+
+
 # ---------------------------------------------------------------- spectral
-
-def _critical_structure(a: np.ndarray, lam0: float, tol: Tolerances):
-    """Kernel of (A - lam0 I) and of its square, rank cutoffs guarded by
-    the scale of A (the shifted matrix can vanish by cancellation)."""
-    n = a.shape[0]
-    scale = 1.0 + float(np.linalg.norm(a, 2)) + abs(lam0) if n else 1.0
-    shifted = a - lam0 * np.eye(n)
-    ker1 = kernel(shifted, tol, scale=scale)
-    ker2 = kernel(shifted @ shifted, tol, scale=scale * scale)
-    return ker1, ker2, scale
-
 
 def _spectral_verdict(a, mode: str, tol: Tolerances) -> Verdict:
     a = as_matrix(a)
     n = a.shape[0]
     if n == 0:
         return Verdict(PROVEN, "spectral", {"eigenvalues": [], "kernel_dim": 0})
-    lam0 = 1.0 if mode == "dt" else 0.0
-    ker1, ker2, scale = _critical_structure(a, lam0, tol)
-    g, g2 = ker1.dim, ker2.dim
-    eigs = spectrum(a, tol).eigenvalues
+    lam0 = _critical(mode)
+    g, g2, scale = nested_kernel_dims(a, lam0, tol)
+    eigs = spectrum(a).eigenvalues
     details = {
         "eigenvalues": eigs,
         "kernel_dim": g,
@@ -215,156 +224,203 @@ def lti_convergent_ct(a, tol: Tolerances = DEFAULT_TOL) -> Verdict:
 
 # ------------------------------------------------------------- decompose
 
-def _decompose(a, mode: str, tol: Tolerances) -> Decomposition:
-    a = as_matrix(a)
-    n = a.shape[0]
-    lam0 = 1.0 if mode == "dt" else 0.0
-    scale = 1.0 + float(np.linalg.norm(a, 2)) + abs(lam0) if n else 1.0
-    ker = kernel(a - lam0 * np.eye(n), tol, scale=scale)
-    comp = orthogonal_complement(ker, tol)
-    t = np.hstack([comp.basis, ker.basis])
-    a_as = comp.basis.T @ a @ comp.basis
-    a_r = ker.basis.T @ a @ comp.basis
-    # the (1,2) block is exactly 0 and the (2,2) block is exactly I (dt)
-    # resp. 0 (ct) because the kernel basis is invariant; keep the realized
-    # residual as evidence
-    upper = comp.basis.T @ a @ ker.basis
-    corner = ker.basis.T @ a @ ker.basis
-    target = np.eye(ker.dim) if mode == "dt" else np.zeros((ker.dim, ker.dim))
+def vertex_kernels(mats, mode: str, tol: Tolerances = DEFAULT_TOL) -> list:
+    """ker(A_i - lam0 I) for every vertex, lam0 = 1 (dt) or 0 (ct).
+
+    The rank cutoffs are guarded by one scale, 1 + max ||A_i|| + |lam0|
+    (the shifted matrix can vanish by cancellation, e.g. A - I with A
+    near I).
+    """
+    n = mats[0].shape[0]
+    lam0 = _critical(mode)
+    scale = (1.0 + max(float(np.linalg.norm(a, 2)) for a in mats)
+             + abs(lam0) if n else 1.0)
+    return [kernel(a - lam0 * np.eye(n), tol, scale=scale) for a in mats]
+
+
+def aligned_bases(kernels, tol: Tolerances = DEFAULT_TOL) -> list:
+    """Orthogonal T_i = [complement basis | kernel basis] of each kernel."""
+    return [np.hstack([orthogonal_complement(k, tol).basis, k.basis])
+            for k in kernels]
+
+
+def block_form(mats, mode: str, wc: np.ndarray, wk: np.ndarray):
+    """Blocks of T' A_i T for T = [wc | wk]: the off-kernel blocks
+    wc' A_i wc, the couplings wk' A_i wc, and the largest deviation of the
+    other two blocks from 0 and I (dt) resp. 0 (ct), which is zero when
+    span(wk) is fixed (dt) resp. annihilated (ct) by every vertex."""
+    target = _critical(mode) * np.eye(wk.shape[1])
     residual = 0.0
-    if upper.size:
-        residual = float(np.linalg.norm(upper, 2))
-    if corner.size:
-        residual = max(residual, float(np.linalg.norm(corner - target, 2)))
-    return Decomposition(mode, t, ker.dim, a_as, a_r, ker, comp, residual)
+    for a in mats:
+        upper = wc.T @ a @ wk
+        corner = wk.T @ a @ wk
+        if upper.size:
+            residual = max(residual, float(np.linalg.norm(upper, 2)))
+        if corner.size:
+            residual = max(residual,
+                           float(np.linalg.norm(corner - target, 2)))
+    return (tuple(wc.T @ a @ wc for a in mats),
+            tuple(wk.T @ a @ wc for a in mats), residual)
+
+
+def decompose(mats, mode: str, common: Subspace,
+              tol: Tolerances = DEFAULT_TOL) -> Decomposition:
+    """Block form of every vertex in T = [complement | common kernel]."""
+    comp = orthogonal_complement(common, tol)
+    a_as, a_r, residual = block_form(mats, mode, comp.basis, common.basis)
+    return Decomposition(mode, np.hstack([comp.basis, common.basis]),
+                         common.dim, common, comp, a_as, a_r, residual)
+
+
+def _decompose(mats, mode: str, tol: Tolerances) -> Decomposition:
+    common = subspace_intersection(vertex_kernels(mats, mode, tol), tol)
+    return decompose(mats, mode, common, tol)
 
 
 def lti_decompose_dt(a, tol: Tolerances = DEFAULT_TOL) -> Decomposition:
-    return _decompose(a, "dt", tol)
+    return _decompose((as_matrix(a),), "dt", tol)
 
 
 def lti_decompose_ct(a, tol: Tolerances = DEFAULT_TOL) -> Decomposition:
-    return _decompose(a, "ct", tol)
+    return _decompose((as_matrix(a),), "ct", tol)
 
 
 # ---------------------------------------------------------------- LMIs
 
-def _dt_e_problem(a: np.ndarray, eta: float, t: np.ndarray,
-                  tol: Tolerances) -> LmiProblem:
-    """eta (A'PA - P) + (1-eta) (A-I)'P(A-I) <= 0, P > 0, conjugated by the
-    orthogonal T so kernel directions are coordinate-aligned.
+def damped_problem(mats, mode: str, parameter: float, bases,
+                   tol: Tolerances = DEFAULT_TOL) -> LmiProblem:
+    """Damped vertex inequalities for one grid parameter, each conjugated
+    by that vertex's own kernel-aligned basis T_i (see aligned_bases):
+    eta (A'PA - P) + (1-eta) (A-I)'P(A-I) <= 0 (dt) or
+    A'P + PA + eps A'PA <= 0 (ct), and P > 0.
 
-    The constraint is scaled by 1/(1-eta), which leaves the feasible set
-    unchanged but keeps the structural positive term at unit weight: for
-    eta near 1, a damping-shrunk violation could otherwise hide inside the
-    residual acceptance threshold.
+    Each constraint is scaled by 1/(1-eta) resp. 1/eps, which leaves the
+    feasible set unchanged but keeps the damped term at unit weight: for
+    eta near 1 (eps near 0), a damping-shrunk violation could otherwise
+    hide inside the residual acceptance threshold.
     """
-    n = a.shape[0]
-    eye = np.eye(n)
-    at = a @ t
-    amt = (a - eye) @ t
-    k = eta / (1.0 - eta)
-    con = Constraint("dt-e", n, np.zeros((n, n)), (
-        Term("P", k, at, at),
-        Term("P", -k, t, t),
-        Term("P", 1.0, amt, amt),
-    ))
-    return LmiProblem([VarBlock("P", n, strict=True)], [con], tol)
+    n = mats[0].shape[0]
+    cons = []
+    for i, (a, t) in enumerate(zip(mats, bases)):
+        at = a @ t
+        if mode == "dt":
+            amt = (a - np.eye(n)) @ t
+            k = parameter / (1.0 - parameter)
+            terms = (Term("P", k, at, at),
+                     Term("P", -k, t, t),
+                     Term("P", 1.0, amt, amt))
+        else:
+            terms = (Term("P", 2.0 / parameter, at, t),
+                     Term("P", 1.0, at, at))
+        cons.append(Constraint(f"vertex{i + 1}", n, np.zeros((n, n)), terms))
+    return LmiProblem([VarBlock("P", n, strict=True)], cons, tol)
 
 
-def _dt_f_problem(a: np.ndarray, dec: Decomposition,
-                  tol: Tolerances) -> LmiProblem:
-    """A'PA - P + (A-I)'Q(A-I) <= 0 with P = Wc P1 Wc' (rank n - m), Q > 0.
+def reduced_problem(mats, mode: str, wc: np.ndarray,
+                    tol: Tolerances = DEFAULT_TOL) -> LmiProblem:
+    """Rank-reduced vertex inequalities over a shared kernel: P = Wc P1 Wc'
+    (rank n - m, Wc = wc the complement basis), Q > 0, and for every vertex
+    A'PA - P + (A-I)'Q(A-I) <= 0 (dt) or A'P + PA + A'QA <= 0 (ct).
 
-    Every term vanishes identically on the kernel coordinates (A fixes them
-    and P ignores them), so the constraint is posed on the complement
-    coordinates only; keeping the null rows would pin the slack to a face
-    of the PSD cone and stall the projection solver.
+    Every term vanishes identically on the kernel coordinates (A fixes
+    resp. annihilates them and P ignores them), so each constraint is posed
+    on the complement coordinates only; keeping the null rows would pin the
+    slack to a face of the PSD cone and stall the projection solver.
     """
-    n = a.shape[0]
-    r = n - dec.m
-    wc = dec.complement.basis
-    l_p_a = wc.T @ a @ wc     # r x r
-    l_q = (a - np.eye(n)) @ wc
-    con = Constraint("dt-f", r, np.zeros((r, r)), (
-        Term("P1", 1.0, l_p_a, l_p_a),
-        Term("P1", -1.0, np.eye(r), np.eye(r)),
-        Term("Q", 1.0, l_q, l_q),
-    ))
+    n = mats[0].shape[0]
+    r = wc.shape[1]
+    eye_r = np.eye(r)
+    cons = []
+    for i, a in enumerate(mats):
+        l_p_a = wc.T @ a @ wc
+        if mode == "dt":
+            l_q = (a - np.eye(n)) @ wc
+            terms = (Term("P1", 1.0, l_p_a, l_p_a),
+                     Term("P1", -1.0, eye_r, eye_r),
+                     Term("Q", 1.0, l_q, l_q))
+        else:
+            l_q = a @ wc
+            terms = (Term("P1", 2.0, l_p_a, eye_r),
+                     Term("Q", 1.0, l_q, l_q))
+        cons.append(Constraint(f"vertex{i + 1}", r, np.zeros((r, r)), terms))
     return LmiProblem([VarBlock("P1", r, strict=True),
-                       VarBlock("Q", n, strict=True)], [con], tol)
+                       VarBlock("Q", n, strict=True)], cons, tol)
 
 
-def _ct_f_problem(a: np.ndarray, eps: float, t: np.ndarray,
-                  tol: Tolerances) -> LmiProblem:
-    """A'P + PA + eps A'PA <= 0, P > 0, in T coordinates.
+def cqlf_problem(blocks, mode: str,
+                 tol: Tolerances = DEFAULT_TOL) -> LmiProblem:
+    """Common quadratic Lyapunov LMI: A_i'PA_i - P (dt) or A_i'P + PA_i
+    (ct) below -gamma (tr P / n) I for every block, P > 0.  Blocks of size
+    0 leave nothing to constrain."""
+    nb = blocks[0].shape[0]
+    if nb == 0:
+        return LmiProblem([VarBlock("P", 0, strict=True)], [], tol)
+    eye = np.eye(nb)
+    cons = []
+    for i, b in enumerate(blocks):
+        if mode == "dt":
+            terms = (Term("P", 1.0, b, b), Term("P", -1.0, eye, eye))
+        else:
+            terms = (Term("P", 2.0, b, eye),)
+        cons.append(Constraint(f"vertex{i + 1}", nb, np.zeros((nb, nb)),
+                               terms, trace_terms=(("P", CQLF_GAMMA / nb),)))
+    return LmiProblem([VarBlock("P", nb, strict=True)], cons, tol)
 
-    Scaled by 1/eps (feasible set unchanged) so the damped quadratic term
-    keeps unit weight; see _dt_e_problem.
+
+def damped_lmi(mats, mode: str, parameter: float | None, bases,
+               tol: Tolerances = DEFAULT_TOL) -> LmiOutcome:
+    """The damped vertex LMI at one parameter, or over its grid when
+    parameter is None.
+
+    DT feasibility is monotone increasing in eta, so the scan first probes
+    the largest grid eta (infeasible there means infeasible on the whole
+    grid) and then reports the smallest feasible grid point.  CT
+    feasibility is monotone decreasing in eps, so the smallest grid eps
+    decides the grid on its own.  The returned iteration count covers every
+    probe; a grid outcome that is infeasible carries no parameter.
     """
-    n = a.shape[0]
-    at = a @ t
-    con = Constraint("ct-f", n, np.zeros((n, n)), (
-        Term("P", 2.0 / eps, at, t),
-        Term("P", 1.0, at, at),
-    ))
-    return LmiProblem([VarBlock("P", n, strict=True)], [con], tol)
+    def solve(par: float) -> LmiOutcome:
+        prob = damped_problem(mats, mode, par, bases, tol)
+        res = sdp_feasible(prob)
+        return LmiOutcome(res.feasible, par, res, prob)
 
-
-def _ct_g_problem(a: np.ndarray, dec: Decomposition,
-                  tol: Tolerances) -> LmiProblem:
-    """A'P + PA + A'QA <= 0 with P = Wc P1 Wc' (rank n - m), Q > 0.
-
-    As in the DT f-form, every term vanishes identically on the kernel
-    coordinates (A annihilates them), so the constraint lives on the
-    complement coordinates only.
-    """
-    n = a.shape[0]
-    r = n - dec.m
-    wc = dec.complement.basis
-    l_p_a = wc.T @ a @ wc
-    l_q = a @ wc
-    con = Constraint("ct-g", r, np.zeros((r, r)), (
-        Term("P1", 2.0, l_p_a, np.eye(r)),
-        Term("Q", 1.0, l_q, l_q),
-    ))
-    return LmiProblem([VarBlock("P1", r, strict=True),
-                       VarBlock("Q", n, strict=True)], [con], tol)
+    if parameter is not None:
+        return solve(parameter)
+    out = solve(EPS_GRID[-1] if mode == "ct" else ETA_GRID[-1])
+    if not out.feasible:
+        out.parameter = None
+        return out
+    if mode == "dt":
+        spent = out.result.iterations
+        for eta in ETA_GRID[:-1]:
+            probe = solve(eta)
+            spent += probe.result.iterations
+            if probe.feasible:
+                out = probe
+                break
+        out.result.iterations = spent
+    return out
 
 
 def lti_lmi_dt_e(a, eta: float | None = None,
                  tol: Tolerances = DEFAULT_TOL) -> LmiOutcome:
-    """Feasibility of the eta-damped DT LMI; with eta=None scans the grid.
+    """Feasibility of the eta-damped DT LMI; with eta=None scans the grid
+    (see damped_lmi)."""
+    mats = (as_matrix(a),)
+    bases = aligned_bases(vertex_kernels(mats, "dt", tol), tol)
+    return damped_lmi(mats, "dt", eta, bases, tol)
 
-    Feasibility is monotone in eta, so the scan first probes the largest
-    grid eta (infeasible there means infeasible on the whole grid) and then
-    reports the smallest feasible grid point as the certificate.
-    """
-    a = as_matrix(a)
-    dec = lti_decompose_dt(a, tol)
-    if eta is not None:
-        prob = _dt_e_problem(a, eta, dec.t, tol)
-        res = sdp_feasible(prob)
-        return LmiOutcome(res.feasible, eta, res, prob)
-    top = ETA_GRID[-1]
-    prob = _dt_e_problem(a, top, dec.t, tol)
+
+def _reduced_lmi(a, mode: str, tol: Tolerances) -> LmiOutcome:
+    mats = (as_matrix(a),)
+    wc = orthogonal_complement(vertex_kernels(mats, mode, tol)[0], tol).basis
+    prob = reduced_problem(mats, mode, wc, tol)
     res = sdp_feasible(prob)
-    if not res.feasible:
-        return LmiOutcome(False, None, res, prob)
-    for eta_i in ETA_GRID[:-1]:
-        prob_i = _dt_e_problem(a, eta_i, dec.t, tol)
-        res_i = sdp_feasible(prob_i)
-        if res_i.feasible:
-            return LmiOutcome(True, eta_i, res_i, prob_i)
-    return LmiOutcome(True, top, res, prob)
+    return LmiOutcome(res.feasible, None, res, prob)
 
 
 def lti_lmi_dt_f(a, tol: Tolerances = DEFAULT_TOL) -> LmiOutcome:
-    a = as_matrix(a)
-    dec = lti_decompose_dt(a, tol)
-    prob = _dt_f_problem(a, dec, tol)
-    res = sdp_feasible(prob)
-    return LmiOutcome(res.feasible, None, res, prob)
+    return _reduced_lmi(a, "dt", tol)
 
 
 def lti_lmi_ct_f(a, eps: float | None = None,
@@ -383,16 +439,14 @@ def lti_lmi_ct_f(a, eps: float | None = None,
     EPS_GRID[-1] problem is solved directly, and the returned iteration
     count covers both solves.
     """
-    a = as_matrix(a)
-    dec = lti_decompose_ct(a, tol)
+    mats = (as_matrix(a),)
+    bases = aligned_bases(vertex_kernels(mats, "ct", tol), tol)
     if eps is not None:
-        prob = _ct_f_problem(a, eps, dec.t, tol)
-        res = sdp_feasible(prob)
-        return LmiOutcome(res.feasible, eps, res, prob)
+        return damped_lmi(mats, "ct", eps, bases, tol)
     fine = EPS_GRID[-1]
-    prob = _ct_f_problem(a, fine, dec.t, tol)
-    coarse = sdp_feasible(_ct_f_problem(a, EPS_GRID[0], dec.t, tol))
+    coarse = sdp_feasible(damped_problem(mats, "ct", EPS_GRID[0], bases, tol))
     if coarse.feasible:
+        prob = damped_problem(mats, "ct", fine, bases, tol)
         report = verify_lmi(prob, coarse.values)
         if report["pass"]:
             res = FeasibilityResult(
@@ -401,17 +455,13 @@ def lti_lmi_ct_f(a, eps: float | None = None,
                 diagnostics=f"solved at eps={EPS_GRID[0]:g}, "
                             f"verified at eps={fine:g}")
             return LmiOutcome(True, fine, res, prob)
-    res = sdp_feasible(prob)
-    res.iterations += coarse.iterations
-    return LmiOutcome(res.feasible, fine if res.feasible else None, res, prob)
+    out = damped_lmi(mats, "ct", None, bases, tol)
+    out.result.iterations += coarse.iterations
+    return out
 
 
 def lti_lmi_ct_g(a, tol: Tolerances = DEFAULT_TOL) -> LmiOutcome:
-    a = as_matrix(a)
-    dec = lti_decompose_ct(a, tol)
-    prob = _ct_g_problem(a, dec, tol)
-    res = sdp_feasible(prob)
-    return LmiOutcome(res.feasible, None, res, prob)
+    return _reduced_lmi(a, "ct", tol)
 
 
 # ---------------------------------------------------------------- limits
@@ -431,15 +481,16 @@ def lti_limit(a, x0, mode: str, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if not verdict.proven:
         raise InputError(
             f"limit undefined: convergence verdict is {verdict.status}")
-    dec = _decompose(a, mode, tol)
+    dec = _decompose((a,), mode, tol)
     k = a.shape[0] - dec.m
     z = dec.t.T @ x0
     z1, z2 = z[:k], z[k:]
+    a_as, a_r = dec.a_as[0], dec.a_r[0]
     if k == 0:
         zbar2 = z2
     elif mode == "dt":
-        zbar2 = z2 + dec.a_r @ np.linalg.solve(np.eye(k) - dec.a_as, z1)
+        zbar2 = z2 + a_r @ np.linalg.solve(np.eye(k) - a_as, z1)
     else:
-        zbar2 = z2 - dec.a_r @ np.linalg.solve(dec.a_as, z1)
+        zbar2 = z2 - a_r @ np.linalg.solve(a_as, z1)
     zbar = np.concatenate([np.zeros(k), zbar2])
     return dec.t @ zbar

@@ -313,3 +313,56 @@ class TestCatalogue:
         report = analyze(entry.family)
         assert report.strong.status == entry.expected_strong
         assert report.weak.status == entry.expected_weak
+
+
+# the deciding (status, method) of every catalogue verdict: a refactor of
+# the kernel, decomposition or LMI layers must leave each one in place
+CATALOGUE_METHODS = {
+    "a11-switching": (("Proven", "decomposition-cqlf"),
+                      ("Proven", "implied-by-strong")),
+    "column-stochastic-ct": (("Disproven", "kernel-mismatch"),
+                             ("Disproven", "periodic-orbit")),
+    "ct-duality": (("Disproven", "kernel-mismatch"),
+                   ("Disproven", "periodic-orbit")),
+    "diag-kernels": (("Disproven", "kernel-mismatch"),
+                     ("Proven", "weak-lmi")),
+    "dt-duality": (("Disproven", "kernel-mismatch"),
+                   ("Disproven", "periodic-orbit")),
+    "path-consensus": (("Proven", "decomposition-cqlf"),
+                       ("Proven", "implied-by-strong")),
+    "pm-one-dt": (("Disproven", "vertex"), ("Disproven", "vertex")),
+    "rotation-ct": (("Disproven", "vertex"), ("Disproven", "vertex")),
+    "rotation-dt": (("Disproven", "vertex"), ("Disproven", "vertex")),
+    "scalar-half-one": (("Disproven", "kernel-mismatch"),
+                        ("Proven", "weak-lmi")),
+    "spike-schedule": (("Disproven", "kernel-mismatch"),
+                       ("Proven", "weak-lmi")),
+}
+
+
+def _methods(family):
+    report = analyze(family)
+    return ((report.strong.status, report.strong.method),
+            (report.weak.status, report.weak.method))
+
+
+def _seeded_orthogonal(seed, n):
+    q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+class TestCatalogueInvariance:
+    def test_table_covers_the_catalogue(self):
+        assert set(CATALOGUE_METHODS) == set(catalogue_names())
+
+    @pytest.mark.parametrize("name", sorted(CATALOGUE_METHODS))
+    def test_methods_survive_similarity_and_vertex_reversal(self, name):
+        fam = catalogue(name).family
+        want = CATALOGUE_METHODS[name]
+        assert _methods(fam) == want
+        for seed in (1, 2, 3):
+            q = _seeded_orthogonal(seed, fam.n)
+            rotated = MatrixFamily(fam.mode,
+                                   tuple(q.T @ a @ q for a in fam.matrices))
+            assert _methods(rotated) == want, seed
+        assert _methods(MatrixFamily(fam.mode, fam.matrices[::-1])) == want

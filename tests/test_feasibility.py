@@ -211,6 +211,16 @@ def test_lp_picks_zero_column():
     assert np.allclose(w, [0.0, 1.0], atol=1e-9)
 
 
+@pytest.mark.parametrize("k", [1e-16, 1e-8, 1.0, 1e8])
+def test_lp_answer_does_not_depend_on_scale(k):
+    # small columns are not zero columns: only their directions count
+    assert lp_simplex_membership(k * np.array([[-1.0, 0.0],
+                                               [0.0, -1.0]])) is None
+    w = lp_simplex_membership(k * np.array([[2.0, -1.0]]))
+    assert w is not None
+    assert np.allclose(w, [1.0 / 3.0, 2.0 / 3.0], atol=1e-9)
+
+
 def test_lp_transverse_columns_infeasible():
     assert lp_simplex_membership(np.array([[-1.0, 0.0], [0.0, -1.0]])) is None
 

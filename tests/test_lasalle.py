@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyconv.errors import InputError
+from polyconv.examples import kolmogorov_family
 from polyconv.family import MatrixFamily
 from polyconv.inclusion import weak_lmi
 from polyconv.lasalle import (
@@ -77,6 +78,35 @@ class TestWeakKernelMembership:
         assert res.feasible
         assert res.residual <= 1e-9
 
+    @pytest.mark.parametrize("m", [3, 6, 10])
+    def test_consensus_direction_of_row_generators(self, m):
+        # zero row sums hold only up to rounding, so A_i 1 is noise of
+        # order 1e-16 that must not be scaled up into an infeasible LP
+        rng = np.random.default_rng(m)
+        mats = []
+        for _ in range(m):
+            a = rng.uniform(0.0, 1.0, (6, 6))
+            a *= rng.uniform(size=(6, 6)) < 0.5
+            np.fill_diagonal(a, 0.0)
+            mats.append(a - np.diag(a.sum(axis=1)))
+        x = np.ones(6) / np.sqrt(6.0)
+        for k in (1.0, 1e-9):
+            fam = kolmogorov_family("row", [k * a for a in mats])
+            for kx in (1.0, 1e-12):
+                res = weak_kernel_membership(fam, kx * x)
+                assert res.feasible
+                assert res.residual <= 1e-12
+
+    @pytest.mark.parametrize("k", [1e-8, 1e-14])
+    def test_small_family_is_not_mistaken_for_a_kernel(self, k):
+        # ||A e1|| = k is small but not rounding noise of A e1 = 0
+        fam = MatrixFamily("ct", (-k * np.eye(3),))
+        for x in (np.eye(3)[0], 1e6 * np.eye(3)[0]):
+            assert not weak_kernel_membership(fam, x).feasible
+        pair = MatrixFamily("ct", (-k * np.eye(2), k * np.diag([1.0, -1.0])))
+        assert not weak_kernel_membership(pair, [1.0, 1.0]).feasible
+        assert weak_kernel_membership(pair, [1.0, 0.0]).feasible
+
     def test_requires_ct_family(self):
         with pytest.raises(InputError, match="CT family"):
             weak_kernel_membership(PM_ONE, [1.0])
@@ -95,6 +125,12 @@ class TestTrivialityScan:
         assert scan.likely_trivial
         assert scan.witness is None
         assert scan.checked >= 50
+
+    def test_small_hurwitz_likely_trivial(self):
+        fam = MatrixFamily("ct", [[[-1e-9, 0], [0, -1e-9]]])
+        scan = weak_kernel_triviality_scan(fam, samples=50, seed=1)
+        assert scan.likely_trivial
+        assert scan.witness is None
 
     def test_diag_kernels_witness_on_axis(self):
         scan = weak_kernel_triviality_scan(DIAG_KERNELS, samples=50, seed=1)

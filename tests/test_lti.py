@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyconv.errors import InputError
-from polyconv.feasibility import verify_lmi
+from polyconv.feasibility import sdp_feasible, verify_lmi
 from polyconv.linalg import matrix_exponential
 from polyconv.lti import (
     DISPROVEN,
@@ -211,22 +211,22 @@ class TestDecompose:
         # ker(A - I) = span(e2), so a_as is the 0.5 block
         dec = lti_decompose_dt([[0.5, 0.0], [1.0, 1.0]])
         assert dec.m == 1
-        assert np.allclose(dec.a_as, [[0.5]])
-        assert np.allclose(np.abs(dec.a_r), [[1.0]])
+        assert np.allclose(dec.a_as[0], [[0.5]])
+        assert np.allclose(np.abs(dec.a_r[0]), [[1.0]])
         assert dec.residual < 1e-12
 
     def test_dt_identity_full_kernel(self):
         dec = lti_decompose_dt(np.eye(2))
         assert dec.m == 2
-        assert dec.a_as.shape == (0, 0)
-        assert dec.a_r.shape == (2, 0)
+        assert dec.a_as[0].shape == (0, 0)
+        assert dec.a_r[0].shape == (2, 0)
 
     def test_ct_path_graph_example(self):
         # ker A = span([1, 1]); the off-kernel block is the scalar -1
         dec = lti_decompose_ct([[-1.0, 1.0], [0.0, 0.0]])
         assert dec.m == 1
-        assert np.allclose(dec.a_as, [[-1.0]])
-        assert np.allclose(np.abs(dec.a_r), [[1.0]])
+        assert np.allclose(dec.a_as[0], [[-1.0]])
+        assert np.allclose(np.abs(dec.a_r[0]), [[1.0]])
         assert abs(dec.kernel.distance([1.0, 1.0])) < 1e-12
 
     def test_block_form_is_exact(self):
@@ -261,6 +261,23 @@ class TestDtLmiE:
 
     def test_jordan_block_infeasible(self):
         assert not lti_lmi_dt_e([[1.0, 1.0], [0.0, 1.0]]).feasible
+
+    def test_scan_reports_iterations_of_every_probe(self, monkeypatch):
+        # scalar threshold is eta >= (1 - a) / 2 = 0.9975: only the top
+        # grid eta is feasible, so the scan probes all four grid points
+        import polyconv.lti as lti
+        spent = []
+
+        def counting(problem):
+            res = sdp_feasible(problem)
+            spent.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(lti, "sdp_feasible", counting)
+        out = lti_lmi_dt_e([[-0.995]])
+        assert out.feasible and out.parameter == ETA_GRID[-1]
+        assert len(spent) == len(ETA_GRID)
+        assert out.result.iterations == sum(spent)
 
 
 class TestDtLmiF:

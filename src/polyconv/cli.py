@@ -214,7 +214,7 @@ def _rate_doc(rate, cert) -> dict:
             "mode": rate.mode, "checks": {"block_margins": margins}}
 
 
-def report_to_dict(report, seed: int | None = None, tol=None) -> dict:
+def report_to_dict(report, tol=None) -> dict:
     """Flatten an AnalysisReport into the JSON report document.
 
     Every Proven/Disproven verdict points at an evidence section, and each
@@ -229,7 +229,6 @@ def report_to_dict(report, seed: int | None = None, tol=None) -> dict:
         "mode": fam.mode,
         "n": fam.n,
         "m_count": fam.m_count,
-        "seed": seed,
         "tolerances": _tol_doc(tol),
         "verdicts": {"strong": _verdict_doc(report.strong),
                      "weak": _verdict_doc(report.weak)},
@@ -597,8 +596,8 @@ def _verify_rate(doc, family, tol, checks) -> None:
 def _verify_witness_section(doc, family, checks) -> None:
     import numpy as np
     from .sim import (WITNESS_PERIODS, WITNESS_RECURRENCE,
-                      WITNESS_SEPARATION, _period_map_and_states,
-                      verify_witness)
+                      WITNESS_SEPARATION, _orbit_numbers,
+                      _period_map_and_states, verify_witness)
     name = "witness"
     ev = doc["witness"]
     if not isinstance(ev, dict):
@@ -625,13 +624,8 @@ def _verify_witness_section(doc, family, checks) -> None:
                       "start state has the wrong dimension"):
         return
     # the recorded numbers must be the re-derived ones, not just plausible
-    prop, stages = _period_map_and_states(family, tuple(cycle), float(dwell))
-    sep = max(float(np.linalg.norm(s @ y0 - y0)) for s in stages)
-    y = y0
-    rec = 0.0
-    for _ in range(WITNESS_PERIODS):
-        y = prop @ y
-        rec = max(rec, float(np.linalg.norm(y - y0)))
+    rec, sep = _orbit_numbers(
+        *_period_map_and_states(family, tuple(cycle), float(dwell)), y0)
     period = len(cycle) * float(dwell)
     consistent = (
         _margin_matches(ev.get("recurrence"), rec, 1e-9 * (1.0 + rec))
@@ -745,12 +739,9 @@ def verify_report(doc, family, tol=None):
 
 def _cmd_analyze(args) -> int:
     from .inclusion import analyze
-    from .sim import WitnessConfig
     family = _load_family(args.family)
     tol = _tolerances_from(args.tol)
-    report = analyze(family, tol,
-                     witness_config=WitnessConfig(seed=args.seed))
-    _emit(report_to_dict(report, seed=args.seed, tol=tol), args.out)
+    _emit(report_to_dict(analyze(family, tol), tol=tol), args.out)
     return 0
 
 
@@ -991,8 +982,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="full strong/weak verdict report")
     sp.add_argument("family", help="family JSON file, or - for stdin")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for the witness search battery")
     _add_common(sp)
     sp.set_defaults(func=_cmd_analyze)
 

@@ -335,14 +335,6 @@ def _extract(problem, z, var_offset):
     return values
 
 
-def _clamp_psd(m: np.ndarray, floor: float) -> np.ndarray:
-    w, u = np.linalg.eigh(m)
-    if w[0] >= floor:
-        return m
-    w = np.maximum(w, floor)
-    return (u * w) @ u.T
-
-
 def sdp_feasible(problem: LmiProblem, max_iter: int = 20000,
                  check_every: int = 10) -> FeasibilityResult:
     """Douglas-Rachford feasibility search.

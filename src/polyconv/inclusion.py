@@ -43,7 +43,7 @@ from .lti import (
     reduced_problem,
     vertex_kernels,
 )
-from .sim import WitnessConfig, find_nonconvergence_witness
+from .sim import find_nonconvergence_witness
 
 __all__ = [
     "MatrixFamily",
@@ -338,7 +338,6 @@ def dual_family(family: MatrixFamily) -> MatrixFamily:
 
 
 def analyze(family: MatrixFamily, tol: Tolerances = DEFAULT_TOL,
-            witness_config: WitnessConfig = WitnessConfig(),
             search_witness: bool = True) -> AnalysisReport:
     """Tri-state strong/weak verdict pipeline.
 
@@ -347,14 +346,17 @@ def analyze(family: MatrixFamily, tol: Tolerances = DEFAULT_TOL,
     certificate (strong sufficient, implies weak), damped vertex
     inequalities (weak sufficient), the shared-kernel upgrade of a weak
     certificate to strong, then periodic-orbit search (disproves weak and
-    with it strong).  Whatever remains is Unknown.
+    with it strong).  The orbit search tries vertex cycles up to
+    sim.WITNESS_PERIOD_MAX vertices at the dwells sim.WITNESS_DWELLS, and
+    takes its candidate start states only from the fixed space of each
+    cycle's period map.  Whatever remains is Unknown.
 
     A vertex inside the spectral tolerance band caps Proven down to
     Unknown: the necessary condition is unresolved at exactly the size
     the LMI residual tolerance would absorb, so an at-tolerance
     certificate cannot overrule it.  Disproofs are exact and stand.
     """
-    report = _analyze_pipeline(family, tol, witness_config, search_witness)
+    report = _analyze_pipeline(family, tol, search_witness)
     if report.diagnostics.get("vertices_in_tolerance_band"):
         for attr in ("strong", "weak"):
             v = getattr(report, attr)
@@ -367,7 +369,6 @@ def analyze(family: MatrixFamily, tol: Tolerances = DEFAULT_TOL,
 
 
 def _analyze_pipeline(family: MatrixFamily, tol: Tolerances,
-                      witness_config: WitnessConfig,
                       search_witness: bool) -> AnalysisReport:
     vertex_check = (lti_convergent_dt if family.mode == "dt"
                     else lti_convergent_ct)
@@ -431,7 +432,7 @@ def _analyze_pipeline(family: MatrixFamily, tol: Tolerances,
         return report
 
     if search_witness:
-        found = find_nonconvergence_witness(family, witness_config)
+        found = find_nonconvergence_witness(family)
         if found is not None:
             signal, evidence = found
             report.witness = evidence

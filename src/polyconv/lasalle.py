@@ -129,20 +129,20 @@ def _simplex_grid(m_count: int, per_edge: int):
 def _singular_weight_candidates(family: MatrixFamily, per_edge: int,
                                 tol: Tolerances):
     """Weights where A(w) is (nearly) singular, found by a determinant
-    sign scan over edge segments of the simplex grid."""
+    sign scan over edge segments of the simplex grid; a generator, so the
+    pair scan runs only as far as the caller reads."""
     n = family.n
     scale = 1.0 + max(float(np.linalg.norm(a, 2)) for a in family.matrices)
 
     def det_at(w):
         return float(np.linalg.det(family.a_of(w)))
 
-    found = []
     grid = list(_simplex_grid(family.m_count, per_edge))
     dets = [det_at(w) for w in grid]
     cutoff = 1e-10 * scale ** n
     for w, d in zip(grid, dets):
         if abs(d) <= cutoff:
-            found.append(w)
+            yield w
     # refine sign changes along straight segments between grid neighbours
     for i in range(len(grid)):
         for j in range(i + 1, len(grid)):
@@ -163,8 +163,7 @@ def _singular_weight_candidates(family: MatrixFamily, per_edge: int,
                     lo, flo = mid, fm
                 else:
                     hi = mid
-            found.append(0.5 * (lo + hi))
-    return found
+            yield 0.5 * (lo + hi)
 
 
 def weak_kernel_triviality_scan(family: MatrixFamily, samples: int = 200,
@@ -173,31 +172,33 @@ def weak_kernel_triviality_scan(family: MatrixFamily, samples: int = 200,
                                 ) -> TrivialityScan:
     """Heuristic scan for nonzero weak-kernel points.
 
-    Candidates: per-vertex kernel basis vectors, kernel vectors of A(w) at
-    nearly singular grid weights (determinant sign scan), and random unit
-    samples.  Any feasible membership at x != 0 is returned as a witness;
-    otherwise the result is likely-trivial, explicitly non-certified.
+    Candidates, in this order: per-vertex kernel basis vectors, kernel
+    vectors of A(w) at nearly singular grid weights (determinant sign
+    scan), and random unit samples.  They are built one at a time, so the
+    scan stops paying at its first witness.  Any feasible membership at
+    x != 0 is returned as a witness; otherwise the result is
+    likely-trivial, explicitly non-certified.
     """
     _require_ct(family, "weak_kernel_triviality_scan")
     rng = np.random.default_rng(seed)
     n = family.n
     scale = 1.0 + max(float(np.linalg.norm(a, 2)) for a in family.matrices)
-    candidates = []
-    for a in family.matrices:
-        ker = kernel(a, tol, scale=scale)
-        candidates.extend(ker.basis[:, j] for j in range(ker.dim))
     per_edge = max(4, min(24, int(round(samples ** (1.0 / max(
         1, family.m_count - 1))))))
-    for w in _singular_weight_candidates(family, per_edge, tol):
-        ker = kernel(family.a_of(w), tol, scale=scale)
-        candidates.extend(ker.basis[:, j] for j in range(ker.dim))
-    for _ in range(samples):
-        v = rng.normal(size=n)
-        nv = float(np.linalg.norm(v))
-        if nv > 0:
-            candidates.append(v / nv)
+
+    def candidates():
+        for a in family.matrices:
+            yield from kernel(a, tol, scale=scale).basis.T
+        for w in _singular_weight_candidates(family, per_edge, tol):
+            yield from kernel(family.a_of(w), tol, scale=scale).basis.T
+        for _ in range(samples):
+            v = rng.normal(size=n)
+            nv = float(np.linalg.norm(v))
+            if nv > 0:
+                yield v / nv
+
     checked = 0
-    for x in candidates:
+    for x in candidates():
         if float(np.linalg.norm(x)) < 1e-12:
             continue
         checked += 1

@@ -374,10 +374,21 @@ def damped_lmi(mats, mode: str, parameter: float | None, bases,
 
     DT feasibility is monotone increasing in eta, so the scan first probes
     the largest grid eta (infeasible there means infeasible on the whole
-    grid) and then reports the smallest feasible grid point.  CT
-    feasibility is monotone decreasing in eps, so the smallest grid eps
-    decides the grid on its own.  The returned iteration count covers every
-    probe; a grid outcome that is infeasible carries no parameter.
+    grid) and then reports the smallest feasible grid point.
+
+    CT feasibility is monotone decreasing in eps (the damping term
+    A'PA >= 0 only tightens), so the outcome is reported at the smallest
+    grid eps, EPS_GRID[-1], which decides the whole grid.  That problem is
+    badly conditioned for the solver (the Lyapunov term carries the weight
+    2/eps), so the best-conditioned point EPS_GRID[0] is probed first.
+    Its P is returned only if verify_lmi also accepts it on the
+    EPS_GRID[-1] problem: monotonicity holds in exact arithmetic, but the
+    acceptance margins are relative to each problem's own scale, so the
+    reported problem is re-checked rather than assumed.  Otherwise the
+    EPS_GRID[-1] problem is solved directly.
+
+    The returned iteration count covers every probe; a grid outcome that
+    is infeasible carries no parameter.
     """
     def solve(par: float) -> LmiOutcome:
         prob = damped_problem(mats, mode, par, bases, tol)
@@ -386,19 +397,33 @@ def damped_lmi(mats, mode: str, parameter: float | None, bases,
 
     if parameter is not None:
         return solve(parameter)
+    spent = 0
+    if mode == "ct":
+        fine = EPS_GRID[-1]
+        coarse = solve(EPS_GRID[0])
+        spent = coarse.result.iterations
+        if coarse.feasible:
+            prob = damped_problem(mats, mode, fine, bases, tol)
+            report = verify_lmi(prob, coarse.result.values)
+            if report["pass"]:
+                res = FeasibilityResult(
+                    FEASIBLE, coarse.result.values,
+                    report["constraint_max_eigs"], report["var_min_eigs"],
+                    spent, diagnostics=f"solved at eps={EPS_GRID[0]:g}, "
+                                       f"verified at eps={fine:g}")
+                return LmiOutcome(True, fine, res, prob)
     out = solve(EPS_GRID[-1] if mode == "ct" else ETA_GRID[-1])
-    if not out.feasible:
-        out.parameter = None
-        return out
-    if mode == "dt":
-        spent = out.result.iterations
+    spent += out.result.iterations
+    if out.feasible and mode == "dt":
         for eta in ETA_GRID[:-1]:
             probe = solve(eta)
             spent += probe.result.iterations
             if probe.feasible:
                 out = probe
                 break
-        out.result.iterations = spent
+    out.result.iterations = spent
+    if not out.feasible:
+        out.parameter = None
     return out
 
 
@@ -425,39 +450,11 @@ def lti_lmi_dt_f(a, tol: Tolerances = DEFAULT_TOL) -> LmiOutcome:
 
 def lti_lmi_ct_f(a, eps: float | None = None,
                  tol: Tolerances = DEFAULT_TOL) -> LmiOutcome:
-    """Feasibility of the eps-damped CT LMI; with eps=None probes the grid.
-
-    Feasibility at eps implies feasibility at every smaller eps (the damping
-    term A'PA >= 0 only tightens), so the outcome is reported at the
-    smallest grid eps, EPS_GRID[-1], which decides the whole grid.  That
-    problem is badly conditioned for the solver (the Lyapunov term carries
-    the weight 2/eps), so the best-conditioned point EPS_GRID[0] is probed
-    first.  Its P is returned only if verify_lmi also accepts it on the
-    EPS_GRID[-1] problem: monotonicity holds in exact arithmetic, but the
-    acceptance margins are relative to each problem's own scale, so the
-    reported problem is re-checked rather than assumed.  Otherwise the
-    EPS_GRID[-1] problem is solved directly, and the returned iteration
-    count covers both solves.
-    """
+    """Feasibility of the eps-damped CT LMI; with eps=None probes the grid
+    (see damped_lmi)."""
     mats = (as_matrix(a),)
     bases = aligned_bases(vertex_kernels(mats, "ct", tol), tol)
-    if eps is not None:
-        return damped_lmi(mats, "ct", eps, bases, tol)
-    fine = EPS_GRID[-1]
-    coarse = sdp_feasible(damped_problem(mats, "ct", EPS_GRID[0], bases, tol))
-    if coarse.feasible:
-        prob = damped_problem(mats, "ct", fine, bases, tol)
-        report = verify_lmi(prob, coarse.values)
-        if report["pass"]:
-            res = FeasibilityResult(
-                FEASIBLE, coarse.values, report["constraint_max_eigs"],
-                report["var_min_eigs"], coarse.iterations,
-                diagnostics=f"solved at eps={EPS_GRID[0]:g}, "
-                            f"verified at eps={fine:g}")
-            return LmiOutcome(True, fine, res, prob)
-    out = damped_lmi(mats, "ct", None, bases, tol)
-    out.result.iterations += coarse.iterations
-    return out
+    return damped_lmi(mats, "ct", eps, bases, tol)
 
 
 def lti_lmi_ct_g(a, tol: Tolerances = DEFAULT_TOL) -> LmiOutcome:

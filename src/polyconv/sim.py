@@ -21,7 +21,6 @@ from .linalg import DEFAULT_TOL, Tolerances, kernel, matrix_exponential
 __all__ = [
     "SwitchingSignal",
     "Trajectory",
-    "WitnessConfig",
     "simulate_dt",
     "simulate_ct",
     "detect_limit",
@@ -37,6 +36,10 @@ __all__ = [
 WITNESS_RECURRENCE = 1e-10
 WITNESS_SEPARATION = 1e-3
 WITNESS_PERIODS = 10
+# the searched signals: vertex cycles up to WITNESS_PERIOD_MAX vertices, each
+# held for every dwell of the family's mode
+WITNESS_PERIOD_MAX = 4
+WITNESS_DWELLS = {"dt": (1, 2, 3), "ct": (0.5, 1.0, 2.0)}
 
 
 @dataclass(frozen=True)
@@ -350,15 +353,6 @@ def residual_diagnostics(family: MatrixFamily, traj: Trajectory) -> dict:
 
 # --------------------------------------------------------- witness search
 
-@dataclass(frozen=True)
-class WitnessConfig:
-    period_max: int = 4
-    dwells_dt: tuple = (1, 2, 3)
-    dwells_ct: tuple = (0.5, 1.0, 2.0)
-    settle_periods: int = 200
-    seed: int = 0
-
-
 def _cycle_candidates(m_count: int, period_max: int):
     """Vertex cycles up to rotation (repetition of shorter cycles kept:
     oscillation periods can exceed the cycle length)."""
@@ -396,74 +390,50 @@ def _period_map_and_states(family: MatrixFamily, cycle, dwell):
     return prop, stages
 
 
-def _check_orbit(prop, stages, y0):
-    """Validate a candidate periodic orbit through y0 (unit norm): exact
-    recurrence over WITNESS_PERIODS periods and genuine within-period
-    separation."""
+def _orbit_numbers(prop, stages, y0):
+    """(recurrence, separation) of the orbit through y0: the largest
+    distance from y0 over WITNESS_PERIODS applications of the period map,
+    and the largest within-period distance from y0."""
     sep = max(float(np.linalg.norm(s @ y0 - y0)) for s in stages)
-    if sep < WITNESS_SEPARATION:
-        return None
     y = y0
     rec = 0.0
     for _ in range(WITNESS_PERIODS):
         y = prop @ y
         rec = max(rec, float(np.linalg.norm(y - y0)))
-        if rec > WITNESS_RECURRENCE:
-            return None
-    return {"recurrence": rec, "separation": sep,
-            "periods_checked": WITNESS_PERIODS}
+    return rec, sep
 
 
-def find_nonconvergence_witness(family: MatrixFamily,
-                                config: WitnessConfig = WitnessConfig()):
+def find_nonconvergence_witness(family: MatrixFamily):
     """Search vertex-cycle signals for a periodic (non-constant) orbit.
 
     A trajectory that keeps returning to a state it measurably leaves can
     not converge, so a verified orbit disproves weak convergence.  Returns
-    (signal, evidence) or None.  Candidate periodic points come from
-    settling the period map from a small start battery and, when the
-    settled point vanishes, from the period map's fixed space.
+    (signal, evidence) or None.  A periodic orbit starts at a fixed vector
+    of the cycle's period map, so the candidates are the orthonormal basis
+    of that map's fixed space, ker(prop - I), with the rank cutoff guarded
+    by 1 + ||prop|| so that a map equal to I up to rounding keeps its whole
+    fixed space.
     """
-    rng = np.random.default_rng(config.seed)
     n = family.n
-    starts = [np.ones(n)] + [e for e in np.eye(n)] + [
-        rng.standard_normal(n) for _ in range(3)]
-    dwells = config.dwells_dt if family.mode == "dt" else config.dwells_ct
-    for cycle in _cycle_candidates(family.m_count, config.period_max):
-        for dwell in dwells:
+    for cycle in _cycle_candidates(family.m_count, WITNESS_PERIOD_MAX):
+        for dwell in WITNESS_DWELLS[family.mode]:
             prop, stages = _period_map_and_states(family, cycle, dwell)
-            candidates = []
-            for x0 in starts:
-                y = x0
-                for _ in range(config.settle_periods):
-                    y = prop @ y
-                    norm = np.linalg.norm(y)
-                    if not np.isfinite(norm) or norm > 1e12:
-                        break
-                    if norm < 1e-9:
-                        break
-                else:
-                    if np.linalg.norm(prop @ y - y) <= 1e-11 * max(
-                            1.0, np.linalg.norm(y)) and \
-                            np.linalg.norm(y) > 1e-6:
-                        candidates.append(y / np.linalg.norm(y))
-            # exact fixed vectors of the period map are period states even
-            # when the map has other neutral modes that prevent settling
-            fixed = kernel(prop - np.eye(n))
-            candidates.extend(fixed.basis.T)
-            for y0 in candidates:
-                ev = _check_orbit(prop, stages, y0)
-                if ev is None:
-                    continue
-                signal = SwitchingSignal.vertex_cycle(cycle, dwell)
-                ev.update({
-                    "mode": family.mode,
-                    "cycle": list(cycle),
-                    "dwell": float(dwell),
-                    "start_state": y0.tolist(),
-                    "period_length": len(cycle) * float(dwell),
-                })
-                return signal, ev
+            fixed = kernel(prop - np.eye(n),
+                           scale=1.0 + float(np.linalg.norm(prop, 2)))
+            for y0 in fixed.basis.T:
+                rec, sep = _orbit_numbers(prop, stages, y0)
+                if rec <= WITNESS_RECURRENCE and sep >= WITNESS_SEPARATION:
+                    signal = SwitchingSignal.vertex_cycle(cycle, dwell)
+                    return signal, {
+                        "recurrence": rec,
+                        "separation": sep,
+                        "periods_checked": WITNESS_PERIODS,
+                        "mode": family.mode,
+                        "cycle": list(cycle),
+                        "dwell": float(dwell),
+                        "start_state": y0.tolist(),
+                        "period_length": len(cycle) * float(dwell),
+                    }
     return None
 
 

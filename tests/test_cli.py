@@ -38,7 +38,7 @@ def family_json(name: str) -> str:
 
 def fresh_report(name: str) -> dict:
     fam = catalogue(name).family
-    doc = report_to_dict(analyze(fam), seed=0)
+    doc = report_to_dict(analyze(fam))
     # same normalization the file round trip applies
     return json.loads(json.dumps(doc, allow_nan=False))
 
@@ -110,8 +110,8 @@ class TestAnalyzeCommand:
         code, out, _ = cli("analyze", "-", stdin=family_json("dt-duality"))
         assert code == 0
         doc = json.loads(out)
-        for key in ("version", "mode", "seed", "tolerances", "verdicts",
-                    "kernel", "ksp", "vertex_verdicts", "certificates",
+        for key in ("version", "mode", "tolerances", "verdicts", "kernel",
+                    "ksp", "vertex_verdicts", "certificates",
                     "witness", "rate", "diagnostics"):
             assert key in doc
         assert doc["witness"]["cycle"] == [0, 1]
@@ -276,7 +276,7 @@ class TestVerifyCommand:
 
 
 def fresh_report_from(fam) -> dict:
-    return json.loads(json.dumps(report_to_dict(analyze(fam), seed=0),
+    return json.loads(json.dumps(report_to_dict(analyze(fam)),
                                  allow_nan=False))
 
 

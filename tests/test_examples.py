@@ -315,35 +315,38 @@ class TestCatalogue:
         assert report.weak.status == entry.expected_weak
 
 
-# the deciding (status, method) of every catalogue verdict: a refactor of
-# the kernel, decomposition or LMI layers must leave each one in place
+# the deciding (status, method) of every catalogue verdict and the first
+# periodic-orbit witness (cycle, dwell): a refactor of the kernel,
+# decomposition, LMI or witness-search layers must leave each one in place
 CATALOGUE_METHODS = {
     "a11-switching": (("Proven", "decomposition-cqlf"),
-                      ("Proven", "implied-by-strong")),
+                      ("Proven", "implied-by-strong"), None),
     "column-stochastic-ct": (("Disproven", "kernel-mismatch"),
-                             ("Disproven", "periodic-orbit")),
+                             ("Disproven", "periodic-orbit"), ([0, 1], 0.5)),
     "ct-duality": (("Disproven", "kernel-mismatch"),
-                   ("Disproven", "periodic-orbit")),
+                   ("Disproven", "periodic-orbit"), ([0, 1], 0.5)),
     "diag-kernels": (("Disproven", "kernel-mismatch"),
-                     ("Proven", "weak-lmi")),
+                     ("Proven", "weak-lmi"), None),
     "dt-duality": (("Disproven", "kernel-mismatch"),
-                   ("Disproven", "periodic-orbit")),
+                   ("Disproven", "periodic-orbit"), ([0, 1], 1.0)),
     "path-consensus": (("Proven", "decomposition-cqlf"),
-                       ("Proven", "implied-by-strong")),
-    "pm-one-dt": (("Disproven", "vertex"), ("Disproven", "vertex")),
-    "rotation-ct": (("Disproven", "vertex"), ("Disproven", "vertex")),
-    "rotation-dt": (("Disproven", "vertex"), ("Disproven", "vertex")),
+                       ("Proven", "implied-by-strong"), None),
+    "pm-one-dt": (("Disproven", "vertex"), ("Disproven", "vertex"), None),
+    "rotation-ct": (("Disproven", "vertex"), ("Disproven", "vertex"), None),
+    "rotation-dt": (("Disproven", "vertex"), ("Disproven", "vertex"), None),
     "scalar-half-one": (("Disproven", "kernel-mismatch"),
-                        ("Proven", "weak-lmi")),
+                        ("Proven", "weak-lmi"), None),
     "spike-schedule": (("Disproven", "kernel-mismatch"),
-                       ("Proven", "weak-lmi")),
+                       ("Proven", "weak-lmi"), None),
 }
 
 
 def _methods(family):
     report = analyze(family)
+    witness = report.witness
     return ((report.strong.status, report.strong.method),
-            (report.weak.status, report.weak.method))
+            (report.weak.status, report.weak.method),
+            None if witness is None else (witness["cycle"], witness["dwell"]))
 
 
 def _seeded_orthogonal(seed, n):

@@ -183,6 +183,23 @@ class TestWeakLmi:
     def test_spike_feasible(self):
         assert weak_lmi(SPIKE) is not None
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ct_one_vertex_semisimple_kernel_feasible(self, seed):
+        # the matrices of test_lti's TestCtLmiF two-dim-kernel case, posed
+        # as one-vertex families: solved directly at eps = 1e-4 these
+        # exhaust the DR budget, so the grid scan must probe EPS_GRID[0]
+        rng = np.random.default_rng(seed)
+        q, r = np.linalg.qr(rng.standard_normal((6, 6)))
+        q = q * np.sign(np.diag(r))
+        g = rng.standard_normal((4, 4))
+        g -= (max(np.linalg.eigvals(g).real) + 0.5) * np.eye(4)
+        core = np.zeros((6, 6))
+        core[2:, 2:] = g
+        cert = weak_lmi(MatrixFamily("ct", [q @ core @ q.T]))
+        assert cert is not None
+        assert cert.parameter == EPS_GRID[-1]
+        assert verify_lmi(cert.problem, {"P": cert.p})["pass"]
+
     def test_explicit_parameter(self):
         assert weak_lmi(DIAG_KERNELS, parameter=1e-2) is not None
         assert weak_lmi(PM_ONE, parameter=0.9) is None

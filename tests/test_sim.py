@@ -242,6 +242,11 @@ class TestWitnessSearch:
         fam = MatrixFamily("dt", (r,))
         out = find_nonconvergence_witness(fam)
         assert out is not None
+        # the period map R^8 is I up to rounding: its fixed space is the
+        # whole plane only under the kernel's 1 + ||prop|| scale guard
+        _, ev = out
+        assert (ev["cycle"], ev["dwell"]) == ([0, 0, 0, 0], 2.0)
+        assert verify_witness(fam, ev)
 
     @given(st.integers(0, 500))
     @settings(max_examples=15, deadline=None)

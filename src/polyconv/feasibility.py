@@ -6,9 +6,12 @@ blocks, dimensions in the tens) and homogeneous, so Douglas-Rachford
 splitting between an affine lift and a product of shifted PSD cones is
 adequate and keeps the trust base tiny.  (Plain alternating projections
 degrade to sublinear rates when the solution touches a cone face, which
-rank-pinned certificates do routinely.)  "Feasible" is only reported after
-verify_lmi independently re-checks the candidate; the solver itself is not
-part of the trust base.
+rank-pinned certificates do routinely.)  The solver itself is not part of
+the trust base.  Two answers carry evidence that an eigenvalue-only check
+re-derives: "Feasible" (values that verify_lmi accepts) and "Infeasible"
+(dual factors that verify_dual accepts, built by the caller before any
+iteration).  "Infeasible-at-tolerance" is the solver's stall heuristic and
+carries no certificate.
 
 Constraint representation: each Constraint encodes
 
@@ -30,6 +33,7 @@ from .linalg import DEFAULT_TOL, Tolerances, as_matrix
 
 __all__ = [
     "FEASIBLE",
+    "CERTIFIED_INFEASIBLE",
     "INFEASIBLE",
     "MAX_ITERATIONS",
     "VarBlock",
@@ -40,10 +44,13 @@ __all__ = [
     "evaluate_constraint",
     "sdp_feasible",
     "verify_lmi",
+    "dual_ratios",
+    "verify_dual",
     "lp_simplex_membership",
 ]
 
 FEASIBLE = "Feasible"
+CERTIFIED_INFEASIBLE = "Infeasible"
 INFEASIBLE = "Infeasible-at-tolerance"
 MAX_ITERATIONS = "MaxIterations"
 
@@ -62,6 +69,13 @@ STRICT_SEP = 10.0
 # relative to the overall certificate scale alone would wave through
 REL_SLACK = 1e-3
 NOISE_FLOOR = 1e-12
+
+# rounding allowance of verify_dual, per unit of |coeff| ||L F|| ||R F||
+# (the magnitude of one term's pairing before cancellation)
+DUAL_ROUNDING = 1e-13
+
+# verify_lmi absorbs BLAS jitter in its margins by these factors
+_JITTER = 1e-9
 
 
 @dataclass(frozen=True)
@@ -119,6 +133,8 @@ class FeasibilityResult:
     var_min_eigs: dict
     iterations: int
     diagnostics: str = ""
+    # constraint name -> F_c of a certificate of infeasibility (verify_dual)
+    factors: dict = field(default_factory=dict)
 
     @property
     def feasible(self) -> bool:
@@ -341,8 +357,10 @@ def sdp_feasible(problem: LmiProblem, max_iter: int = 20000,
 
     Returns Feasible only when the independent verify_lmi check passes on
     the candidate.  A stalled violation measure reports
-    Infeasible-at-tolerance (no certificate of infeasibility is produced);
-    steady improvement that runs out of budget reports MaxIterations.
+    Infeasible-at-tolerance, a heuristic answer without a certificate;
+    steady improvement that runs out of budget reports MaxIterations.  The
+    certified answer Infeasible never comes from here: callers that can
+    build dual factors check them with verify_dual before calling.
     """
     _check_problem(problem)
     tol = problem.tol
@@ -604,7 +622,9 @@ def verify_lmi(problem: LmiProblem, values: dict,
     separation factor (STRICT_SEP * residual_tol relative to scale, never
     below delta): without that, a problem whose closure is feasible but
     whose strict form is not (a variable forced to the floor) would pass.
-    The margins absorb BLAS jitter via the (1 - 1e-9) factor.
+    The margins absorb BLAS jitter via the (1 - 1e-9) factor.  A quadratic
+    form sees only the symmetric part of its matrix, so after the symmetry
+    check the constraints are evaluated at sym(X).
     """
     tol = tol or problem.tol
     delta = tol.psd_margin
@@ -614,6 +634,7 @@ def verify_lmi(problem: LmiProblem, values: dict,
     def fail():
         report["pass"] = False
 
+    sym_values = {}
     for v in problem.variables:
         if v.name not in values:
             raise InputError(f"missing value for variable {v.name!r}")
@@ -624,29 +645,123 @@ def verify_lmi(problem: LmiProblem, values: dict,
         report["symmetry_residuals"][v.name] = sym_resid
         if sym_resid > 1e-9:
             fail()
+        sym_values[v.name] = _sym(x)
     scale = _candidate_scale({v.name: values[v.name] for v in problem.variables})
     report["scale"] = scale
     for v in problem.variables:
         if v.dim == 0:
             report["var_min_eigs"][v.name] = np.inf
             continue
-        me = float(np.linalg.eigvalsh(_sym(np.asarray(values[v.name],
-                                                      dtype=float)))[0])
+        me = float(np.linalg.eigvalsh(sym_values[v.name])[0])
         report["var_min_eigs"][v.name] = me
         if v.strict:
             need = max(delta, STRICT_SEP * tol.residual_tol * scale)
-            need *= 1.0 - 1e-9
+            need *= 1.0 - _JITTER
         else:
             need = -tol.residual_tol * scale
         if me < need:
             fail()
     accept = _residual_accept(problem, report["var_min_eigs"], scale, tol)
     for c in problem.constraints:
-        m = evaluate_constraint(c, values)
+        m = evaluate_constraint(c, sym_values)
         r = float(np.linalg.eigvalsh(m)[-1]) if c.dim else 0.0
         report["constraint_max_eigs"][c.name] = r
-        if r > accept * (1.0 + 1e-9):
+        if r > accept * (1.0 + _JITTER):
             fail()
+    return report
+
+
+def dual_ratios(tol: Tolerances) -> tuple:
+    """(a, b) with accept <= a * weakest and scale <= b * weakest for every
+    candidate that verify_lmi passes on a problem whose variables are all
+    strict (see verify_dual)."""
+    b = 1.0 / (STRICT_SEP * tol.residual_tol * (1.0 - _JITTER))
+    a = max(REL_SLACK, NOISE_FLOOR * b) * (1.0 + _JITTER)
+    return a, b
+
+
+def verify_dual(problem: LmiProblem, factors: dict,
+                tol: Tolerances | None = None) -> dict:
+    """Independent check of a certificate of infeasibility: it passes only
+    when no values can pass verify_lmi on the problem.  Eigenvalue checks
+    only.
+
+    factors maps constraint names to F_c (dim_c x r_c), so that
+    Z_c = F_c F_c' >= 0 by construction; a constraint without an entry has
+    Z_c = 0.  The adjoint image of the Z_c on variable v is
+
+        W_v = sum_c sum_{t on v} coeff_t sym((L_t F_c)(R_t F_c)')
+              + sum_c sum_{(v, cf) in trace_terms} cf tr(Z_c) I,
+
+    so sum_c <C_c(X), Z_c> = sum_v <X_v, W_v> for symmetric X (verify_lmi
+    evaluates sym(X)) when every constant C0_c is zero.  Take X that passes
+    verify_lmi, with every variable strict; weakest is its smallest
+    variable eigenvalue and scale its largest variable norm.
+
+      upper: sum_c <C_c(X), Z_c> <= accept sum_c tr Z_c, because Z_c >= 0
+             and lambda_max(C_c(X)) <= accept, where
+             accept <= max(REL_SLACK, NOISE_FLOOR/(STRICT_SEP residual_tol))
+                       * weakest;
+      lower: sum_v <X_v, W_v> >= weakest sum_v tr W_v+ - scale sum_v tr W_v-,
+             where scale <= weakest / (STRICT_SEP residual_tol), because
+             every strict eigenvalue clears STRICT_SEP residual_tol scale.
+
+    With (a, b) = dual_ratios(tol), both bounds together give
+    weakest * (sum tr W+ - b sum tr W- - a sum tr Z) <= 0, and weakest > 0;
+    so a positive bracket rules out every X.  The bracket must also clear
+    a rounding allowance, b * DUAL_ROUNDING * sum |coeff| ||L F|| ||R F||
+    (plus |cf| dim_v tr Z_c per trace term): the floating-point error of
+    the pairing, whose terms can cancel.  The check rejects when any
+    variable is not strict (no weakest to scale by) or any constant is
+    nonzero (the bounds would no longer be homogeneous in X).
+    """
+    tol = tol or problem.tol
+    names = {c.name for c in problem.constraints}
+    for name in factors:
+        if name not in names:
+            raise InputError(f"factor for unknown constraint {name!r}")
+    report = {"pass": False, "margin": float("nan"), "reason": ""}
+    if any(not v.strict for v in problem.variables):
+        report["reason"] = "a variable is not strict"
+        return report
+    if any(c.dim and np.abs(np.asarray(c.constant)).max() > 0.0
+           for c in problem.constraints):
+        report["reason"] = "a constraint has a nonzero constant"
+        return report
+    w = {v.name: np.zeros((v.dim, v.dim)) for v in problem.variables}
+    trace_z = 0.0
+    rounding = 0.0
+    for c in problem.constraints:
+        if c.name not in factors:
+            continue
+        f = as_matrix(factors[c.name], square=False, name=f"factor {c.name}")
+        if f.shape[0] != c.dim:
+            raise InputError(f"factor for {c.name!r} needs {c.dim} rows")
+        tz = float(np.sum(f * f))
+        trace_z += tz
+        for t in c.terms:
+            lf, rf = t.left @ f, t.right @ f
+            w[t.var] += t.coeff * _sym(lf @ rf.T)
+            rounding += abs(t.coeff) * np.linalg.norm(lf) * np.linalg.norm(rf)
+        for vn, cf in c.trace_terms:
+            dim = problem.variable(vn).dim
+            w[vn] += cf * tz * np.eye(dim)
+            rounding += abs(cf) * dim * tz
+    if trace_z == 0.0:
+        report["reason"] = "every factor is zero"
+        return report
+    w_pos = w_neg = 0.0
+    for x in w.values():
+        if x.size:
+            e = np.linalg.eigvalsh(x)
+            w_pos += float(e[e > 0.0].sum())
+            w_neg -= float(e[e < 0.0].sum())
+    a, b = dual_ratios(tol)
+    bracket = w_pos - b * w_neg - a * trace_z - b * DUAL_ROUNDING * rounding
+    report["margin"] = bracket / trace_z
+    report["pass"] = bool(bracket > 0.0)
+    if not report["pass"]:
+        report["reason"] = "the pairing does not exclude every candidate"
     return report
 
 

@@ -40,7 +40,7 @@ from .lti import (
     decompose,
     lti_convergent_ct,
     lti_convergent_dt,
-    reduced_problem,
+    reduced_lmi,
     vertex_kernels,
 )
 from .sim import find_nonconvergence_witness
@@ -187,10 +187,8 @@ def strong_lmi(family: MatrixFamily,
     shared-kernel property (the rank condition on P is stated against the
     common fixed space), and is sufficient only."""
     dec = strong_decompose(family, tol)
-    prob = reduced_problem(family.matrices, family.mode,
-                           dec.complement.basis, tol)
-    res = sdp_feasible(prob)
-    return LmiOutcome(res.feasible, None, res, prob)
+    return reduced_lmi(family.matrices, family.mode, dec.complement.basis,
+                       tol)
 
 
 def weak_lmi(family: MatrixFamily, parameter: float | None = None,

@@ -10,10 +10,14 @@ by the rank cutoff are removed as the semisimple cluster; of the remaining
 ones, a modulus (real part) that is machine-exactly critical is Disproven,
 one strictly inside the (1e-12, 1e-8) band returns Unknown.
 
-The LMI routes never look at eigenvalues; they assemble the corresponding
-feasibility problems in kernel-aligned coordinates (which exposes the
-structurally-zero rows to the solver's facial reduction) and adjudicate
-purely through sdp_feasible/verify_lmi.
+The LMI routes assemble the corresponding feasibility problems in
+kernel-aligned coordinates (which exposes the structurally-zero rows to the
+solver's facial reduction) and adjudicate purely through the two
+solver-free checks: verify_lmi for a certificate (found by sdp_feasible)
+and verify_dual for a certificate of infeasibility.  Eigenvectors enter
+only as candidates for the latter (see vertex_duals): a candidate that
+verify_dual rejects costs the solver run it was meant to save, never a
+verdict.
 
 This module owns the one implementation of each object that the family
 routes in `inclusion` pose at every vertex: the kernel-aligned
@@ -31,13 +35,16 @@ import numpy as np
 
 from .errors import InputError
 from .feasibility import (
+    CERTIFIED_INFEASIBLE,
     FEASIBLE,
     Constraint,
     FeasibilityResult,
     LmiProblem,
     Term,
     VarBlock,
+    dual_ratios,
     sdp_feasible,
+    verify_dual,
     verify_lmi,
 )
 from .linalg import (
@@ -367,10 +374,86 @@ def cqlf_problem(blocks, mode: str,
     return LmiProblem([VarBlock("P", nb, strict=True)], cons, tol)
 
 
+def vertex_duals(mats, mode: str, tol: Tolerances = DEFAULT_TOL,
+                 parameter: float | None = None, bases=None,
+                 wc: np.ndarray | None = None) -> dict:
+    """Candidate factors for verify_dual from vertex eigenpairs: of the
+    damped problem (parameter and bases given, see damped_problem) or of
+    the reduced one (wc given, see reduced_problem).
+
+    Damped form: A_i v = lam v gives F = T_i'[Re v, Im v], so
+    T_i Z T_i' = Re(vv*) and, as A Re(vv*) A' = |lam|^2 Re(vv*), the
+    adjoint image is s Re(vv*) with the pairing scalar
+    s = k(|lam|^2 - 1) + |lam - 1|^2, k = eta/(1-eta) (dt), resp.
+    s = 2 Re(lam)/eps + |lam|^2 (ct).
+    Reduced form: B_i u = lam u with B_i = wc' A_i wc gives F = [Re u, Im u]
+    with image (|lam|^2 - 1) Re(uu*) (dt) resp. 2 Re(lam) Re(uu*) (ct) on P1
+    and Re(ww*) on Q, w = (A_i - I) wc u (dt) resp. A_i wc u (ct).
+
+    An eigenpair is kept when its closed-form pairing passes verify_dual's
+    bound on its own (see dual_ratios), so a stable vertex pays one eig and
+    yields nothing.  The kept pairs of vertex i are stacked into the factor
+    of its constraint.  The filter carries no trust: verify_dual checks
+    the result.
+    """
+    a_ratio, b_ratio = dual_ratios(tol)
+    factors = {}
+    for i, a in enumerate(mats):
+        if wc is None:
+            lam, vec = np.linalg.eig(a)
+            if mode == "dt":
+                k = parameter / (1.0 - parameter)
+                s = k * (np.abs(lam) ** 2 - 1.0) + np.abs(lam - 1.0) ** 2
+            else:
+                s = 2.0 * lam.real / parameter + np.abs(lam) ** 2
+            q_part = 0.0
+            lift = bases[i].T
+        else:
+            lam, vec = np.linalg.eig(wc.T @ a @ wc)
+            s = (np.abs(lam) ** 2 - 1.0 if mode == "dt"
+                 else 2.0 * lam.real)
+            lq = ((a - np.eye(a.shape[0])) if mode == "dt" else a) @ wc
+            q_part = np.sum(np.abs(lq @ vec) ** 2, axis=0)
+            lift = np.eye(wc.shape[1])
+        # verify_dual's bracket for this pair alone, per unit tr Z
+        keep = np.where(s >= 0.0, s, b_ratio * s) + q_part > a_ratio
+        if np.any(keep):
+            factors[f"vertex{i + 1}"] = lift @ np.hstack(
+                [vec[:, keep].real, vec[:, keep].imag])
+    return factors
+
+
+def certified_infeasible(problem: LmiProblem,
+                         factors: dict) -> FeasibilityResult | None:
+    """The certified Infeasible result when verify_dual accepts factors,
+    else None (the caller falls back to sdp_feasible)."""
+    if not factors:
+        return None
+    report = verify_dual(problem, factors)
+    if not report["pass"]:
+        return None
+    return FeasibilityResult(
+        CERTIFIED_INFEASIBLE, {}, {}, {}, 0, factors=factors,
+        diagnostics=f"verify_dual margin {report['margin']:.3e}")
+
+
+def reduced_lmi(mats, mode: str, wc: np.ndarray,
+                tol: Tolerances = DEFAULT_TOL) -> LmiOutcome:
+    """The reduced vertex LMI over complement basis wc: a certified
+    infeasibility from vertex eigenpairs when verify_dual accepts one,
+    else sdp_feasible."""
+    prob = reduced_problem(mats, mode, wc, tol)
+    res = (certified_infeasible(prob, vertex_duals(mats, mode, tol, wc=wc))
+           or sdp_feasible(prob))
+    return LmiOutcome(res.feasible, None, res, prob)
+
+
 def damped_lmi(mats, mode: str, parameter: float | None, bases,
                tol: Tolerances = DEFAULT_TOL) -> LmiOutcome:
     """The damped vertex LMI at one parameter, or over its grid when
-    parameter is None.
+    parameter is None.  Each problem first tries a certified infeasibility
+    from vertex eigenpairs (vertex_duals, verify_dual); sdp_feasible runs
+    only when that fails.
 
     DT feasibility is monotone increasing in eta, so the scan first probes
     the largest grid eta (infeasible there means infeasible on the whole
@@ -378,21 +461,27 @@ def damped_lmi(mats, mode: str, parameter: float | None, bases,
 
     CT feasibility is monotone decreasing in eps (the damping term
     A'PA >= 0 only tightens), so the outcome is reported at the smallest
-    grid eps, EPS_GRID[-1], which decides the whole grid.  That problem is
-    badly conditioned for the solver (the Lyapunov term carries the weight
-    2/eps), so the best-conditioned point EPS_GRID[0] is probed first.
-    Its P is returned only if verify_lmi also accepts it on the
-    EPS_GRID[-1] problem: monotonicity holds in exact arithmetic, but the
-    acceptance margins are relative to each problem's own scale, so the
-    reported problem is re-checked rather than assumed.  Otherwise the
-    EPS_GRID[-1] problem is solved directly.
+    grid eps, EPS_GRID[-1], which decides the whole grid.  Its dual is
+    tried first: when verify_dual accepts it, the grid is infeasible and
+    nothing else runs.  Otherwise, the EPS_GRID[-1] problem being badly
+    conditioned for the solver (the Lyapunov term carries the weight
+    2/eps), the best-conditioned point EPS_GRID[0] is probed next.  Its P
+    is returned only if verify_lmi also accepts it on the EPS_GRID[-1]
+    problem: monotonicity holds in exact arithmetic, but the acceptance
+    margins are relative to each problem's own scale, so the reported
+    problem is re-checked rather than assumed.  Otherwise the EPS_GRID[-1]
+    problem is solved directly.
 
-    The returned iteration count covers every probe; a grid outcome that
-    is infeasible carries no parameter.
+    The returned iteration count covers every probe (a certified probe
+    takes none); a grid outcome that is infeasible carries no parameter.
     """
+    def dual(prob: LmiProblem, par: float):
+        return certified_infeasible(prob, vertex_duals(
+            mats, mode, tol, parameter=par, bases=bases))
+
     def solve(par: float) -> LmiOutcome:
         prob = damped_problem(mats, mode, par, bases, tol)
-        res = sdp_feasible(prob)
+        res = dual(prob, par) or sdp_feasible(prob)
         return LmiOutcome(res.feasible, par, res, prob)
 
     if parameter is not None:
@@ -400,10 +489,13 @@ def damped_lmi(mats, mode: str, parameter: float | None, bases,
     spent = 0
     if mode == "ct":
         fine = EPS_GRID[-1]
+        prob = damped_problem(mats, mode, fine, bases, tol)
+        res = dual(prob, fine)
+        if res is not None:
+            return LmiOutcome(False, None, res, prob)
         coarse = solve(EPS_GRID[0])
         spent = coarse.result.iterations
         if coarse.feasible:
-            prob = damped_problem(mats, mode, fine, bases, tol)
             report = verify_lmi(prob, coarse.result.values)
             if report["pass"]:
                 res = FeasibilityResult(
@@ -412,7 +504,10 @@ def damped_lmi(mats, mode: str, parameter: float | None, bases,
                     spent, diagnostics=f"solved at eps={EPS_GRID[0]:g}, "
                                        f"verified at eps={fine:g}")
                 return LmiOutcome(True, fine, res, prob)
-    out = solve(EPS_GRID[-1] if mode == "ct" else ETA_GRID[-1])
+        res = sdp_feasible(prob)
+        out = LmiOutcome(res.feasible, fine, res, prob)
+    else:
+        out = solve(ETA_GRID[-1])
     spent += out.result.iterations
     if out.feasible and mode == "dt":
         for eta in ETA_GRID[:-1]:
@@ -439,9 +534,7 @@ def lti_lmi_dt_e(a, eta: float | None = None,
 def _reduced_lmi(a, mode: str, tol: Tolerances) -> LmiOutcome:
     mats = (as_matrix(a),)
     wc = orthogonal_complement(vertex_kernels(mats, mode, tol)[0], tol).basis
-    prob = reduced_problem(mats, mode, wc, tol)
-    res = sdp_feasible(prob)
-    return LmiOutcome(res.feasible, None, res, prob)
+    return reduced_lmi(mats, mode, wc, tol)
 
 
 def lti_lmi_dt_f(a, tol: Tolerances = DEFAULT_TOL) -> LmiOutcome:

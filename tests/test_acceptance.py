@@ -15,6 +15,7 @@ import pytest
 import polyconv.feasibility
 import polyconv.inclusion
 from polyconv.cli import report_to_dict, verify_report
+from polyconv.feasibility import CERTIFIED_INFEASIBLE, verify_dual
 from polyconv.examples import (catalogue, catalogue_names,
                                opinion_social_family, spike_schedule_signal)
 from polyconv.family import MatrixFamily
@@ -263,11 +264,20 @@ def test_single_matrix_routes_agree_on_a_seeded_sweep():
             continue
         convergent = verdict.status == PROVEN
         if mode == "dt":
-            assert lti_lmi_dt_e(a).feasible == convergent, (i, archetype)
-            assert lti_lmi_dt_f(a).feasible == convergent, (i, archetype)
+            damped, reduced = lti_lmi_dt_e(a), lti_lmi_dt_f(a)
         else:
-            assert lti_lmi_ct_f(a).feasible == convergent, (i, archetype)
-            assert lti_lmi_ct_g(a).feasible == convergent, (i, archetype)
+            damped, reduced = lti_lmi_ct_f(a), lti_lmi_ct_g(a)
+        for route, out in (("damped", damped), ("reduced", reduced)):
+            assert out.feasible == convergent, (i, archetype, route)
+            # unstable and rotation matrices have eigenvector duals on both
+            # forms, a Jordan block only on the reduced one: their answers
+            # must be certified, not the solver's stall
+            if (archetype in (1, 4) and not out.feasible) or (
+                    archetype == 3 and route == "reduced"):
+                assert out.result.status == CERTIFIED_INFEASIBLE, (
+                    i, archetype, route, out.result.status)
+            if out.result.status == CERTIFIED_INFEASIBLE:
+                assert verify_dual(out.problem, out.result.factors)["pass"]
         assert _cauchy_after_many_steps(a, mode) == convergent, (
             i, archetype)
     elapsed = time.monotonic() - start

@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from scipy.linalg import solve_continuous_lyapunov, solve_discrete_lyapunov
 
 from polyconv.errors import InputError
 from polyconv.feasibility import (
@@ -9,9 +13,11 @@ from polyconv.feasibility import (
     LmiProblem,
     Term,
     VarBlock,
+    dual_ratios,
     evaluate_constraint,
     lp_simplex_membership,
     sdp_feasible,
+    verify_dual,
     verify_lmi,
 )
 from polyconv.linalg import Tolerances
@@ -201,6 +207,123 @@ def test_solver_rejects_expanding_matrices(n, seed):
     m *= 1.3 / rho
     res = sdp_feasible(dt_lyapunov_problem(m))
     assert not res.feasible
+
+
+# ---------------------------------------------------------------- duals
+
+def eigen_factor(a, keep=None):
+    """[Re V, Im V] over the eigenvectors of a selected by keep(lam)."""
+    lam, vec = np.linalg.eig(np.asarray(a, dtype=float))
+    sel = np.ones(lam.shape, bool) if keep is None else keep(lam)
+    return np.hstack([vec[:, sel].real, vec[:, sel].imag])
+
+
+def test_dual_accepts_unstable_eigenvector():
+    # W = (1.2^2 - 1) e1 e1' >= 0 against tr Z = 1
+    prob = dt_lyapunov_problem(np.diag([1.2, 0.5]), margin=False)
+    report = verify_dual(prob, {"lyap": np.array([[1.0], [0.0]])})
+    assert report["pass"]
+    a, _ = dual_ratios(TOL)
+    assert report["margin"] == pytest.approx(0.44 - a, rel=1e-6)
+
+
+def test_dual_accepts_rotation_eigenvectors():
+    c, s = np.cos(0.4), np.sin(0.4)
+    a = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 0.3]])
+    # damped DT form at eta: W = (|lam - 1|^2) Re(vv*) on the rotation
+    eta = 0.9
+    con = Constraint("damped", 3, np.zeros((3, 3)), (
+        Term("P", eta / (1 - eta), a, a),
+        Term("P", -eta / (1 - eta), np.eye(3), np.eye(3)),
+        Term("P", 1.0, a - np.eye(3), a - np.eye(3)),
+    ))
+    prob = LmiProblem([VarBlock("P", 3)], [con])
+    f = eigen_factor(a, lambda lam: np.abs(lam) > 0.99)
+    assert verify_dual(prob, {"damped": f})["pass"]
+
+
+@pytest.mark.parametrize("mode", ["dt", "ct"])
+@pytest.mark.parametrize("seed", range(4))
+def test_dual_rejects_eigenvectors_of_a_convergent_matrix(mode, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((3, 3))
+    if mode == "dt":
+        m *= 0.8 / max(abs(np.linalg.eigvals(m)))
+        prob = dt_lyapunov_problem(m, margin=False)
+    else:
+        m -= (max(np.linalg.eigvals(m).real) + 0.2) * np.eye(3)
+        prob = ct_lyapunov_problem(m, margin=False)
+    report = verify_dual(prob, {"lyap": eigen_factor(m)})
+    assert not report["pass"]
+    # and the problem does have a certificate
+    assert sdp_feasible(prob).feasible
+
+
+def test_dual_rejects_negative_part_beyond_the_bound():
+    # W = 0.44 e1 e1' - 0.75 t^2 e2 e2': its negative part weighs
+    # 1 / (STRICT_SEP * residual_tol) = 1e6 against the positive one, so
+    # t = 1e-4 passes and t = 1e-3 (still 0.44 >> 0.75e-6) does not
+    prob = dt_lyapunov_problem(np.diag([1.2, 0.5]), margin=False)
+    assert verify_dual(prob, {"lyap": np.array([[1.0], [1e-4]])})["pass"]
+    assert not verify_dual(prob, {"lyap": np.array([[1.0], [1e-3]])})["pass"]
+
+
+def test_dual_rejects_non_strict_variable():
+    a = np.diag([1.2, 0.5])
+    con = Constraint("lyap", 2, np.zeros((2, 2)), (
+        Term("P", 1.0, a, a), Term("P", -1.0, np.eye(2), np.eye(2))))
+    prob = LmiProblem([VarBlock("P", 2, strict=False)], [con])
+    report = verify_dual(prob, {"lyap": np.array([[1.0], [0.0]])})
+    assert not report["pass"]
+    assert "strict" in report["reason"]
+
+
+def test_dual_rejects_nonzero_constant_and_zero_factors():
+    prob = dt_lyapunov_problem(np.diag([1.2, 0.5]), margin=True)
+    assert not verify_dual(prob, {"lyap": np.array([[1.0], [0.0]])})["pass"]
+    prob = dt_lyapunov_problem(np.diag([1.2, 0.5]), margin=False)
+    assert not verify_dual(prob, {})["pass"]
+    assert not verify_dual(prob, {"lyap": np.zeros((2, 1))})["pass"]
+
+
+def test_dual_validates_factor_names_and_shapes():
+    prob = dt_lyapunov_problem(np.diag([1.2, 0.5]), margin=False)
+    with pytest.raises(InputError):
+        verify_dual(prob, {"other": np.ones((2, 1))})
+    with pytest.raises(InputError):
+        verify_dual(prob, {"lyap": np.ones((3, 1))})
+
+
+@given(st.integers(0, 10**6), st.floats(0.6, 1.4), st.sampled_from(["dt", "ct"]),
+       st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_no_problem_passes_both_checks(seed, radius, mode, n):
+    # near-critical Lyapunov problems with the natural candidate on each
+    # side: the Lyapunov solution for verify_lmi, unstable eigenvectors,
+    # all eigenvectors and a random factor for verify_dual
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    with warnings.catch_warnings():
+        # near-critical inputs make the Lyapunov solve ill-posed
+        warnings.simplefilter("ignore", RuntimeWarning)
+        if mode == "dt":
+            m *= radius / max(abs(np.linalg.eigvals(m)))
+            prob = dt_lyapunov_problem(m, margin=False)
+            lyap = solve_discrete_lyapunov(m.T, np.eye(n))
+            bad = lambda lam: np.abs(lam) >= 1.0
+        else:
+            m += (radius - 1.0 - max(np.linalg.eigvals(m).real)) * np.eye(n)
+            prob = ct_lyapunov_problem(m, margin=False)
+            lyap = solve_continuous_lyapunov(m.T, -np.eye(n))
+            bad = lambda lam: lam.real >= 0.0
+    lyap = 0.5 * (lyap + lyap.T)
+    certified = [verify_lmi(prob, {"P": p})["pass"]
+                 for p in (lyap, np.eye(n))
+                 if np.all(np.isfinite(p)) and np.abs(p).max() < 1e12]
+    duals = [verify_dual(prob, {"lyap": f})["pass"]
+             for f in (eigen_factor(m, bad), eigen_factor(m),
+                       rng.standard_normal((n, 2)))]
+    assert not (any(certified) and any(duals))
 
 
 # ---------------------------------------------------------------- simplex LP

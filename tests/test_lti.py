@@ -11,7 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyconv.errors import InputError
-from polyconv.feasibility import sdp_feasible, verify_lmi
+from polyconv.feasibility import (
+    CERTIFIED_INFEASIBLE,
+    INFEASIBLE,
+    sdp_feasible,
+    verify_dual,
+    verify_lmi,
+)
 from polyconv.linalg import matrix_exponential
 from polyconv.lti import (
     DISPROVEN,
@@ -19,7 +25,9 @@ from polyconv.lti import (
     ETA_GRID,
     PROVEN,
     UNKNOWN,
+    aligned_bases,
     ct_aux,
+    damped_lmi,
     dt_aux,
     eas,
     lti_convergent_ct,
@@ -31,6 +39,8 @@ from polyconv.lti import (
     lti_lmi_ct_g,
     lti_lmi_dt_e,
     lti_lmi_dt_f,
+    vertex_duals,
+    vertex_kernels,
 )
 
 
@@ -264,19 +274,30 @@ class TestDtLmiE:
 
     def test_scan_reports_iterations_of_every_probe(self, monkeypatch):
         # scalar threshold is eta >= (1 - a) / 2 = 0.9975: only the top
-        # grid eta is feasible, so the scan probes all four grid points
+        # grid eta is feasible, so the scan probes all four grid points.
+        # The top one is solved; the three below end by a verified dual
+        # (pairing k(a^2 - 1) + (a - 1)^2 > 0 for k = eta/(1-eta) <= 99),
+        # which takes no iterations
         import polyconv.lti as lti
         spent = []
+        duals = []
 
         def counting(problem):
             res = sdp_feasible(problem)
             spent.append(res.iterations)
             return res
 
+        def counting_dual(problem, factors):
+            report = verify_dual(problem, factors)
+            duals.append(report["pass"])
+            return report
+
         monkeypatch.setattr(lti, "sdp_feasible", counting)
+        monkeypatch.setattr(lti, "verify_dual", counting_dual)
         out = lti_lmi_dt_e([[-0.995]])
         assert out.feasible and out.parameter == ETA_GRID[-1]
-        assert len(spent) == len(ETA_GRID)
+        assert len(spent) + sum(duals) == len(ETA_GRID)
+        assert sum(duals) == len(ETA_GRID) - 1
         assert out.result.iterations == sum(spent)
 
 
@@ -334,6 +355,94 @@ class TestCtLmiG:
 
     def test_nilpotent_infeasible(self):
         assert not lti_lmi_ct_g([[0.0, 1.0], [0.0, 0.0]]).feasible
+
+
+# ----------------------------------------------- certified infeasibility
+
+DT_ROUTES = (lti_lmi_dt_e, lti_lmi_dt_f)
+CT_ROUTES = (lti_lmi_ct_f, lti_lmi_ct_g)
+JORDAN = {"dt": [[1.0, 1.0], [0.0, 1.0]], "ct": [[0.0, 1.0], [0.0, 0.0]]}
+
+
+def _unstable(mode, q):
+    core = np.diag([1.3, 0.5, -0.2]) if mode == "dt" else np.diag(
+        [0.4, -1.0, -2.0])
+    return q @ core @ q.T
+
+
+def _rotating(mode, q, theta=0.3):
+    core = np.zeros((3, 3))
+    if mode == "dt":
+        core[:2, :2] = rotation(theta)
+        core[2, 2] = 0.5
+    else:
+        core[:2, :2] = [[0.0, theta], [-theta, 0.0]]
+        core[2, 2] = -1.0
+    return q @ core @ q.T
+
+
+class TestCertifiedInfeasibility:
+    @pytest.mark.parametrize("route", DT_ROUTES + CT_ROUTES)
+    @pytest.mark.parametrize("build", [_unstable, _rotating])
+    def test_unstable_and_rotation_duals_verify(self, route, build):
+        mode = "dt" if route in DT_ROUTES else "ct"
+        q = random_orthogonal(np.random.default_rng(3), 3)
+        out = route(build(mode, q))
+        assert not out.feasible
+        assert out.result.status == CERTIFIED_INFEASIBLE
+        assert out.result.iterations == 0
+        assert verify_dual(out.problem, out.result.factors)["pass"]
+
+    @pytest.mark.parametrize("route,mode", [(lti_lmi_dt_f, "dt"),
+                                            (lti_lmi_ct_g, "ct")])
+    def test_jordan_block_duals_verify_on_the_reduced_form(self, route,
+                                                          mode):
+        out = route(JORDAN[mode])
+        assert out.result.status == CERTIFIED_INFEASIBLE
+        assert verify_dual(out.problem, out.result.factors)["pass"]
+
+    @pytest.mark.parametrize("route,mode", [(lti_lmi_dt_e, "dt"),
+                                            (lti_lmi_ct_f, "ct")])
+    def test_jordan_block_is_only_weakly_infeasible_on_the_damped_form(
+            self, route, mode):
+        # known limit: every eigenvector pairs to exactly zero (s = 0 at
+        # lam = 1 resp. 0), and for the 2x2 block no Z >= 0 has an adjoint
+        # image that is >= 0 and nonzero, so no dual exists and the answer
+        # stays the solver's heuristic
+        a = np.asarray(JORDAN[mode])
+        mats = (a,)
+        bases = aligned_bases(vertex_kernels(mats, mode))
+        for par in (ETA_GRID if mode == "dt" else EPS_GRID):
+            assert vertex_duals(mats, mode, parameter=par, bases=bases) == {}
+        out = route(a)
+        assert not out.feasible
+        assert out.result.status == INFEASIBLE
+
+    def test_ct_grid_dual_skips_every_solve(self, monkeypatch):
+        import polyconv.lti as lti
+        calls = []
+        monkeypatch.setattr(lti, "sdp_feasible",
+                            lambda problem: calls.append(problem))
+        out = lti_lmi_ct_f(_unstable("ct", np.eye(3)))
+        assert out.result.status == CERTIFIED_INFEASIBLE
+        assert out.parameter is None and out.problem is not None
+        assert calls == []
+
+    def test_family_dual_names_only_the_offending_vertex(self):
+        mats = (np.diag([0.5, 0.2]), rotation(1.0))
+        bases = aligned_bases(vertex_kernels(mats, "dt"))
+        out = damped_lmi(mats, "dt", None, bases)
+        assert out.result.status == CERTIFIED_INFEASIBLE
+        assert set(out.result.factors) == {"vertex2"}
+        assert verify_dual(out.problem, out.result.factors)["pass"]
+
+    def test_stable_matrix_yields_no_dual(self):
+        a = np.diag([0.5, -0.3])
+        mats = (a,)
+        bases = aligned_bases(vertex_kernels(mats, "dt"))
+        assert vertex_duals(mats, "dt", parameter=ETA_GRID[-1],
+                            bases=bases) == {}
+        assert lti_lmi_dt_e(a).feasible
 
 
 # ---------------------------------------------------------------- limits

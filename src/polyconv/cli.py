@@ -315,12 +315,8 @@ def _verify_kernel(doc, family, tol, checks) -> None:
     from .inclusion import common_fixed_kernel
     from .linalg import Subspace, subspace_equal
     name = "kernel"
-    try:
-        basis = np.asarray(doc["kernel"]["basis"], dtype=float)
-        dim = doc["kernel"]["dim"]
-    except (KeyError, TypeError, ValueError):
-        checks.add(name, False, "missing or malformed kernel section")
-        return
+    basis = np.asarray(doc["kernel"]["basis"], dtype=float)
+    dim = doc["kernel"]["dim"]
     n = family.n
     if basis.ndim != 2 or basis.shape[0] != n or basis.shape[1] != dim:
         checks.add(name, False, "kernel basis shape mismatch")
@@ -427,11 +423,7 @@ def _margin_matches(recorded, computed, slack: float) -> bool:
 def _check_lmi(name, problem, values, recorded_checks, tol, checks) -> None:
     """verify_lmi must pass and reproduce the recorded margins."""
     from .feasibility import verify_lmi
-    try:
-        check = verify_lmi(problem, values, tol)
-    except InputError as exc:
-        checks.add(name, False, f"certificate rejected: {exc}")
-        return
+    check = verify_lmi(problem, values, tol)
     if not checks.add(name, check["pass"], "certificate infeasible"):
         return
     slack = tol.residual_tol * (1.0 + check["scale"])
@@ -454,15 +446,11 @@ def _verify_strong_certificate(doc, family, tol, checks) -> None:
     name = "certificates/strong"
     sec = doc["certificates"]["strong"]
     n = family.n
-    try:
-        t = np.asarray(sec["t"], dtype=float)
-        m = int(sec["kernel_dim"])
-        blocks = [np.asarray(b, dtype=float) for b in sec["blocks"]]
-        couplings = [np.asarray(b, dtype=float) for b in sec["couplings"]]
-        kind = sec["kind"]
-    except (KeyError, TypeError, ValueError):
-        checks.add(name, False, "malformed strong certificate")
-        return
+    t = np.asarray(sec["t"], dtype=float)
+    m = int(sec["kernel_dim"])
+    blocks = [np.asarray(b, dtype=float) for b in sec["blocks"]]
+    couplings = [np.asarray(b, dtype=float) for b in sec["couplings"]]
+    kind = sec["kind"]
     r = n - m
     if t.shape != (n, n) or not 0 <= m <= n or sec["kernel_dim"] != m:
         checks.add(name, False, "decomposition shape mismatch")
@@ -530,12 +518,8 @@ def _verify_weak_certificate(doc, family, tol, checks) -> None:
                       vertex_kernels)
     name = "certificates/weak"
     sec = doc["certificates"]["weak"]
-    try:
-        p = np.asarray(sec["p"], dtype=float)
-        parameter = float(sec["parameter"])
-    except (KeyError, TypeError, ValueError):
-        checks.add(name, False, "malformed weak certificate")
-        return
+    p = np.asarray(sec["p"], dtype=float)
+    parameter = float(sec["parameter"])
     if p.shape != (family.n, family.n):
         checks.add(name, False, "P shape mismatch")
         return
@@ -561,17 +545,12 @@ def _verify_rate(doc, family, tol, checks) -> None:
         checks.add(name, False,
                    "rate needs the common-Lyapunov strong certificate")
         return
-    try:
-        beta = float(sec["beta"])
-        c0 = float(sec["c0"])
-        c1 = float(sec["c1"])
-        p = np.asarray(strong["p"], dtype=float)
-        blocks = [np.asarray(b, dtype=float) for b in strong["blocks"]]
-        couplings = [np.asarray(b, dtype=float)
-                     for b in strong["couplings"]]
-    except (KeyError, TypeError, ValueError):
-        checks.add(name, False, "malformed rate section")
-        return
+    beta = float(sec["beta"])
+    c0 = float(sec["c0"])
+    c1 = float(sec["c1"])
+    p = np.asarray(strong["p"], dtype=float)
+    blocks = [np.asarray(b, dtype=float) for b in strong["blocks"]]
+    couplings = [np.asarray(b, dtype=float) for b in strong["couplings"]]
     if not checks.add(name, beta > 0 and sec.get("mode") == family.mode,
                       "rate parameters out of range"):
         return
@@ -593,7 +572,7 @@ def _verify_rate(doc, family, tol, checks) -> None:
                "transient constants do not recompute")
 
 
-def _verify_witness_section(doc, family, checks) -> None:
+def _verify_witness_section(doc, family, tol, checks) -> None:
     import numpy as np
     from .sim import (WITNESS_PERIODS, WITNESS_RECURRENCE,
                       WITNESS_SEPARATION, _orbit_numbers,
@@ -615,11 +594,7 @@ def _verify_witness_section(doc, family, checks) -> None:
         and ev.get("periods_checked") == WITNESS_PERIODS)
     if not checks.add(name, structural, "malformed witness fields"):
         return
-    try:
-        y0 = np.asarray(ev["start_state"], dtype=float)
-    except (KeyError, TypeError, ValueError):
-        checks.add(name, False, "malformed start state")
-        return
+    y0 = np.asarray(ev["start_state"], dtype=float)
     if not checks.add(name, y0.shape == (family.n,),
                       "start state has the wrong dimension"):
         return
@@ -636,15 +611,11 @@ def _verify_witness_section(doc, family, checks) -> None:
     if not checks.add(name, consistent,
                       "recorded orbit numbers do not recompute"):
         return
-    try:
-        ok = verify_witness(family, ev)
-    except InputError as exc:
-        checks.add(name, False, f"malformed witness: {exc}")
-        return
-    checks.add(name, ok, "periodic orbit fails re-simulation")
+    checks.add(name, verify_witness(family, ev),
+               "periodic orbit fails re-simulation")
 
 
-def _verify_linkage(doc, checks) -> None:
+def _verify_linkage(doc, family, tol, checks) -> None:
     """Each decided verdict must cite an evidence section that checked out."""
     name = "evidence-linkage"
     ksp_holds = isinstance(doc.get("ksp"), dict) and doc["ksp"].get("holds")
@@ -698,6 +669,29 @@ def _verify_linkage(doc, checks) -> None:
                        f"{side}: witness missing or failed")
 
 
+def _report_tolerances(doc):
+    """The Tolerances a report records: an object with exactly the four
+    Tolerances keys, each a finite positive number."""
+    import math
+    from .linalg import DEFAULT_TOL, Tolerances
+    tdoc = doc.get("tolerances")
+    keys = sorted(_tol_doc(DEFAULT_TOL))
+    if not isinstance(tdoc, dict) or sorted(tdoc) != keys:
+        raise InputError("report tolerances must be an object with the keys "
+                         + ", ".join(keys))
+    for key, value in tdoc.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value) or value <= 0):
+            raise InputError(f"report tolerance {key!r} must be a finite "
+                             f"positive number, got {value!r}")
+    return Tolerances(**tdoc)
+
+
+# what a wrongly typed field raises inside a section check (InputError is a
+# ValueError); the section then fails instead of the whole verification
+_MALFORMED = (AttributeError, TypeError, KeyError, IndexError, ValueError)
+
+
 def verify_report(doc, family, tol=None):
     """Re-check every piece of recorded evidence without the solver.
 
@@ -706,32 +700,40 @@ def verify_report(doc, family, tol=None):
     and a recorded periodic orbit is re-simulated.  Every recorded number
     is also compared against its recomputation, so a report edited after
     the fact fails even when the edited value would itself be feasible.
-    Returns (verified, checks).
+    A section that is missing or wrongly typed is a failed check; a report
+    that is not an object, or whose tolerances are malformed, raises
+    InputError.  Returns (verified, checks).
     """
-    from .linalg import Tolerances
     if not isinstance(doc, dict):
         raise InputError("report must be a JSON object")
-    checks = _Checks()
     if tol is None:
-        tdoc = doc.get("tolerances")
-        tol = Tolerances(**tdoc) if isinstance(tdoc, dict) else Tolerances()
+        tol = _report_tolerances(doc)
+    checks = _Checks()
     checks.add("mode", doc.get("mode") == family.mode
                and doc.get("n") == family.n
                and doc.get("m_count") == family.m_count,
                "family does not match the report header")
-    _verify_kernel(doc, family, tol, checks)
-    _verify_ksp(doc, family, tol, checks)
-    _verify_vertices(doc, family, tol, checks)
-    certs = doc.get("certificates") or {}
+    sections = [("kernel", _verify_kernel), ("ksp", _verify_ksp),
+                ("vertex_verdicts", _verify_vertices)]
+    certs = doc.get("certificates")
+    if not isinstance(certs, dict):
+        checks.add("certificates", False, "certificates must be an object")
+        certs = {}
     if "strong" in certs:
-        _verify_strong_certificate(doc, family, tol, checks)
+        sections.append(("certificates/strong", _verify_strong_certificate))
     if "weak" in certs:
-        _verify_weak_certificate(doc, family, tol, checks)
+        sections.append(("certificates/weak", _verify_weak_certificate))
     if doc.get("witness") is not None:
-        _verify_witness_section(doc, family, checks)
+        sections.append(("witness", _verify_witness_section))
     if doc.get("rate") is not None:
-        _verify_rate(doc, family, tol, checks)
-    _verify_linkage(doc, checks)
+        sections.append(("rate", _verify_rate))
+    sections.append(("evidence-linkage", _verify_linkage))
+    for name, verify in sections:
+        try:
+            verify(doc, family, tol, checks)
+        except _MALFORMED as exc:
+            checks.add(name, False,
+                       f"malformed section: {type(exc).__name__}: {exc}")
     return checks.ok, checks.items
 
 

@@ -1,25 +1,37 @@
 """Feasibility kernels: a projection-based semidefinite feasibility solver
 and a phase-1 simplex for simplex-membership linear programs.
 
-The SDP problems solved here are small (a handful of symmetric variable
-blocks, dimensions in the tens) and homogeneous, so Douglas-Rachford
-splitting between an affine lift and a product of shifted PSD cones is
-adequate and keeps the trust base tiny.  (Plain alternating projections
-degrade to sublinear rates when the solution touches a cone face, which
-rank-pinned certificates do routinely.)  The solver itself is not part of
-the trust base.  Two answers carry evidence that an eigenvalue-only check
-re-derives: "Feasible" (values that verify_lmi accepts) and "Infeasible"
-(dual factors that verify_dual accepts, built by the caller before any
-iteration).  "Infeasible-at-tolerance" is the solver's stall heuristic and
-carries no certificate.
+Problem class.  Every LMI problem here is homogeneous with strictly
+definite variables: find symmetric X_v > 0 (X_v >= delta I, delta =
+Tolerances.psd_margin) such that every constraint
 
-Constraint representation: each Constraint encodes
-
-    C(vars) = C0 + sum_t coeff_t * sym(L_t^T X_{v_t} R_t)  <=  0
+    C(X) = sum_t coeff_t * sym(L_t^T X_{v_t} R_t)
+           + sum_u cf_u * tr(X_{v_u}) * I  <=  0
 
 with sym(M) = (M + M^T)/2.  Examples: A^T P A       -> Term(P, 1, A, A)
                                       A^T P + P A   -> Term(P, 2, A, I)
                                       (A-I)^T Q (A-I) -> Term(Q, 1, A-I, A-I)
+
+The Lyapunov, damped, rank-reduced and common-Lyapunov certificates all
+have this form.  Homogeneity is what the trust base rests on: any
+positive multiple of a solution is a solution, so verify_lmi measures
+residuals relative to the candidate's own scale and to its weakest
+eigenvalue (an absolute threshold would accept a shrunken
+non-certificate), and verify_dual's theorem of alternatives bounds the
+pairing by that same scale.  The solver normalizes the scale with a
+trace constraint.
+
+The problems are small (a handful of variable blocks, dimensions in the
+tens), so Douglas-Rachford splitting between an affine lift and a product
+of shifted PSD cones is adequate and keeps the trust base tiny.  (Plain
+alternating projections degrade to sublinear rates when the solution
+touches a cone face, which rank-pinned certificates do routinely.)  The
+solver itself is not part of the trust base.  Two answers carry evidence
+that an eigenvalue-only check re-derives: "Feasible" (values that
+verify_lmi accepts) and "Infeasible" (dual factors that verify_dual
+accepts, built by the caller before any iteration).
+"Infeasible-at-tolerance" is the solver's stall heuristic and carries no
+certificate.
 """
 
 from __future__ import annotations
@@ -57,16 +69,20 @@ MAX_ITERATIONS = "MaxIterations"
 # cap keeping the dense projection solver honest about its size envelope
 MAX_SCALAR_UNKNOWNS = 4000
 
+# Douglas-Rachford iteration budget, and how often the iterate is checked
+ITERATION_BUDGET = 20000
+CHECK_EVERY = 10
+
 # strict definiteness must exceed the residual acceptance level by this
 # factor (both relative to certificate scale), separating strictly feasible
 # problems from ones that are only feasible in closure
 STRICT_SEP = 10.0
 
-# constraint residuals must also be small relative to the weakest strict
-# eigenvalue among the variables (floored near machine noise): a candidate
-# that parks floor-level mass on a direction the constraint genuinely
-# rejects shows a violation proportional to that mass, which a threshold
-# relative to the overall certificate scale alone would wave through
+# constraint residuals must also be small relative to the weakest variable
+# eigenvalue (floored near machine noise): a candidate that parks
+# floor-level mass on a direction the constraint genuinely rejects shows a
+# violation proportional to that mass, which a threshold relative to the
+# overall certificate scale alone would wave through
 REL_SLACK = 1e-3
 NOISE_FLOOR = 1e-12
 
@@ -80,12 +96,10 @@ _JITTER = 1e-9
 
 @dataclass(frozen=True)
 class VarBlock:
-    """Symmetric matrix unknown.  strict=True means X >= delta*I is required
-    (definiteness margin delta = Tolerances.psd_margin); otherwise X >= 0."""
+    """Symmetric matrix unknown X >= delta*I."""
 
     name: str
     dim: int
-    strict: bool = True
 
 
 @dataclass(frozen=True)
@@ -98,16 +112,14 @@ class Term:
 
 @dataclass(frozen=True)
 class Constraint:
-    """C0 + sum_t coeff * sym(L^T X R) + sum_u coeff * tr(X) * I <= 0.
+    """sum_t coeff * sym(L^T X R) + sum_u coeff * tr(X) * I <= 0.
 
-    trace_terms entries are (var_name, coeff) pairs; they keep relative
-    strictness margins (e.g. + gamma*tr(P)/n * I) inside the homogeneous
-    problem class, which the solver normalizes by a trace constraint.
+    trace_terms entries are (var_name, coeff) pairs; they express relative
+    strictness margins such as + gamma*tr(P)/n * I.
     """
 
     name: str
     dim: int
-    constant: np.ndarray
     terms: tuple
     trace_terms: tuple = ()
 
@@ -191,7 +203,7 @@ def _svec_basis(n: int):
 
 def evaluate_constraint(con: Constraint, values: dict) -> np.ndarray:
     """Instantiate C(vars) for given variable values."""
-    acc = np.array(con.constant, dtype=float, copy=True)
+    acc = np.zeros((con.dim, con.dim))
     for t in con.terms:
         x = values[t.var]
         acc += t.coeff * _sym(t.left.T @ x @ t.right)
@@ -214,9 +226,6 @@ def _check_problem(problem: LmiProblem):
         raise CapabilityError(
             f"problem has {total} scalar unknowns, cap is {MAX_SCALAR_UNKNOWNS}")
     for c in problem.constraints:
-        cc = as_matrix(c.constant, name=f"constant of {c.name}")
-        if cc.shape != (c.dim, c.dim):
-            raise InputError(f"constraint {c.name!r} constant has wrong shape")
         for t in c.terms:
             v = problem.variable(t.var)
             lt = as_matrix(t.left, square=False, name="term.left")
@@ -235,10 +244,11 @@ def _svec_index(i: int, j: int, d: int) -> int:
 
 
 def _assemble(problem: LmiProblem):
-    """Build the affine system G z = b over z = [svec(vars); svec(slacks)].
+    """Build the homogeneous affine system G z = 0 over
+    z = [svec(vars); svec(slacks)].
 
-    For each constraint: sum_t M_t svec(X) + svec(S_c) = -svec(C0_c),
-    i.e. S_c = -C(vars), so S_c >= 0 encodes C(vars) <= 0.
+    For each constraint: sum_t M_t svec(X) + svec(S_c) = 0, i.e.
+    S_c = -C(vars), so S_c >= 0 encodes C(vars) <= 0.
     """
     var_offset = {}
     off = 0
@@ -255,13 +265,11 @@ def _assemble(problem: LmiProblem):
 
     rows = sum(_svec_dim(c.dim) for c in problem.constraints)
     g = np.zeros((rows, ntot))
-    b = np.zeros(rows)
     r0 = 0
     basis_cache = {}
     for c in problem.constraints:
         rdim = _svec_dim(c.dim)
         con_rows.append((c, r0))
-        b[r0:r0 + rdim] = -_svec(_sym(np.asarray(c.constant, dtype=float)))
         for t in c.terms:
             v = problem.variable(t.var)
             if v.dim not in basis_cache:
@@ -279,20 +287,19 @@ def _assemble(problem: LmiProblem):
         s0 = con_offset[c.name]
         g[r0:r0 + rdim, s0:s0 + rdim] = np.eye(rdim)
         r0 += rdim
-    return g, b, var_offset, con_offset, con_rows, nvar, ntot
+    return g, var_offset, con_offset, con_rows, nvar, ntot
 
 
-def _facial_reduction(g, b, nvar, con_rows, con_offset, ntot):
-    """Detect slack diagonal entries that the affine map forces to a
-    constant.  A diagonal forced to 0 pins its whole row/column inside the
-    PSD cone, so selector equalities for the off-diagonals are appended
-    and the forced coordinates are reported so the cone projection can work
-    on the corresponding face of the PSD cone directly (a face reached only
-    tangentially stalls alternating projections).  A diagonal forced to a
-    negative constant makes the problem structurally infeasible.
+def _facial_reduction(g, nvar, con_rows, con_offset, ntot):
+    """Detect slack diagonal entries that no variable reaches, so the
+    affine map forces them to 0.  A diagonal forced to 0 pins its whole
+    row/column inside the PSD cone, so selector equalities for the
+    off-diagonals are appended and the forced coordinates are reported so
+    the cone projection can work on the corresponding face of the PSD cone
+    directly (a face reached only tangentially stalls alternating
+    projections).
 
-    Returns (extra_rows, extra_rhs, infeasible_message_or_None,
-    forced_by_constraint).
+    Returns (extra_rows, forced_by_constraint).
     """
     extra = []
     seen = set()
@@ -304,20 +311,10 @@ def _facial_reduction(g, b, nvar, con_rows, con_offset, ntot):
         # magnitude; a single heavily weighted constraint must not raise
         # the cutoff for its unweighted neighbours
         scale = 1.0 + (np.abs(g[rows, :nvar]).max() if nvar and d else 0.0)
-        scale += np.abs(b[rows]).max() if d else 0.0
         ztol = 1e-11 * scale
-        forced = []
-        for i in range(d):
-            r = r0 + _svec_index(i, i, d)
-            row_zero = nvar == 0 or np.abs(g[r, :nvar]).max() <= ztol
-            if not row_zero:
-                continue
-            if b[r] < -ztol:
-                return [], [], (
-                    f"constraint {c.name!r} diagonal {i} is fixed at "
-                    f"{b[r]:.3e} < 0"), {}
-            if abs(b[r]) <= ztol:
-                forced.append(i)
+        forced = [i for i in range(d)
+                  if nvar == 0 or np.abs(
+                      g[r0 + _svec_index(i, i, d), :nvar]).max() <= ztol]
         if forced:
             forced_map[c.name] = tuple(forced)
         s0 = con_offset[c.name]
@@ -335,12 +332,7 @@ def _facial_reduction(g, b, nvar, con_rows, con_offset, ntot):
                     row = np.zeros(ntot)
                     row[s0 + _svec_index(lo, hi, d)] = 1.0
                     extra.append(row)
-                elif abs(b[r]) > ztol:
-                    return [], [], (
-                        f"constraint {c.name!r} entry ({lo},{hi}) is fixed "
-                        f"at {b[r]:.3e} but its diagonal is 0"), {}
-    rhs = [0.0] * len(extra)
-    return extra, rhs, None, forced_map
+    return extra, forced_map
 
 
 def _extract(problem, z, var_offset):
@@ -351,8 +343,7 @@ def _extract(problem, z, var_offset):
     return values
 
 
-def sdp_feasible(problem: LmiProblem, max_iter: int = 20000,
-                 check_every: int = 10) -> FeasibilityResult:
+def sdp_feasible(problem: LmiProblem) -> FeasibilityResult:
     """Douglas-Rachford feasibility search.
 
     Returns Feasible only when the independent verify_lmi check passes on
@@ -364,32 +355,27 @@ def sdp_feasible(problem: LmiProblem, max_iter: int = 20000,
     """
     _check_problem(problem)
     tol = problem.tol
-    delta = tol.psd_margin
-    g, b, var_offset, con_offset, con_rows, nvar, ntot = _assemble(problem)
+    g, var_offset, con_offset, con_rows, nvar, ntot = _assemble(problem)
 
     if ntot == 0:
-        return FeasibilityResult(FEASIBLE, {}, {}, {}, 0)
+        # only zero-size blocks: the empty matrices are the certificate
+        values = {v.name: np.zeros((0, 0)) for v in problem.variables}
+        return FeasibilityResult(FEASIBLE, values, {}, {}, 0)
 
-    extra, extra_rhs, reason, forced_map = _facial_reduction(
-        g, b, nvar, con_rows, con_offset, ntot)
-    if reason is not None:
-        values = {v.name: np.zeros((v.dim, v.dim)) for v in problem.variables}
-        return FeasibilityResult(INFEASIBLE, values, {}, {}, 0,
-                                 diagnostics=reason)
+    extra, forced_map = _facial_reduction(g, nvar, con_rows, con_offset,
+                                          ntot)
     if extra:
         g = np.vstack([g, np.array(extra)])
-        b = np.concatenate([b, np.array(extra_rhs)])
+    b = np.zeros(g.shape[0])
 
-    # homogeneous problems (all our LMIs) get a trace normalization so the
+    # the trace pin fixes the scale of the homogeneous problem, so the
     # iterate can neither collapse to the delta floor (which masks genuine
-    # infeasibility) nor need to travel to a faraway scale
-    homogeneous = all(
-        (np.abs(np.asarray(c.constant)).max() if c.dim else 0.0) == 0.0
-        for c in problem.constraints)
-    strict_dims = sum(v.dim for v in problem.variables if v.strict)
-    pinned = homogeneous and strict_dims > 0
+    # infeasibility) nor need to travel to a faraway scale.  It bounds every
+    # variable norm by trace_total, so a fixed strict floor above
+    # STRICT_SEP * residual_tol * scale keeps the cone a fixed set while
+    # still separating strictness from closure feasibility
     trace_total = float(sum(v.dim for v in problem.variables))
-    if pinned:
+    if trace_total:
         row = np.zeros(ntot)
         for v in problem.variables:
             o = var_offset[v.name]
@@ -397,47 +383,34 @@ def sdp_feasible(problem: LmiProblem, max_iter: int = 20000,
                 row[o + _svec_index(i, i, v.dim)] = 1.0
         g = np.vstack([g, row[None, :]])
         b = np.concatenate([b, [trace_total]])
-
-    # the trace pin bounds every variable norm by trace_total, so a fixed
-    # strict floor above STRICT_SEP * residual_tol * scale keeps the cone a
-    # fixed set while still separating strictness from closure feasibility
-    if pinned:
-        strict_floor = max(delta, STRICT_SEP * tol.residual_tol * trace_total)
-    else:
-        strict_floor = delta
+    strict_floor = max(tol.psd_margin,
+                       STRICT_SEP * tol.residual_tol * trace_total)
 
     # row equilibration: damped LMI forms carry 1/eps coefficient weights,
     # so raw rows can differ by four-plus orders of magnitude and defeat both
     # the pseudoinverse cutoff and the consistency test below; rescaling rows
     # of [g | b] leaves the affine set (hence its projector) unchanged
-    if g.shape[0]:
-        row_scale = np.maximum(np.abs(g).max(axis=1), 1e-30)
-        g = g / row_scale[:, None]
-        b = b / row_scale
+    row_scale = np.maximum(np.abs(g).max(axis=1), 1e-30)
+    g = g / row_scale[:, None]
+    b = b / row_scale
 
-    if g.shape[0] == 0:
-        def proj_affine(z):
-            return z
-    else:
-        # pinv-based affine projector tolerates redundant selector rows
-        try:
-            gpinv = np.linalg.pinv(g, rcond=1e-12)
-        except np.linalg.LinAlgError:
-            raise NumericalError(
-                "affine projector factorization failed") from None
-        zstar = gpinv @ b
-        if np.linalg.norm(g @ zstar - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
-            values = {v.name: np.zeros((v.dim, v.dim))
-                      for v in problem.variables}
-            return FeasibilityResult(
-                INFEASIBLE, values, {}, {}, 0,
-                diagnostics="affine constraint system is inconsistent")
+    # pinv-based affine projector tolerates redundant selector rows
+    try:
+        gpinv = np.linalg.pinv(g, rcond=1e-12)
+    except np.linalg.LinAlgError:
+        raise NumericalError("affine projector factorization failed") from None
+    zstar = gpinv @ b
+    if np.linalg.norm(g @ zstar - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
+        values = {v.name: np.zeros((v.dim, v.dim)) for v in problem.variables}
+        return FeasibilityResult(
+            INFEASIBLE, values, {}, {}, 0,
+            diagnostics="affine constraint system is inconsistent")
 
-        def proj_affine(z):
-            return z - gpinv @ (g @ z - b)
+    def proj_affine(z):
+        return z - gpinv @ (g @ z - b)
 
-    # cone floors: strict vars target twice the accepted floor internally;
-    # sound for jointly homogeneous problems (scale any exact solution up).
+    # cone floors: variables target twice the accepted floor internally,
+    # which is sound by homogeneity (scale any exact solution up).
     # Slack blocks with forced-zero diagonals live on the matching face of
     # the PSD cone, so they are projected onto that face (zero the forced
     # rows and columns, eigen-project the rest): the full-cone projection
@@ -445,8 +418,7 @@ def sdp_feasible(problem: LmiProblem, max_iter: int = 20000,
     floors = []
     face_blocks = []
     for v in problem.variables:
-        floors.append((var_offset[v.name], v.dim,
-                       2.0 * strict_floor if v.strict else 0.0))
+        floors.append((var_offset[v.name], v.dim, 2.0 * strict_floor))
     for c in problem.constraints:
         forced = forced_map.get(c.name)
         if forced:
@@ -485,9 +457,6 @@ def sdp_feasible(problem: LmiProblem, max_iter: int = 20000,
         return out
 
     def violation(values):
-        # residual thresholds are relative to the candidate scale: the
-        # problems are (jointly) homogeneous, so absolute thresholds would
-        # let a delta-sized candidate fake-certify an infeasible LMI
         worst = 0.0
         resids = {}
         mins = {}
@@ -498,8 +467,7 @@ def sdp_feasible(problem: LmiProblem, max_iter: int = 20000,
                 continue
             me = float(np.linalg.eigvalsh(values[v.name])[0])
             mins[v.name] = me
-            need = strict_floor if v.strict else -tol.residual_tol * scale
-            worst = max(worst, need - me)
+            worst = max(worst, strict_floor - me)
         accept = _residual_accept(problem, mins, scale, tol)
         for c in problem.constraints:
             m = evaluate_constraint(c, values)
@@ -508,74 +476,54 @@ def sdp_feasible(problem: LmiProblem, max_iter: int = 20000,
             worst = max(worst, r - accept)
         return worst, resids, mins, scale
 
-    def run(start_scale, budget):
-        x = np.zeros(ntot)
-        for v in problem.variables:
-            o = var_offset[v.name]
-            x[o:o + _svec_dim(v.dim)] = _svec(start_scale * np.eye(v.dim))
+    x = np.zeros(ntot)
+    for v in problem.variables:
+        o = var_offset[v.name]
+        x[o:o + _svec_dim(v.dim)] = _svec(np.eye(v.dim))
+    history = []
+    for it in range(1, ITERATION_BUDGET + 1):
         z = proj_affine(x)
-        history = []
-        it = 0
-        while it < budget:
-            z = proj_affine(x)
-            y = proj_cone(2.0 * z - x)
-            x = x + y - z
-            it += 1
-            if it % check_every:
-                continue
-            if not np.all(np.isfinite(x)):
-                raise NumericalError("feasibility iterate diverged")
-            values = _extract(problem, z, var_offset)
-            worst, resids, mins, scale = violation(values)
-            if worst <= 0.0:
-                result = FeasibilityResult(FEASIBLE, values, resids, mins, it)
-                report = verify_lmi(problem, values)
-                if report["pass"]:
-                    return result, it
+        y = proj_cone(2.0 * z - x)
+        x = x + y - z
+        if it % CHECK_EVERY:
+            continue
+        if not np.all(np.isfinite(x)):
+            raise NumericalError("feasibility iterate diverged")
+        values = _extract(problem, z, var_offset)
+        worst, resids, mins, scale = violation(values)
+        if worst <= 0.0:
+            result = FeasibilityResult(FEASIBLE, values, resids, mins, it)
+            if not verify_lmi(problem, values)["pass"]:
                 # should not happen: internal acceptance is stricter
                 result.status = MAX_ITERATIONS
                 result.diagnostics = "verify_lmi rejected candidate"
-                return result, it
-            rel = worst / max(scale, 1e-300)
-            history.append(rel)
-            # track the scale-relative violation: the absolute one shrinks
-            # with a drifting iterate and masks plateaus.  Blatant
-            # violations plateau fast; near-threshold ones get the patient
-            # window before the run is declared stalled
-            fired = False
-            if len(history) > 30 and rel > 1e-2:
-                prev = history[-31]
-                fired = prev - rel <= 1e-3 * max(prev, 1e-300)
-            if not fired and len(history) > 120:
-                prev = history[-121]
-                fired = prev - rel <= 1e-4 * max(prev, 1e-300)
-            if not fired and it >= 4000:
-                # still orders of magnitude above tolerance after a long
-                # budget: the slow O(1/k) crawl of an infeasible instance
-                fired = rel > 1e3 * tol.residual_tol
-            if fired:
-                return FeasibilityResult(
-                    INFEASIBLE, values, resids, mins, it,
-                    diagnostics=f"stalled with violation {worst:.3e}"), it
-        values = _extract(problem, z, var_offset)
-        worst, resids, mins, _ = violation(values)
-        return FeasibilityResult(
-            MAX_ITERATIONS, values, resids, mins, it,
-            diagnostics=f"budget exhausted with violation {worst:.3e}"), it
-
-    # margin'd problems (nonzero constant terms) may need certificates far
-    # from the unit-scale start; retry from larger starts before concluding
-    ladder = [1.0] if homogeneous else [1.0, 16.0, 256.0, 4096.0]
-    spent = 0
-    last = None
-    for s in ladder:
-        result, used = run(s, max_iter - spent)
-        spent += used
-        result.iterations = spent
-        last = result
-        if result.status != INFEASIBLE or spent >= max_iter:
             return result
-    return last
+        rel = worst / max(scale, 1e-300)
+        history.append(rel)
+        # track the scale-relative violation: the absolute one shrinks
+        # with a drifting iterate and masks plateaus.  Blatant
+        # violations plateau fast; near-threshold ones get the patient
+        # window before the run is declared stalled
+        fired = False
+        if len(history) > 30 and rel > 1e-2:
+            prev = history[-31]
+            fired = prev - rel <= 1e-3 * max(prev, 1e-300)
+        if not fired and len(history) > 120:
+            prev = history[-121]
+            fired = prev - rel <= 1e-4 * max(prev, 1e-300)
+        if not fired and it >= 4000:
+            # still orders of magnitude above tolerance after a long
+            # budget: the slow O(1/k) crawl of an infeasible instance
+            fired = rel > 1e3 * tol.residual_tol
+        if fired:
+            return FeasibilityResult(
+                INFEASIBLE, values, resids, mins, it,
+                diagnostics=f"stalled with violation {worst:.3e}")
+    values = _extract(problem, z, var_offset)
+    worst, resids, mins, _ = violation(values)
+    return FeasibilityResult(
+        MAX_ITERATIONS, values, resids, mins, ITERATION_BUDGET,
+        diagnostics=f"budget exhausted with violation {worst:.3e}")
 
 
 def _candidate_scale(values: dict) -> float:
@@ -595,11 +543,11 @@ def _candidate_scale(values: dict) -> float:
 def _residual_accept(problem: LmiProblem, mins: dict, scale: float,
                      tol: Tolerances) -> float:
     """Constraint residual acceptance level for a candidate: relative to the
-    certificate scale, and additionally to the weakest strict eigenvalue
+    certificate scale, and additionally to the weakest variable eigenvalue
     (see REL_SLACK), floored near machine noise."""
     accept = tol.residual_tol * scale
-    weakest = min((mins[v.name] for v in problem.variables
-                   if v.strict and v.dim > 0), default=None)
+    weakest = min((mins[v.name] for v in problem.variables if v.dim > 0),
+                  default=None)
     if weakest is not None:
         accept = min(accept,
                      max(REL_SLACK * weakest, NOISE_FLOOR * scale))
@@ -612,19 +560,17 @@ def verify_lmi(problem: LmiProblem, values: dict,
     constraint residuals, using eigenvalue computations only.
 
     Residuals are accepted at residual_tol relative to the certificate
-    scale (largest variable norm); the problems are homogeneous, so an
-    absolute threshold would accept arbitrarily shrunken non-certificates.
-    They must also be small relative to the weakest strict eigenvalue
+    scale (largest variable norm) and to the weakest variable eigenvalue
     (REL_SLACK): a candidate hiding floor-level mass on a genuinely
     rejected direction produces a violation proportional to that mass, so
     scaling the threshold the same way rejects it at any mass level.
-    Strict definiteness must clear the residual acceptance level by the
-    separation factor (STRICT_SEP * residual_tol relative to scale, never
-    below delta): without that, a problem whose closure is feasible but
-    whose strict form is not (a variable forced to the floor) would pass.
-    The margins absorb BLAS jitter via the (1 - 1e-9) factor.  A quadratic
-    form sees only the symmetric part of its matrix, so after the symmetry
-    check the constraints are evaluated at sym(X).
+    Every variable eigenvalue must clear the residual acceptance level by
+    the separation factor (STRICT_SEP * residual_tol relative to scale,
+    never below delta): without that, a problem whose closure is feasible
+    but whose strict form is not (a variable forced to the floor) would
+    pass.  The margins absorb BLAS jitter via the (1 - 1e-9) factor.  A
+    quadratic form sees only the symmetric part of its matrix, so after
+    the symmetry check the constraints are evaluated at sym(X).
     """
     tol = tol or problem.tol
     delta = tol.psd_margin
@@ -654,12 +600,8 @@ def verify_lmi(problem: LmiProblem, values: dict,
             continue
         me = float(np.linalg.eigvalsh(sym_values[v.name])[0])
         report["var_min_eigs"][v.name] = me
-        if v.strict:
-            need = max(delta, STRICT_SEP * tol.residual_tol * scale)
-            need *= 1.0 - _JITTER
-        else:
-            need = -tol.residual_tol * scale
-        if me < need:
+        need = max(delta, STRICT_SEP * tol.residual_tol * scale)
+        if me < need * (1.0 - _JITTER):
             fail()
     accept = _residual_accept(problem, report["var_min_eigs"], scale, tol)
     for c in problem.constraints:
@@ -673,8 +615,7 @@ def verify_lmi(problem: LmiProblem, values: dict,
 
 def dual_ratios(tol: Tolerances) -> tuple:
     """(a, b) with accept <= a * weakest and scale <= b * weakest for every
-    candidate that verify_lmi passes on a problem whose variables are all
-    strict (see verify_dual)."""
+    candidate that verify_lmi passes (see verify_dual)."""
     b = 1.0 / (STRICT_SEP * tol.residual_tol * (1.0 - _JITTER))
     a = max(REL_SLACK, NOISE_FLOOR * b) * (1.0 + _JITTER)
     return a, b
@@ -694,9 +635,8 @@ def verify_dual(problem: LmiProblem, factors: dict,
               + sum_c sum_{(v, cf) in trace_terms} cf tr(Z_c) I,
 
     so sum_c <C_c(X), Z_c> = sum_v <X_v, W_v> for symmetric X (verify_lmi
-    evaluates sym(X)) when every constant C0_c is zero.  Take X that passes
-    verify_lmi, with every variable strict; weakest is its smallest
-    variable eigenvalue and scale its largest variable norm.
+    evaluates sym(X)).  Take X that passes verify_lmi; weakest is its
+    smallest variable eigenvalue and scale its largest variable norm.
 
       upper: sum_c <C_c(X), Z_c> <= accept sum_c tr Z_c, because Z_c >= 0
              and lambda_max(C_c(X)) <= accept, where
@@ -704,16 +644,14 @@ def verify_dual(problem: LmiProblem, factors: dict,
                        * weakest;
       lower: sum_v <X_v, W_v> >= weakest sum_v tr W_v+ - scale sum_v tr W_v-,
              where scale <= weakest / (STRICT_SEP residual_tol), because
-             every strict eigenvalue clears STRICT_SEP residual_tol scale.
+             every variable eigenvalue clears STRICT_SEP residual_tol scale.
 
     With (a, b) = dual_ratios(tol), both bounds together give
     weakest * (sum tr W+ - b sum tr W- - a sum tr Z) <= 0, and weakest > 0;
     so a positive bracket rules out every X.  The bracket must also clear
     a rounding allowance, b * DUAL_ROUNDING * sum |coeff| ||L F|| ||R F||
     (plus |cf| dim_v tr Z_c per trace term): the floating-point error of
-    the pairing, whose terms can cancel.  The check rejects when any
-    variable is not strict (no weakest to scale by) or any constant is
-    nonzero (the bounds would no longer be homogeneous in X).
+    the pairing, whose terms can cancel.  All-zero factors are rejected.
     """
     tol = tol or problem.tol
     names = {c.name for c in problem.constraints}
@@ -721,13 +659,6 @@ def verify_dual(problem: LmiProblem, factors: dict,
         if name not in names:
             raise InputError(f"factor for unknown constraint {name!r}")
     report = {"pass": False, "margin": float("nan"), "reason": ""}
-    if any(not v.strict for v in problem.variables):
-        report["reason"] = "a variable is not strict"
-        return report
-    if any(c.dim and np.abs(np.asarray(c.constant)).max() > 0.0
-           for c in problem.constraints):
-        report["reason"] = "a constraint has a nonzero constant"
-        return report
     w = {v.name: np.zeros((v.dim, v.dim)) for v in problem.variables}
     trace_z = 0.0
     rounding = 0.0

@@ -172,11 +172,6 @@ def cqlf_stability(blocks, mode: str,
         if b.shape != (nb, nb):
             raise InputError("blocks must share one square size")
     problem = cqlf_problem(blocks, mode, tol)
-    if nb == 0:
-        return LmiOutcome(True, None,
-                          FeasibilityResult("Feasible",
-                                            {"P": np.zeros((0, 0))},
-                                            {}, {}, 0), problem)
     res = sdp_feasible(problem)
     return LmiOutcome(res.feasible, None, res, problem)
 

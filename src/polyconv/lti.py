@@ -95,9 +95,8 @@ EPS_GRID = (1e-1, 1e-2, 1e-3, 1e-4)
 EXACT_BAND = 1e-12
 UNKNOWN_BAND = 1e-8
 
-# relative strictness margin for the common-Lyapunov inequalities: any
-# gamma > 0 certifies strict vertex decay by homogeneity, and the trace
-# form keeps the whole problem homogeneous for the solver
+# relative strictness margin of the common-Lyapunov inequalities, posed as
+# a trace term: any gamma > 0 certifies strict vertex decay by homogeneity
 CQLF_GAMMA = 1e-3
 
 
@@ -319,8 +318,8 @@ def damped_problem(mats, mode: str, parameter: float, bases,
         else:
             terms = (Term("P", 2.0 / parameter, at, t),
                      Term("P", 1.0, at, at))
-        cons.append(Constraint(f"vertex{i + 1}", n, np.zeros((n, n)), terms))
-    return LmiProblem([VarBlock("P", n, strict=True)], cons, tol)
+        cons.append(Constraint(f"vertex{i + 1}", n, terms))
+    return LmiProblem([VarBlock("P", n)], cons, tol)
 
 
 def reduced_problem(mats, mode: str, wc: np.ndarray,
@@ -349,9 +348,8 @@ def reduced_problem(mats, mode: str, wc: np.ndarray,
             l_q = a @ wc
             terms = (Term("P1", 2.0, l_p_a, eye_r),
                      Term("Q", 1.0, l_q, l_q))
-        cons.append(Constraint(f"vertex{i + 1}", r, np.zeros((r, r)), terms))
-    return LmiProblem([VarBlock("P1", r, strict=True),
-                       VarBlock("Q", n, strict=True)], cons, tol)
+        cons.append(Constraint(f"vertex{i + 1}", r, terms))
+    return LmiProblem([VarBlock("P1", r), VarBlock("Q", n)], cons, tol)
 
 
 def cqlf_problem(blocks, mode: str,
@@ -361,7 +359,7 @@ def cqlf_problem(blocks, mode: str,
     0 leave nothing to constrain."""
     nb = blocks[0].shape[0]
     if nb == 0:
-        return LmiProblem([VarBlock("P", 0, strict=True)], [], tol)
+        return LmiProblem([VarBlock("P", 0)], [], tol)
     eye = np.eye(nb)
     cons = []
     for i, b in enumerate(blocks):
@@ -369,9 +367,9 @@ def cqlf_problem(blocks, mode: str,
             terms = (Term("P", 1.0, b, b), Term("P", -1.0, eye, eye))
         else:
             terms = (Term("P", 2.0, b, eye),)
-        cons.append(Constraint(f"vertex{i + 1}", nb, np.zeros((nb, nb)),
-                               terms, trace_terms=(("P", CQLF_GAMMA / nb),)))
-    return LmiProblem([VarBlock("P", nb, strict=True)], cons, tol)
+        cons.append(Constraint(f"vertex{i + 1}", nb, terms,
+                               trace_terms=(("P", CQLF_GAMMA / nb),)))
+    return LmiProblem([VarBlock("P", nb)], cons, tol)
 
 
 def vertex_duals(mats, mode: str, tol: Tolerances = DEFAULT_TOL,

@@ -294,7 +294,9 @@ def _attach_limit(traj: Trajectory, tol: Tolerances) -> None:
     count = traj.states.shape[0]
     window = max(10, count // 10)
     if count > window:
-        limit = detect_limit(traj, window)
+        final = traj.states[-1]
+        limit = detect_limit(
+            traj, window, tol.sim_tol * (1.0 + float(np.linalg.norm(final))))
         if limit is not None:
             traj.limit = limit
             traj.converged = True

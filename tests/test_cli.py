@@ -280,6 +280,40 @@ def fresh_report_from(fam) -> dict:
                                  allow_nan=False))
 
 
+# single-field edits of a diag-kernels report that once crashed verification
+# or were silently replaced by defaults
+MALFORMED_EDITS = {
+    "tolerances-unknown-key":
+        lambda d: d["tolerances"].update(bogus=1.0),
+    "tolerances-string-value":
+        lambda d: d["tolerances"].update(residual_tol="1e-7"),
+    "tolerances-list": lambda d: d.update(tolerances=[1e-10, 1e-8]),
+    "certificates-list":
+        lambda d: d.update(certificates=list(d["certificates"])),
+    "weak-checks-list":
+        lambda d: d["certificates"]["weak"].update(checks=[]),
+    "verdicts-list": lambda d: d.update(verdicts=list(d["verdicts"].values())),
+    "kernel-dims-int": lambda d: d["ksp"].update(kernel_dims=1),
+    "vertex-details-list":
+        lambda d: d["vertex_verdicts"][0].update(details=[]),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(MALFORMED_EDITS))
+def test_malformed_report_is_an_input_error_or_fails(cli, tmp_path, edit):
+    doc = fresh_report("diag-kernels")
+    MALFORMED_EDITS[edit](doc)
+    rep = tmp_path / "rep.json"
+    fam = tmp_path / "fam.json"
+    rep.write_text(json.dumps(doc))
+    fam.write_text(family_json("diag-kernels"))
+    code, out, err = cli("verify", str(rep), str(fam))
+    assert code == 1
+    assert json.loads(err)["error"]["type"] == "input"
+    if out:
+        assert json.loads(out)["verified"] is False
+
+
 class TestCertifyCommand:
     def test_cqlf_proven_on_consensus(self, cli):
         code, out, _ = cli("certify", "-", "--method", "cqlf",

@@ -26,34 +26,33 @@ TOL = Tolerances()
 I1 = np.eye(1)
 
 
-def dt_lyapunov_problem(a, margin=True):
-    """exists P >= delta: A'PA - P (+ I) <= 0."""
+def dt_lyapunov_problem(a):
+    """exists P > 0: A'PA - P <= 0."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    const = np.eye(n) if margin else np.zeros((n, n))
-    con = Constraint("lyap", n, const, (
+    con = Constraint("lyap", n, (
         Term("P", 1.0, a, a),
         Term("P", -1.0, np.eye(n), np.eye(n)),
     ))
-    return LmiProblem([VarBlock("P", n, strict=True)], [con])
+    return LmiProblem([VarBlock("P", n)], [con])
 
 
-def ct_lyapunov_problem(a, margin=True):
+def ct_lyapunov_problem(a):
+    """exists P > 0: A'P + PA <= 0."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    const = np.eye(n) if margin else np.zeros((n, n))
-    con = Constraint("lyap", n, const, (Term("P", 2.0, a, np.eye(n)),))
-    return LmiProblem([VarBlock("P", n, strict=True)], [con])
+    con = Constraint("lyap", n, (Term("P", 2.0, a, np.eye(n)),))
+    return LmiProblem([VarBlock("P", n)], [con])
 
 
 def weak_scalar_problem(a_val, eta):
     a = np.array([[a_val]])
-    con = Constraint("weak", 1, np.zeros((1, 1)), (
+    con = Constraint("weak", 1, (
         Term("P", eta, a, a),
         Term("P", -eta, I1, I1),
         Term("P", 1.0 - eta, a - I1, a - I1),
     ))
-    return LmiProblem([VarBlock("P", 1, strict=True)], [con])
+    return LmiProblem([VarBlock("P", 1)], [con])
 
 
 # ---------------------------------------------------------------- solver
@@ -64,11 +63,17 @@ def test_no_constraints_is_feasible():
     assert np.linalg.eigvalsh(res.values["P"])[0] >= TOL.psd_margin
 
 
+def test_zero_size_variable_is_feasible_and_verifies():
+    prob = LmiProblem([VarBlock("P", 0)], [])
+    res = sdp_feasible(prob)
+    assert res.feasible
+    assert res.values["P"].shape == (0, 0)
+    assert verify_lmi(prob, res.values)["pass"]
+
+
 def test_scalar_contraction_feasible():
     res = sdp_feasible(dt_lyapunov_problem([[0.5]]))
     assert res.feasible
-    # 0.25p - p + 1 <= 0 forces p >= 4/3
-    assert res.values["P"][0, 0] >= 4.0 / 3.0 - 1e-6
     assert verify_lmi(dt_lyapunov_problem([[0.5]]), res.values)["pass"]
 
 
@@ -97,7 +102,7 @@ def test_two_variable_problem():
     # A'PA - P + (A-I)'Q(A-I) <= 0 with P, Q > 0 for a Schur A
     a = np.array([[0.5, 0.2], [0.0, 0.4]])
     n = 2
-    con = Constraint("mixed", n, np.zeros((n, n)), (
+    con = Constraint("mixed", n, (
         Term("P", 1.0, a, a),
         Term("P", -1.0, np.eye(n), np.eye(n)),
         Term("Q", 1.0, a - np.eye(n), a - np.eye(n)),
@@ -109,8 +114,7 @@ def test_two_variable_problem():
 
 
 def test_shape_validation():
-    con = Constraint("bad", 2, np.zeros((2, 2)),
-                     (Term("P", 1.0, np.eye(3), np.eye(3)),))
+    con = Constraint("bad", 2, (Term("P", 1.0, np.eye(3), np.eye(3)),))
     with pytest.raises(InputError):
         sdp_feasible(LmiProblem([VarBlock("P", 2)], [con]))
 
@@ -119,14 +123,14 @@ def test_shape_validation():
 
 def test_verify_accepts_stable_identity():
     a = np.diag([-1.0, -2.0])
-    prob = ct_lyapunov_problem(a, margin=False)
+    prob = ct_lyapunov_problem(a)
     report = verify_lmi(prob, {"P": np.eye(2)})
     assert report["pass"]
     assert report["constraint_max_eigs"]["lyap"] == pytest.approx(-2.0)
 
 
 def test_verify_rejects_unstable_identity():
-    prob = ct_lyapunov_problem(np.array([[1.0]]), margin=False)
+    prob = ct_lyapunov_problem(np.array([[1.0]]))
     report = verify_lmi(prob, {"P": I1.copy()})
     assert not report["pass"]
     assert report["constraint_max_eigs"]["lyap"] == pytest.approx(2.0)
@@ -137,7 +141,7 @@ def test_verify_ct_genuinely_convergent_with_kernel():
     # form A'P + PA + eps*A'PA <= 0 admits P > 0 at small eps
     a = np.array([[-1.0, 0.0], [1.0, 0.0]])
     eps = 0.1
-    con = Constraint("damped", 2, np.zeros((2, 2)), (
+    con = Constraint("damped", 2, (
         Term("P", 2.0, a, np.eye(2)),
         Term("P", eps, a, a),
     ))
@@ -152,7 +156,7 @@ def test_verify_defective_zero_not_certified():
     # exact feasibility would force P22 = 0, contradicting P > 0
     a = np.array([[0.0, 0.0], [1.0, 0.0]])
     eps = 0.1
-    con = Constraint("damped", 2, np.zeros((2, 2)), (
+    con = Constraint("damped", 2, (
         Term("P", 2.0, a, np.eye(2)),
         Term("P", eps, a, a),
     ))
@@ -162,10 +166,15 @@ def test_verify_defective_zero_not_certified():
 
 
 def test_verify_rejects_corruption():
-    prob = dt_lyapunov_problem([[0.5]])
+    # a non-normal Schur matrix: P must weigh the second coordinate, so
+    # swapping the coordinates keeps P's spectrum but breaks the decay
+    prob = dt_lyapunov_problem([[0.5, 2.0], [0.0, 0.5]])
     res = sdp_feasible(prob)
-    bad = {"P": res.values["P"] - np.array([[1.0]])}
-    assert not verify_lmi(prob, bad)["pass"]
+    assert res.feasible
+    report = verify_lmi(prob, {"P": res.values["P"][::-1, ::-1]})
+    assert not report["pass"]
+    assert report["var_min_eigs"]["P"] >= TOL.psd_margin
+    assert report["constraint_max_eigs"]["lyap"] > 0.0
 
 
 def test_verify_rejects_asymmetry():
@@ -179,7 +188,7 @@ def test_verify_rejects_asymmetry():
 
 def test_evaluate_constraint_arithmetic():
     a = np.array([[0.5]])
-    con = Constraint("c", 1, np.zeros((1, 1)), (
+    con = Constraint("c", 1, (
         Term("P", 1.0, a, a),
         Term("P", -1.0, I1, I1),
     ))
@@ -205,8 +214,10 @@ def test_solver_rejects_expanding_matrices(n, seed):
     m = rng.standard_normal((n, n))
     rho = max(abs(np.linalg.eigvals(m)))
     m *= 1.3 / rho
-    res = sdp_feasible(dt_lyapunov_problem(m))
-    assert not res.feasible
+    prob = dt_lyapunov_problem(m)
+    assert not sdp_feasible(prob).feasible
+    f = eigen_factor(m, lambda lam: np.abs(lam) >= 1.0)
+    assert verify_dual(prob, {"lyap": f})["pass"]
 
 
 # ---------------------------------------------------------------- duals
@@ -220,7 +231,7 @@ def eigen_factor(a, keep=None):
 
 def test_dual_accepts_unstable_eigenvector():
     # W = (1.2^2 - 1) e1 e1' >= 0 against tr Z = 1
-    prob = dt_lyapunov_problem(np.diag([1.2, 0.5]), margin=False)
+    prob = dt_lyapunov_problem(np.diag([1.2, 0.5]))
     report = verify_dual(prob, {"lyap": np.array([[1.0], [0.0]])})
     assert report["pass"]
     a, _ = dual_ratios(TOL)
@@ -232,7 +243,7 @@ def test_dual_accepts_rotation_eigenvectors():
     a = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 0.3]])
     # damped DT form at eta: W = (|lam - 1|^2) Re(vv*) on the rotation
     eta = 0.9
-    con = Constraint("damped", 3, np.zeros((3, 3)), (
+    con = Constraint("damped", 3, (
         Term("P", eta / (1 - eta), a, a),
         Term("P", -eta / (1 - eta), np.eye(3), np.eye(3)),
         Term("P", 1.0, a - np.eye(3), a - np.eye(3)),
@@ -249,10 +260,10 @@ def test_dual_rejects_eigenvectors_of_a_convergent_matrix(mode, seed):
     m = rng.standard_normal((3, 3))
     if mode == "dt":
         m *= 0.8 / max(abs(np.linalg.eigvals(m)))
-        prob = dt_lyapunov_problem(m, margin=False)
+        prob = dt_lyapunov_problem(m)
     else:
         m -= (max(np.linalg.eigvals(m).real) + 0.2) * np.eye(3)
-        prob = ct_lyapunov_problem(m, margin=False)
+        prob = ct_lyapunov_problem(m)
     report = verify_dual(prob, {"lyap": eigen_factor(m)})
     assert not report["pass"]
     # and the problem does have a certificate
@@ -263,31 +274,19 @@ def test_dual_rejects_negative_part_beyond_the_bound():
     # W = 0.44 e1 e1' - 0.75 t^2 e2 e2': its negative part weighs
     # 1 / (STRICT_SEP * residual_tol) = 1e6 against the positive one, so
     # t = 1e-4 passes and t = 1e-3 (still 0.44 >> 0.75e-6) does not
-    prob = dt_lyapunov_problem(np.diag([1.2, 0.5]), margin=False)
+    prob = dt_lyapunov_problem(np.diag([1.2, 0.5]))
     assert verify_dual(prob, {"lyap": np.array([[1.0], [1e-4]])})["pass"]
     assert not verify_dual(prob, {"lyap": np.array([[1.0], [1e-3]])})["pass"]
 
 
-def test_dual_rejects_non_strict_variable():
-    a = np.diag([1.2, 0.5])
-    con = Constraint("lyap", 2, np.zeros((2, 2)), (
-        Term("P", 1.0, a, a), Term("P", -1.0, np.eye(2), np.eye(2))))
-    prob = LmiProblem([VarBlock("P", 2, strict=False)], [con])
-    report = verify_dual(prob, {"lyap": np.array([[1.0], [0.0]])})
-    assert not report["pass"]
-    assert "strict" in report["reason"]
-
-
-def test_dual_rejects_nonzero_constant_and_zero_factors():
-    prob = dt_lyapunov_problem(np.diag([1.2, 0.5]), margin=True)
-    assert not verify_dual(prob, {"lyap": np.array([[1.0], [0.0]])})["pass"]
-    prob = dt_lyapunov_problem(np.diag([1.2, 0.5]), margin=False)
+def test_dual_rejects_zero_factors():
+    prob = dt_lyapunov_problem(np.diag([1.2, 0.5]))
     assert not verify_dual(prob, {})["pass"]
     assert not verify_dual(prob, {"lyap": np.zeros((2, 1))})["pass"]
 
 
 def test_dual_validates_factor_names_and_shapes():
-    prob = dt_lyapunov_problem(np.diag([1.2, 0.5]), margin=False)
+    prob = dt_lyapunov_problem(np.diag([1.2, 0.5]))
     with pytest.raises(InputError):
         verify_dual(prob, {"other": np.ones((2, 1))})
     with pytest.raises(InputError):
@@ -308,12 +307,12 @@ def test_no_problem_passes_both_checks(seed, radius, mode, n):
         warnings.simplefilter("ignore", RuntimeWarning)
         if mode == "dt":
             m *= radius / max(abs(np.linalg.eigvals(m)))
-            prob = dt_lyapunov_problem(m, margin=False)
+            prob = dt_lyapunov_problem(m)
             lyap = solve_discrete_lyapunov(m.T, np.eye(n))
             bad = lambda lam: np.abs(lam) >= 1.0
         else:
             m += (radius - 1.0 - max(np.linalg.eigvals(m).real)) * np.eye(n)
-            prob = ct_lyapunov_problem(m, margin=False)
+            prob = ct_lyapunov_problem(m)
             lyap = solve_continuous_lyapunov(m.T, -np.eye(n))
             bad = lambda lam: lam.real >= 0.0
     lyap = 0.5 * (lyap + lyap.T)

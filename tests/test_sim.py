@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from polyconv.errors import InputError
 from polyconv.family import MatrixFamily
-from polyconv.linalg import matrix_exponential
+from polyconv.linalg import Tolerances, matrix_exponential
 from polyconv.sim import (
     SwitchingSignal,
     detect_limit,
@@ -169,6 +169,15 @@ class TestDetectLimit:
         traj = simulate_dt(fam, SwitchingSignal.constant([1.0]), [1.0], 100)
         assert detect_limit(traj, window=10) is None
         assert not traj.converged
+
+    def test_simulation_uses_the_callers_sim_tol(self):
+        # 0.99^k over the last 20 of 200 steps moves by about 0.028: a
+        # limit at sim_tol = 0.1, none at the default 1e-8
+        fam = MatrixFamily("dt", ([[0.99]],))
+        sig = SwitchingSignal.constant([1.0])
+        assert simulate_dt(fam, sig, [1.0], 200,
+                           Tolerances(sim_tol=0.1)).converged
+        assert not simulate_dt(fam, sig, [1.0], 200).converged
 
     def test_window_longer_than_trajectory(self):
         fam = MatrixFamily("dt", ([[0.5]],))

@@ -22,8 +22,7 @@ __all__ = ["main", "report_to_dict", "verify_report"]
 _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-# where each verdict method keeps its evidence inside the report, and the
-# only status the method can legitimately carry
+# where each verdict method keeps its evidence inside the report
 _EVIDENCE_REF = {
     "vertex": "vertex_verdicts",
     "kernel-mismatch": "ksp",
@@ -34,19 +33,6 @@ _EVIDENCE_REF = {
     "ksp-weak-upgrade": "certificates/weak",
     "periodic-orbit": "witness",
     "implied-by-weak": "witness",
-}
-_METHOD_STATUS = {
-    "vertex": "Disproven",
-    "kernel-mismatch": "Disproven",
-    "decomposition-cqlf": "Proven",
-    "strong-lmi": "Proven",
-    "implied-by-strong": "Proven",
-    "weak-lmi": "Proven",
-    "ksp-weak-upgrade": "Proven",
-    "periodic-orbit": "Disproven",
-    "implied-by-weak": "Disproven",
-    "exhausted": "Unknown",
-    "vertex-band": "Unknown",
 }
 
 
@@ -124,11 +110,7 @@ def _jsonable(obj):
 
 def _tolerances_from(value: float | None):
     from .linalg import DEFAULT_TOL, Tolerances
-    if value is None:
-        return DEFAULT_TOL
-    if value <= 0:
-        raise InputError(f"tolerance must be positive, got {value}")
-    return Tolerances(residual_tol=value)
+    return DEFAULT_TOL if value is None else Tolerances(residual_tol=value)
 
 
 def _tol_doc(tol) -> dict:
@@ -138,10 +120,19 @@ def _tol_doc(tol) -> dict:
 
 # ------------------------------------------------------- report emission
 
-def _verdict_doc(verdict) -> dict:
+def _vertex_doc(verdict) -> dict:
     return {"status": verdict.status, "method": verdict.method,
-            "details": _jsonable(verdict.details),
+            "details": _jsonable(verdict.details)}
+
+
+def _verdict_doc(verdict) -> dict:
+    return {**_vertex_doc(verdict),
             "evidence": _EVIDENCE_REF.get(verdict.method)}
+
+
+def _ksp_doc(ksp) -> dict:
+    return {"holds": ksp.holds, "kernel_dims": list(ksp.kernel_dims),
+            "common_dim": ksp.common_dim}
 
 
 def _finite_or_none(value):
@@ -150,9 +141,8 @@ def _finite_or_none(value):
     return value if math.isfinite(value) else None
 
 
-def _lmi_checks_doc(problem, values, tol) -> dict:
-    from .feasibility import verify_lmi
-    check = verify_lmi(problem, values, tol)
+def _lmi_checks_doc(check) -> dict:
+    """The margins a verify_lmi report accepted a certificate with."""
     # zero-size blocks report infinite margins; record those as null
     return {"var_min_eigs": {k: _finite_or_none(v)
                              for k, v in check["var_min_eigs"].items()},
@@ -163,6 +153,7 @@ def _lmi_checks_doc(problem, values, tol) -> dict:
 
 
 def _strong_certificate_doc(cert, tol) -> dict:
+    from .feasibility import verify_lmi
     from .lti import CQLF_GAMMA
     dec = cert.decomposition
     doc = {
@@ -171,47 +162,49 @@ def _strong_certificate_doc(cert, tol) -> dict:
         "blocks": [b.tolist() for b in dec.a_as],
         "couplings": [b.tolist() for b in dec.a_r],
         "decomposition_residual": dec.residual,
+        "kind": cert.kind,
     }
     if cert.cqlf is not None:
-        doc["kind"] = "decomposition-cqlf"
+        lmi = cert.cqlf
         doc["gamma"] = CQLF_GAMMA
-        doc["p"] = _jsonable(cert.cqlf.result.values["P"])
-        doc["checks"] = _lmi_checks_doc(cert.cqlf.problem,
-                                        cert.cqlf.result.values, tol)
+        doc["p"] = _jsonable(lmi.result.values["P"])
     else:
-        doc["kind"] = "strong-lmi"
-        doc["p1"] = _jsonable(cert.lmi.result.values["P1"])
-        doc["q"] = _jsonable(cert.lmi.result.values["Q"])
-        doc["checks"] = _lmi_checks_doc(cert.lmi.problem,
-                                        cert.lmi.result.values, tol)
+        lmi = cert.lmi
+        doc["p1"] = _jsonable(lmi.result.values["P1"])
+        doc["q"] = _jsonable(lmi.result.values["Q"])
+    doc["checks"] = _lmi_checks_doc(
+        verify_lmi(lmi.problem, lmi.result.values, tol))
     return doc
 
 
 def _weak_certificate_doc(cert, tol) -> dict:
+    from .feasibility import verify_lmi
     return {"kind": "weak-lmi",
             "p": cert.p.tolist(),
             "parameter": cert.parameter,
-            "checks": _lmi_checks_doc(cert.problem, cert.result.values, tol)}
+            "checks": _lmi_checks_doc(
+                verify_lmi(cert.problem, cert.result.values, tol))}
 
 
-def _rate_margins(mode: str, blocks, p, beta: float) -> list:
+def _rate_doc(rate, p, blocks) -> dict:
+    """The rate section: the envelope, and the decay margin at beta of
+    each off-kernel block under P."""
     import numpy as np
-    out = []
+    margins = []
     for b in blocks:
-        if mode == "ct":
-            m = b.T @ p + p @ b + 2.0 * beta * p
+        if rate.mode == "ct":
+            m = b.T @ p + p @ b + 2.0 * rate.beta * p
         else:
-            m = b.T @ p @ b - np.exp(-2.0 * beta) * p
-        out.append(float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1]))
-    return out
-
-
-def _rate_doc(rate, cert) -> dict:
-    import numpy as np
-    p = np.asarray(cert.cqlf.result.values["P"], dtype=float)
-    margins = _rate_margins(rate.mode, cert.decomposition.a_as, p, rate.beta)
+            m = b.T @ p @ b - np.exp(-2.0 * rate.beta) * p
+        margins.append(float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1]))
     return {"beta": rate.beta, "c0": rate.c0, "c1": rate.c1,
             "mode": rate.mode, "checks": {"block_margins": margins}}
+
+
+def _cert_rate_doc(report) -> dict:
+    cert = report.strong_certificate
+    return _rate_doc(report.rate, cert.cqlf.result.values["P"],
+                     cert.decomposition.a_as)
 
 
 def report_to_dict(report, tol=None) -> dict:
@@ -234,13 +227,8 @@ def report_to_dict(report, tol=None) -> dict:
                      "weak": _verdict_doc(report.weak)},
         "kernel": {"basis": report.kernel.basis.tolist(),
                    "dim": report.kernel.dim},
-        "ksp": {"holds": report.ksp.holds,
-                "kernel_dims": list(report.ksp.kernel_dims),
-                "common_dim": report.ksp.common_dim},
-        "vertex_verdicts": [
-            {"status": v.status, "method": v.method,
-             "details": _jsonable(v.details)}
-            for v in report.vertex_verdicts],
+        "ksp": _ksp_doc(report.ksp),
+        "vertex_verdicts": [_vertex_doc(v) for v in report.vertex_verdicts],
         "certificates": {},
         "witness": _jsonable(report.witness),
         "rate": None,
@@ -253,7 +241,7 @@ def report_to_dict(report, tol=None) -> dict:
         doc["certificates"]["weak"] = _weak_certificate_doc(
             report.weak_certificate, tol)
     if report.rate is not None:
-        doc["rate"] = _rate_doc(report.rate, report.strong_certificate)
+        doc["rate"] = _cert_rate_doc(report)
     return doc
 
 
@@ -268,24 +256,29 @@ class _Checks:
                            "detail": "" if ok else detail})
         return bool(ok)
 
-    def passed(self, name: str) -> bool:
-        hits = [c for c in self.items if c["name"] == name]
-        return bool(hits) and all(c["pass"] for c in hits)
-
-    @property
-    def ok(self) -> bool:
-        return all(c["pass"] for c in self.items)
+    def ok(self, start: int = 0) -> bool:
+        """Whether every check from item `start` on passed."""
+        return all(c["pass"] for c in self.items[start:])
 
 
-def _close(a, b, slack: float) -> bool:
-    import numpy as np
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size == 0 and b.size == 0:
-        return True
-    if a.shape != b.shape:
-        return False
-    return bool(np.all(np.abs(a - b) <= slack))
+def _matches(recorded, rebuilt, slack: float) -> bool:
+    """Whether a recorded JSON value equals the one rebuilt from the
+    evidence: the same keys, lengths and types throughout, and each float
+    within slack."""
+    if isinstance(rebuilt, dict):
+        return (isinstance(recorded, dict)
+                and recorded.keys() == rebuilt.keys()
+                and all(_matches(recorded[k], v, slack)
+                        for k, v in rebuilt.items()))
+    if isinstance(rebuilt, list):
+        return (isinstance(recorded, list) and len(recorded) == len(rebuilt)
+                and all(_matches(a, b, slack)
+                        for a, b in zip(recorded, rebuilt)))
+    if isinstance(rebuilt, float):
+        return (isinstance(recorded, (int, float))
+                and not isinstance(recorded, bool)
+                and abs(recorded - rebuilt) <= slack)
+    return type(recorded) is type(rebuilt) and recorded == rebuilt
 
 
 def _eigs_match(recorded, computed, slack: float) -> bool:
@@ -340,350 +333,194 @@ def _verify_kernel(doc, family, tol, checks) -> None:
                "recorded kernel differs from the recomputed one")
 
 
-def _verify_ksp(doc, family, tol, checks) -> None:
+def _verify_ksp(doc, family, tol, checks):
+    """Returns the recomputed kernel-sharing facts."""
     from .inclusion import ksp_check
-    name = "ksp"
-    sec = doc.get("ksp")
-    if not isinstance(sec, dict):
-        checks.add(name, False, "missing ksp section")
-        return
-    rec = ksp_check(family, tol)
-    ok = (sec.get("holds") == rec.holds
-          and list(sec.get("kernel_dims", [])) == list(rec.kernel_dims)
-          and sec.get("common_dim") == rec.common_dim)
-    checks.add(name, ok, "kernel sharing facts do not recompute")
+    ksp = ksp_check(family, tol)
+    checks.add("ksp", _matches(doc["ksp"], _ksp_doc(ksp), 0.0),
+               "kernel sharing facts do not recompute")
+    return ksp
 
 
-def _verify_vertices(doc, family, tol, checks) -> None:
+def _verify_vertices(doc, family, tol, checks):
+    """Rebuilds every vertex verdict; returns the rebuilt ones."""
     import numpy as np
-    from .linalg import nested_kernel_dims
-    from .lti import DISPROVEN, EXACT_BAND, UNKNOWN_BAND
+    from .lti import lti_convergent_ct, lti_convergent_dt
     name = "vertex_verdicts"
-    recs = doc.get("vertex_verdicts")
-    if not isinstance(recs, list) or len(recs) != family.m_count:
-        checks.add(name, False, "vertex verdict count mismatch")
-        return
-    for i, rec in enumerate(recs):
-        label = f"{name}[{i}]"
-        a = family.matrices[i]
-        n = family.n
-        det = rec.get("details", {})
-        eigs = np.linalg.eigvals(a)
+    vertex_check = (lti_convergent_dt if family.mode == "dt"
+                    else lti_convergent_ct)
+    rebuilt = tuple(vertex_check(a, tol) for a in family.matrices)
+    recs = doc["vertex_verdicts"]
+    if not checks.add(name, isinstance(recs, list)
+                      and len(recs) == len(rebuilt),
+                      "vertex verdict count mismatch"):
+        return None
+    for i, (a, rec, verdict) in enumerate(zip(family.matrices, recs, rebuilt)):
         scale = 1.0 + float(np.linalg.norm(a, 2))
-        if not checks.add(label,
-                          _eigs_match(det.get("eigenvalues", []), eigs,
-                                      1e-6 * scale),
-                          "recorded eigenvalues do not recompute"):
-            continue
-        lam0 = det.get("critical_value")
-        if lam0 is None or lam0 != (1.0 if family.mode == "dt" else 0.0):
-            checks.add(label, False, "wrong critical value")
-            continue
-        g, g2, kscale = nested_kernel_dims(a, lam0, tol)
-        if not checks.add(label, det.get("kernel_dim") == g
-                          and det.get("nested_kernel_dim") == g2,
-                          "kernel dimensions do not recompute"):
-            continue
-        if rec.get("status") != DISPROVEN:
-            continue
-        # the disproof claims must re-derive, not merely re-read
-        order = np.argsort(np.abs(eigs - lam0))
-        rest = eigs[order[g:]]
-        excess = (np.abs(rest) - 1.0 if family.mode == "dt"
-                  else rest.real)
-        method = rec.get("method")
-        if method == "spectral-defective":
-            checks.add(label, g >= 1 and g2 > g
-                       and det.get("defect") == g2 - g,
-                       "recorded defect does not recompute")
-        elif method == "spectral-unstable":
-            worst = float(excess.max()) if excess.size else 0.0
-            checks.add(label,
-                       _close(det.get("worst_excess", np.nan), worst,
-                              tol.residual_tol * kscale)
-                       and worst >= UNKNOWN_BAND,
-                       "recorded instability does not recompute")
-        elif method == "spectral-critical":
-            near = bool(np.any(np.abs(excess) <= EXACT_BAND * kscale))
-            checks.add(label, near,
-                       "no machine-critical eigenvalue recomputes")
-        else:
-            checks.add(label, False, f"unknown disproof method {method!r}")
+        # eigenvalues match as a multiset; every other field as rebuilt
+        eigs = rec["details"]["eigenvalues"]
+        want = _vertex_doc(verdict)
+        want["details"]["eigenvalues"] = eigs
+        checks.add(name,
+                   _eigs_match(eigs, np.asarray(
+                       verdict.details["eigenvalues"]), 1e-6 * scale)
+                   and _matches(rec, want, tol.residual_tol * scale),
+                   f"vertex {i + 1}: recorded verdict does not recompute")
+    return rebuilt
 
 
-def _margin_matches(recorded, computed, slack: float) -> bool:
-    import math
-    computed = float(computed)
-    if not math.isfinite(computed):
-        return recorded is None
-    return (isinstance(recorded, (int, float))
-            and abs(recorded - computed) <= slack)
-
-
-def _check_lmi(name, problem, values, recorded_checks, tol, checks) -> None:
+def _check_lmi(name, problem, values, recorded, tol, checks) -> None:
     """verify_lmi must pass and reproduce the recorded margins."""
     from .feasibility import verify_lmi
     check = verify_lmi(problem, values, tol)
-    if not checks.add(name, check["pass"], "certificate infeasible"):
-        return
-    slack = tol.residual_tol * (1.0 + check["scale"])
-    rec_cons = recorded_checks.get("constraint_max_eigs", {})
-    rec_vars = recorded_checks.get("var_min_eigs", {})
-    ok = set(rec_cons) == set(check["constraint_max_eigs"]) and all(
-        _margin_matches(rec_cons[k], v, slack)
-        for k, v in check["constraint_max_eigs"].items())
-    ok = ok and set(rec_vars) == set(check["var_min_eigs"]) and all(
-        _margin_matches(rec_vars[k], v, slack)
-        for k, v in check["var_min_eigs"].items())
-    ok = ok and _margin_matches(recorded_checks.get("scale"),
-                                check["scale"], slack)
-    checks.add(name, ok, "recorded margins do not recompute")
+    if checks.add(name, check["pass"], "certificate infeasible"):
+        checks.add(name, _matches(recorded, _lmi_checks_doc(check),
+                                  tol.residual_tol * (1.0 + check["scale"])),
+                   "recorded margins do not recompute")
 
 
-def _verify_strong_certificate(doc, family, tol, checks) -> None:
+def _square(value, dim: int):
+    """A recorded dim x dim matrix (JSON keeps no shape for 0 x 0)."""
     import numpy as np
+    a = np.asarray(value, dtype=float)
+    return a.reshape(0, 0) if dim == 0 else a
+
+
+def _verify_strong_certificate(doc, family, tol, checks):
+    """Rebuilds the decomposition in the recorded frame T and re-checks
+    the LMI; returns the certificate kind and its kernel block dimension."""
+    import numpy as np
+    from .inclusion import common_fixed_kernel
     from .lti import CQLF_GAMMA, block_form, cqlf_problem, reduced_problem
     name = "certificates/strong"
     sec = doc["certificates"]["strong"]
     n = family.n
     t = np.asarray(sec["t"], dtype=float)
-    m = int(sec["kernel_dim"])
-    blocks = [np.asarray(b, dtype=float) for b in sec["blocks"]]
-    couplings = [np.asarray(b, dtype=float) for b in sec["couplings"]]
-    kind = sec["kind"]
-    r = n - m
-    if t.shape != (n, n) or not 0 <= m <= n or sec["kernel_dim"] != m:
-        checks.add(name, False, "decomposition shape mismatch")
-        return
-    if not checks.add(name, float(np.abs(t.T @ t - np.eye(n)).max()) <= 1e-7,
-                      "T is not orthonormal"):
-        return
-    if len(blocks) != family.m_count or len(couplings) != family.m_count:
-        checks.add(name, False, "per-vertex block count mismatch")
-        return
-    wc, wk = t[:, :r], t[:, r:]
-    scale = 1.0 + max(float(np.linalg.norm(a, 2)) for a in family.matrices)
-    slack = tol.residual_tol * scale
-    a_as, a_r, resid = block_form(family.matrices, family.mode, wc, wk)
-    eye = np.eye(n)
-    for i, a in enumerate(family.matrices):
-        shifted = a - eye if family.mode == "dt" else a
-        if not checks.add(name,
-                          float(np.linalg.norm(shifted @ wk)) <= slack
-                          if wk.size else True,
-                          f"kernel block not fixed by vertex {i + 1}"):
-            return
-        if not checks.add(name,
-                          _close(blocks[i], a_as[i], slack)
-                          and _close(couplings[i], a_r[i], slack),
-                          f"vertex {i + 1} blocks do not recompute"):
-            return
-    if not checks.add(name,
-                      _close(sec.get("decomposition_residual", np.nan),
-                             resid, slack),
-                      "decomposition residual does not recompute"):
-        return
+    if not checks.add(name, t.shape == (n, n) and float(
+            np.abs(t.T @ t - np.eye(n)).max()) <= 1e-7,
+            "T is not an orthonormal n x n frame"):
+        return None
     # the kernel block must be the full common kernel, not a slice of it
-    from .inclusion import common_fixed_kernel
-    common = common_fixed_kernel(family, tol)
-    if not checks.add(name, common.dim == m,
-                      "kernel block dimension is not the common kernel's"):
-        return
+    m = common_fixed_kernel(family, tol).dim
+    r = n - m
+    wc = t[:, :r]
+    a_as, a_r, resid = block_form(family.matrices, family.mode, wc, t[:, r:])
+    slack = tol.residual_tol * (
+        1.0 + max(float(np.linalg.norm(a, 2)) for a in family.matrices))
+    rebuilt = _jsonable({"kernel_dim": m, "blocks": a_as, "couplings": a_r,
+                         "decomposition_residual": resid})
+    if not checks.add(name, resid <= slack and _matches(
+            {k: sec[k] for k in rebuilt}, rebuilt, slack),
+            "decomposition does not recompute, or its kernel block is not "
+            "the common kernel fixed by every vertex"):
+        return None
+    kind = sec["kind"]
     if kind == "decomposition-cqlf":
-        p = np.asarray(sec.get("p", []), dtype=float)
-        if not checks.add(name, sec.get("gamma") == CQLF_GAMMA,
+        if not checks.add(name, sec["gamma"] == CQLF_GAMMA,
                           "unexpected definiteness offset"):
-            return
-        if p.shape != (r, r) and not (r == 0 and p.size == 0):
-            checks.add(name, False, "P block shape mismatch")
-            return
-        _check_lmi(name, cqlf_problem(blocks, family.mode, tol),
-                   {"P": p.reshape(r, r)}, sec.get("checks", {}), tol, checks)
+            return None
+        problem = cqlf_problem(a_as, family.mode, tol)
+        values = {"P": _square(sec["p"], r)}
     elif kind == "strong-lmi":
-        p1 = np.asarray(sec.get("p1", []), dtype=float)
-        q = np.asarray(sec.get("q", []), dtype=float)
-        if p1.shape != (r, r) or q.shape != (n, n):
-            checks.add(name, False, "P1/Q shape mismatch")
-            return
-        prob = reduced_problem(family.matrices, family.mode, wc, tol)
-        _check_lmi(name, prob, {"P1": p1, "Q": q}, sec.get("checks", {}),
-                   tol, checks)
+        problem = reduced_problem(family.matrices, family.mode, wc, tol)
+        values = {"P1": _square(sec["p1"], r), "Q": _square(sec["q"], n)}
     else:
         checks.add(name, False, f"unknown strong certificate kind {kind!r}")
+        return None
+    _check_lmi(name, problem, values, sec["checks"], tol, checks)
+    return kind, m
 
 
-def _verify_weak_certificate(doc, family, tol, checks) -> None:
+def _verify_weak_certificate(doc, family, tol, checks):
+    """Returns the certificate's grid parameter."""
     import numpy as np
     from .lti import (EPS_GRID, ETA_GRID, aligned_bases, damped_problem,
                       vertex_kernels)
     name = "certificates/weak"
     sec = doc["certificates"]["weak"]
-    p = np.asarray(sec["p"], dtype=float)
-    parameter = float(sec["parameter"])
-    if p.shape != (family.n, family.n):
-        checks.add(name, False, "P shape mismatch")
-        return
+    parameter = sec["parameter"]
     # the margin can sit at exactly zero independent of the damping, so an
     # edited parameter may still recompute; pin it to the search grid
     grid = ETA_GRID if family.mode == "dt" else EPS_GRID
     if not checks.add(name, parameter in grid,
                       "parameter is not on the search grid"):
-        return
+        return None
     mats, mode = family.matrices, family.mode
     bases = aligned_bases(vertex_kernels(mats, mode, tol), tol)
-    prob = damped_problem(mats, mode, parameter, bases, tol)
-    _check_lmi(name, prob, {"P": p}, sec.get("checks", {}), tol, checks)
+    _check_lmi(name, damped_problem(mats, mode, parameter, bases, tol),
+               {"P": np.asarray(sec["p"], dtype=float)}, sec["checks"],
+               tol, checks)
+    return parameter
 
 
 def _verify_rate(doc, family, tol, checks) -> None:
+    """Rebuilds the rate section at the recorded beta from the strong
+    certificate's P, blocks and couplings."""
     import numpy as np
+    from .inclusion import RateEstimate, rate_constants
     name = "rate"
     sec = doc["rate"]
-    strong = (doc.get("certificates") or {}).get("strong")
-    if (not isinstance(strong, dict)
-            or strong.get("kind") != "decomposition-cqlf"):
-        checks.add(name, False,
-                   "rate needs the common-Lyapunov strong certificate")
+    strong = doc["certificates"].get("strong") or {}
+    if not checks.add(name, strong.get("kind") == "decomposition-cqlf",
+                      "rate needs the common-Lyapunov strong certificate"):
         return
-    beta = float(sec["beta"])
-    c0 = float(sec["c0"])
-    c1 = float(sec["c1"])
     p = np.asarray(strong["p"], dtype=float)
-    blocks = [np.asarray(b, dtype=float) for b in strong["blocks"]]
     couplings = [np.asarray(b, dtype=float) for b in strong["couplings"]]
-    if not checks.add(name, beta > 0 and sec.get("mode") == family.mode,
-                      "rate parameters out of range"):
-        return
-    pscale = 1.0 + float(np.linalg.norm(p, 2)) if p.size else 1.0
-    margins = _rate_margins(family.mode, blocks, p, beta)
-    rec = sec.get("checks", {}).get("block_margins", [])
-    if not checks.add(name,
-                      _close(rec, margins, tol.residual_tol * pscale)
-                      and all(v <= tol.residual_tol * pscale
-                              for v in margins),
-                      "decay margins do not recompute"):
-        return
-    eigp = np.linalg.eigvalsh(0.5 * (p + p.T)) if p.size else np.array([1.0])
-    c0_rec = float(np.sqrt(eigp[-1] / eigp[0])) if eigp[0] > 0 else np.inf
-    c1_rec = max((float(np.linalg.norm(c, 2)) for c in couplings if c.size),
-                 default=0.0)
-    checks.add(name, abs(c0 - c0_rec) <= 1e-6 * (1.0 + c0_rec)
-               and abs(c1 - c1_rec) <= 1e-6 * (1.0 + c1_rec),
-               "transient constants do not recompute")
+    blocks = [np.asarray(b, dtype=float) for b in strong["blocks"]]
+    beta = float(sec["beta"])
+    rebuilt = _rate_doc(RateEstimate(beta, *rate_constants(p, couplings),
+                                     family.mode), p, blocks)
+    slack = tol.residual_tol * (1.0 + float(np.linalg.norm(p, 2)))
+    checks.add(name, beta > 0 and _matches(sec, rebuilt, slack)
+               and max(rebuilt["checks"]["block_margins"]) <= slack,
+               "rate does not recompute, or P does not decay at beta")
 
 
-def _verify_witness_section(doc, family, tol, checks) -> None:
+def _verify_witness_section(doc, family, tol, checks):
+    """Rebuilds the orbit numbers from the recorded signal and start
+    state, then re-simulates the orbit; returns the rebuilt evidence."""
     import numpy as np
-    from .sim import (WITNESS_PERIODS, WITNESS_RECURRENCE,
-                      WITNESS_SEPARATION, _orbit_numbers,
-                      _period_map_and_states, verify_witness)
+    from .sim import verify_witness, witness_evidence
     name = "witness"
     ev = doc["witness"]
-    if not isinstance(ev, dict):
-        checks.add(name, False, "witness must be an object")
-        return
-    cycle = ev.get("cycle")
-    dwell = ev.get("dwell")
-    structural = (
-        isinstance(cycle, list) and len(cycle) >= 1
-        and all(isinstance(v, int) and not isinstance(v, bool)
-                and 0 <= v < family.m_count for v in cycle)
-        and isinstance(dwell, (int, float)) and dwell > 0
-        and (family.mode == "ct" or float(dwell).is_integer())
-        and ev.get("mode") == family.mode
-        and ev.get("periods_checked") == WITNESS_PERIODS)
-    if not checks.add(name, structural, "malformed witness fields"):
-        return
-    y0 = np.asarray(ev["start_state"], dtype=float)
-    if not checks.add(name, y0.shape == (family.n,),
-                      "start state has the wrong dimension"):
-        return
-    # the recorded numbers must be the re-derived ones, not just plausible
-    rec, sep = _orbit_numbers(
-        *_period_map_and_states(family, tuple(cycle), float(dwell)), y0)
-    period = len(cycle) * float(dwell)
-    consistent = (
-        _margin_matches(ev.get("recurrence"), rec, 1e-9 * (1.0 + rec))
-        and _margin_matches(ev.get("separation"), sep, 1e-9 * (1.0 + sep))
-        and _margin_matches(ev.get("period_length"), period,
-                            1e-9 * (1.0 + period))
-        and rec <= WITNESS_RECURRENCE and sep >= WITNESS_SEPARATION)
-    if not checks.add(name, consistent,
-                      "recorded orbit numbers do not recompute"):
-        return
-    checks.add(name, verify_witness(family, ev),
-               "periodic orbit fails re-simulation")
+    rebuilt = witness_evidence(family, ev["cycle"], ev["dwell"],
+                               np.asarray(ev["start_state"], dtype=float))
+    if checks.add(name, _matches(ev, rebuilt, 1e-9),
+                  "recorded orbit does not recompute"):
+        checks.add(name, verify_witness(family, ev),
+                   "periodic orbit fails re-simulation")
+    return rebuilt
 
 
-def _verify_linkage(doc, family, tol, checks) -> None:
-    """Each decided verdict must cite an evidence section that checked out."""
-    name = "evidence-linkage"
-    ksp_holds = isinstance(doc.get("ksp"), dict) and doc["ksp"].get("holds")
-    for side in ("strong", "weak"):
-        v = (doc.get("verdicts") or {}).get(side)
-        if not isinstance(v, dict):
-            checks.add(name, False, f"missing {side} verdict")
-            continue
-        method = v.get("method")
-        status = v.get("status")
-        expected = _METHOD_STATUS.get(method)
-        if expected is None:
-            checks.add(name, False, f"unknown method {method!r}")
-            continue
-        if not checks.add(name, status == expected,
-                          f"{side}: status {status!r} does not follow from "
-                          f"method {method!r}"):
-            continue
-        if status == "Unknown":
-            continue
-        ref = v.get("evidence")
-        if ref != _EVIDENCE_REF.get(method):
-            checks.add(name, False, f"{side}: wrong evidence reference")
-            continue
-        if ref == "vertex_verdicts":
-            vertex = v.get("details", {}).get("vertex")
-            recs = doc.get("vertex_verdicts", [])
-            cited_ok = (isinstance(vertex, int)
-                        and 1 <= vertex <= len(recs)
-                        and recs[vertex - 1].get("status") == "Disproven"
-                        and checks.passed(f"vertex_verdicts[{vertex - 1}]"))
-            checks.add(name, cited_ok, f"{side}: cited vertex not disproven")
-        elif ref == "ksp":
-            checks.add(name, checks.passed("ksp") and not ksp_holds,
-                       f"{side}: kernel mismatch not established")
-        elif ref == "certificates/strong":
-            kind = ((doc.get("certificates") or {}).get("strong") or
-                    {}).get("kind")
-            want = method if method != "implied-by-strong" else kind
-            checks.add(name, checks.passed("certificates/strong")
-                       and kind == want,
-                       f"{side}: strong certificate missing or failed")
-        elif ref == "certificates/weak":
-            ok = checks.passed("certificates/weak")
-            if method == "ksp-weak-upgrade":
-                ok = ok and checks.passed("ksp") and bool(ksp_holds)
-            checks.add(name, ok,
-                       f"{side}: weak certificate missing or failed")
-        elif ref == "witness":
-            checks.add(name, checks.passed("witness"),
-                       f"{side}: witness missing or failed")
+def _verify_verdicts(doc, found, checks) -> None:
+    """The recorded verdicts must be the ones the rule gives on the
+    evidence of the sections that checked out (found)."""
+    from .inclusion import verdicts_from_evidence
+    name = "verdicts"
+    if not checks.add(name, "vertex_verdicts" in found and "ksp" in found,
+                      "the verdicts rest on vertex verdicts and kernel "
+                      "facts that did not check out"):
+        return
+    strong_kind, m = found.get("certificates/strong") or (None, None)
+    rebuilt = verdicts_from_evidence(
+        found["vertex_verdicts"], found["ksp"], strong_kind, m,
+        found.get("certificates/weak"), found.get("witness"))
+    for side, verdict in zip(("strong", "weak"), rebuilt):
+        checks.add(name, _matches(doc["verdicts"][side],
+                                  _verdict_doc(verdict), 0.0),
+                   f"{side}: recorded verdict is not the one its evidence "
+                   "gives")
 
 
 def _report_tolerances(doc):
     """The Tolerances a report records: an object with exactly the four
-    Tolerances keys, each a finite positive number."""
-    import math
+    Tolerances keys."""
     from .linalg import DEFAULT_TOL, Tolerances
     tdoc = doc.get("tolerances")
     keys = sorted(_tol_doc(DEFAULT_TOL))
     if not isinstance(tdoc, dict) or sorted(tdoc) != keys:
         raise InputError("report tolerances must be an object with the keys "
                          + ", ".join(keys))
-    for key, value in tdoc.items():
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value) or value <= 0):
-            raise InputError(f"report tolerance {key!r} must be a finite "
-                             f"positive number, got {value!r}")
     return Tolerances(**tdoc)
 
 
@@ -695,14 +532,18 @@ _MALFORMED = (AttributeError, TypeError, KeyError, IndexError, ValueError)
 def verify_report(doc, family, tol=None):
     """Re-check every piece of recorded evidence without the solver.
 
-    Kernels and spectra are recomputed with svd/eig, each recorded LMI
+    Each section is rebuilt from the family and the recorded evidence with
+    the code that wrote it, and compared with the recorded one: kernels
+    and vertex verdicts are recomputed with svd/eig, each LMI
     certificate's constraints are rebuilt and re-checked with verify_lmi,
-    and a recorded periodic orbit is re-simulated.  Every recorded number
-    is also compared against its recomputation, so a report edited after
-    the fact fails even when the edited value would itself be feasible.
-    A section that is missing or wrongly typed is a failed check; a report
-    that is not an object, or whose tolerances are malformed, raises
-    InputError.  Returns (verified, checks).
+    and a periodic orbit's numbers are rebuilt and the orbit re-simulated.
+    So a report edited after the fact fails even when the edited value
+    would itself be feasible.  The recorded verdict pair must then be
+    inclusion.verdicts_from_evidence of the sections that checked out,
+    status, method, details and evidence reference alike.  A section that
+    is missing or wrongly typed is a failed check; a report that is not an
+    object, or whose tolerances are malformed, raises InputError.  Returns
+    (verified, checks).
     """
     if not isinstance(doc, dict):
         raise InputError("report must be a JSON object")
@@ -727,14 +568,22 @@ def verify_report(doc, family, tol=None):
         sections.append(("witness", _verify_witness_section))
     if doc.get("rate") is not None:
         sections.append(("rate", _verify_rate))
-    sections.append(("evidence-linkage", _verify_linkage))
+    # the evidence of each section that checked out; the verdicts come
+    # last, as they rest on it
+    found = {}
+    sections.append(("verdicts", lambda *_: _verify_verdicts(doc, found,
+                                                             checks)))
     for name, verify in sections:
+        start = len(checks.items)
         try:
-            verify(doc, family, tol, checks)
+            evidence = verify(doc, family, tol, checks)
         except _MALFORMED as exc:
             checks.add(name, False,
                        f"malformed section: {type(exc).__name__}: {exc}")
-    return checks.ok, checks.items
+        else:
+            if checks.ok(start):
+                found[name] = evidence
+    return checks.ok(), checks.items
 
 
 # ------------------------------------------------------------ subcommands
@@ -839,7 +688,8 @@ def _cmd_simulate(args) -> int:
             raise InputError("DT horizon must be an integer step count")
         traj = simulate_dt(family, signal, x0, steps, tol)
     else:
-        sample_dt = args.sample_dt or args.horizon / 1000.0
+        sample_dt = (args.horizon / 1000.0 if args.sample_dt is None
+                     else args.sample_dt)
         traj = simulate_ct(family, signal, x0, args.horizon, sample_dt, tol)
     doc = {
         "mode": family.mode,
@@ -923,7 +773,7 @@ def _cmd_rate(args) -> int:
             "no rate available: strong convergence was not established "
             f"through the common-Lyapunov route (strong verdict: "
             f"{report.strong.status}, {report.strong.method})")
-    _emit(_rate_doc(report.rate, report.strong_certificate), args.out)
+    _emit(_cert_rate_doc(report), args.out)
     return 0
 
 
@@ -966,9 +816,22 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of every real-valued option."""
+    import math
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_common(sp, tol_help: str = "override the certificate acceptance "
                 "tolerance (residual_tol)") -> None:
-    sp.add_argument("--tol", type=float, default=None, help=tol_help)
+    sp.add_argument("--tol", type=_finite_float, default=None, help=tol_help)
     sp.add_argument("--out", default=None,
                     help="write the JSON result here instead of stdout")
 
@@ -994,7 +857,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--candidate", default=None,
                     help="candidate X matrix (JSON file or inline) for "
                          "--method polyhedral")
-    sp.add_argument("--parameter", type=float, default=None,
+    sp.add_argument("--parameter", type=_finite_float, default=None,
                     help="fix the weak-lmi grid parameter")
     _add_common(sp)
     sp.set_defaults(func=_cmd_certify)
@@ -1004,9 +867,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--signal", required=True,
                     help="signal spec (JSON file or inline object)")
     sp.add_argument("--x0", required=True, help="initial state, e.g. 1,0")
-    sp.add_argument("--horizon", type=float, required=True,
+    sp.add_argument("--horizon", type=_finite_float, required=True,
                     help="steps (dt) or final time (ct)")
-    sp.add_argument("--sample-dt", type=float, default=None,
+    sp.add_argument("--sample-dt", type=_finite_float, default=None,
                     help="ct sampling interval (default horizon/1000)")
     sp.add_argument("--csv", default=None,
                     help="write t,x1..xn,w1..wM samples to this file")

@@ -62,8 +62,10 @@ __all__ = [
     "weak_lmi",
     "verify_polyhedral_strong",
     "euler_family",
+    "rate_constants",
     "convergence_rate",
     "dual_family",
+    "verdicts_from_evidence",
     "analyze",
 ]
 
@@ -82,6 +84,10 @@ class StrongCertificate:
     decomposition: Decomposition
     cqlf: LmiOutcome | None = None
     lmi: LmiOutcome | None = None
+
+    @property
+    def kind(self) -> str:
+        return "decomposition-cqlf" if self.cqlf is not None else "strong-lmi"
 
 
 @dataclass
@@ -279,12 +285,21 @@ def euler_family(family: MatrixFamily, tau: float) -> MatrixFamily:
     return MatrixFamily("dt", mats, family.labels, {"tau": tau})
 
 
+def rate_constants(p, couplings) -> tuple:
+    """(c0, c1) of the rate envelope: c0 = sqrt(cond(P)) and c1 = the
+    largest vertex coupling norm."""
+    eigp = np.linalg.eigvalsh((p + p.T) / 2.0)
+    c1 = max((float(np.linalg.norm(c, 2)) for c in couplings if c.size),
+             default=0.0)
+    return float(np.sqrt(eigp[-1] / eigp[0])), c1
+
+
 def convergence_rate(family: MatrixFamily, cert: StrongCertificate,
                      tol: Tolerances = DEFAULT_TOL) -> RateEstimate:
     """Exponential envelope for the off-kernel state from the CQLF:
     the largest beta with A'P + PA <= -2 beta P per block (ct), or the
     smallest contraction rho with A'PA <= rho^2 P (dt, beta = -ln rho);
-    c0 = sqrt(cond(P)), c1 = max vertex coupling norm."""
+    c0 and c1 from rate_constants."""
     if cert.cqlf is None or not cert.cqlf.feasible:
         raise InputError("rate estimation needs a feasible common-Lyapunov "
                          "certificate for the off-kernel blocks")
@@ -294,10 +309,7 @@ def convergence_rate(family: MatrixFamily, cert: StrongCertificate,
     if k == 0:
         raise InputError("rate estimation needs a nonempty off-kernel block")
     p = cert.cqlf.result.values["P"]
-    c1 = max((float(np.linalg.norm(ar, 2)) for ar in dec.a_r if ar.size),
-             default=0.0)
-    eigp = np.linalg.eigvalsh((p + p.T) / 2.0)
-    c0 = float(np.sqrt(eigp[-1] / eigp[0]))
+    c0, c1 = rate_constants(p, dec.a_r)
 
     if family.mode == "ct":
         def ok(b):
@@ -330,112 +342,103 @@ def dual_family(family: MatrixFamily) -> MatrixFamily:
                         family.labels)
 
 
-def analyze(family: MatrixFamily, tol: Tolerances = DEFAULT_TOL,
-            search_witness: bool = True) -> AnalysisReport:
-    """Tri-state strong/weak verdict pipeline.
+def verdicts_from_evidence(vertex_verdicts, ksp: KspResult, strong_kind,
+                           m, weak_parameter, orbit) -> tuple:
+    """The (strong, weak) verdict pair that the evidence gives: the one
+    rule from evidence to verdicts, which analyze applies to what it found
+    and cli.verify_report to the report sections that check out.
 
-    Order: per-vertex necessary spectra, kernel sharing (necessary for
-    strong), decomposition + common-Lyapunov or the joint rank-reduced
-    certificate (strong sufficient, implies weak), damped vertex
-    inequalities (weak sufficient), the shared-kernel upgrade of a weak
-    certificate to strong, then periodic-orbit search (disproves weak and
-    with it strong).  The orbit search tries vertex cycles up to
-    sim.WITNESS_PERIOD_MAX vertices at the dwells sim.WITNESS_DWELLS, and
-    takes its candidate start states only from the fixed space of each
-    cycle's period map.  Whatever remains is Unknown.
+    A non-convergent vertex (vertex_verdicts) disproves weak convergence,
+    and with it strong.  Vertex kernels that differ from the common one
+    (ksp) disprove strong.  A strong certificate (strong_kind
+    'decomposition-cqlf' or 'strong-lmi', kernel block dimension m)
+    proves strong, and strong implies weak.  A weak certificate (its grid
+    parameter weak_parameter) proves weak, and with every vertex sharing
+    the common fixed space any weak limit already lies in it, so weak
+    convergence is strong.  A periodic orbit (the witness evidence dict
+    orbit) disproves weak, and with it strong.  Evidence earlier in this
+    list wins; whatever none of it decides is Unknown.
 
     A vertex inside the spectral tolerance band caps Proven down to
     Unknown: the necessary condition is unresolved at exactly the size
     the LMI residual tolerance would absorb, so an at-tolerance
     certificate cannot overrule it.  Disproofs are exact and stand.
     """
-    report = _analyze_pipeline(family, tol, search_witness)
-    if report.diagnostics.get("vertices_in_tolerance_band"):
-        for attr in ("strong", "weak"):
-            v = getattr(report, attr)
-            if v.status == PROVEN:
-                setattr(report, attr, Verdict(
-                    UNKNOWN, "vertex-band",
-                    {"certificate_method": v.method}))
-        report.rate = None
-    return report
+    for i, v in enumerate(vertex_verdicts):
+        if v.disproven:
+            detail = {"vertex": i + 1, "vertex_method": v.method}
+            return (Verdict(DISPROVEN, "vertex", detail),
+                    Verdict(DISPROVEN, "vertex", dict(detail)))
+    strong, weak = Verdict(UNKNOWN, "exhausted"), Verdict(UNKNOWN, "exhausted")
+    if ksp.holds and strong_kind is not None:
+        strong = Verdict(PROVEN, strong_kind, {"m": m})
+        weak = Verdict(PROVEN, "implied-by-strong")
+    elif weak_parameter is not None:
+        weak = Verdict(PROVEN, "weak-lmi", {"parameter": weak_parameter})
+        strong = Verdict(PROVEN, "ksp-weak-upgrade",
+                         {"parameter": weak_parameter})
+    elif orbit is not None:
+        weak = Verdict(DISPROVEN, "periodic-orbit",
+                       {"cycle": orbit["cycle"], "dwell": orbit["dwell"]})
+        strong = Verdict(DISPROVEN, "implied-by-weak")
+    if not ksp.holds:
+        strong = Verdict(DISPROVEN, "kernel-mismatch",
+                         {"kernel_dims": list(ksp.kernel_dims),
+                          "common_dim": ksp.common_dim})
+    if any(v.status == UNKNOWN for v in vertex_verdicts):
+        strong, weak = (Verdict(UNKNOWN, "vertex-band",
+                                {"certificate_method": v.method})
+                        if v.proven else v for v in (strong, weak))
+    return strong, weak
 
 
-def _analyze_pipeline(family: MatrixFamily, tol: Tolerances,
-                      search_witness: bool) -> AnalysisReport:
+def analyze(family: MatrixFamily, tol: Tolerances = DEFAULT_TOL,
+            search_witness: bool = True) -> AnalysisReport:
+    """Tri-state strong/weak verdict pipeline.
+
+    Collects evidence in order and stops once it settles the verdicts:
+    per-vertex necessary spectra, kernel sharing (necessary for strong),
+    decomposition + common-Lyapunov or the joint rank-reduced certificate
+    (strong sufficient), damped vertex inequalities (weak sufficient),
+    then periodic-orbit search.  The orbit search tries vertex cycles up
+    to sim.WITNESS_PERIOD_MAX vertices at the dwells sim.WITNESS_DWELLS,
+    and takes its candidate start states only from the fixed space of
+    each cycle's period map.  verdicts_from_evidence turns the evidence
+    into the verdict pair, and the rate is estimated only when that pair
+    rests on the common-Lyapunov certificate.
+    """
     vertex_check = (lti_convergent_dt if family.mode == "dt"
                     else lti_convergent_ct)
     vertex_verdicts = tuple(vertex_check(a, tol) for a in family.matrices)
     ker, ksp = _kernel_facts(family, tol)
-    report = AnalysisReport(family, Verdict(UNKNOWN, "pending"),
-                            Verdict(UNKNOWN, "pending"), ker, ksp,
+    report = AnalysisReport(family, None, None, ker, ksp,
                             vertex_verdicts=vertex_verdicts)
-
-    for i, v in enumerate(vertex_verdicts):
-        if v.disproven:
-            detail = {"vertex": i + 1, "vertex_method": v.method}
-            report.strong = Verdict(DISPROVEN, "vertex", detail)
-            report.weak = Verdict(DISPROVEN, "vertex", detail)
-            return report
-    band = [i + 1 for i, v in enumerate(vertex_verdicts)
-            if v.status == UNKNOWN]
-    if band:
-        report.diagnostics["vertices_in_tolerance_band"] = band
-
-    if not ksp.holds:
-        report.strong = Verdict(
-            DISPROVEN, "kernel-mismatch",
-            {"kernel_dims": list(ksp.kernel_dims),
-             "common_dim": ksp.common_dim})
-
-    if report.strong.status == UNKNOWN:
-        # reached only when the kernels are shared, so the common kernel
-        # already computed is the decomposition's
-        dec = decompose(family.matrices, family.mode, ker, tol)
-        cqlf = cqlf_stability(dec.a_as, family.mode, tol)
-        if cqlf.feasible:
-            cert = StrongCertificate(family.mode, ker, dec, cqlf=cqlf)
-            report.strong_certificate = cert
-            report.strong = Verdict(PROVEN, "decomposition-cqlf",
-                                    {"m": dec.m})
-            report.weak = Verdict(PROVEN, "implied-by-strong", {})
-            if family.n - dec.m > 0:
-                report.rate = convergence_rate(family, cert, tol)
-            return report
-        joint = strong_lmi(family, tol)
-        if joint.feasible:
-            cert = StrongCertificate(family.mode, ker, dec, lmi=joint)
-            report.strong_certificate = cert
-            report.strong = Verdict(PROVEN, "strong-lmi", {"m": dec.m})
-            report.weak = Verdict(PROVEN, "implied-by-strong", {})
-            return report
-
-    weak_cert = weak_lmi(family, tol=tol)
-    if weak_cert is not None:
-        report.weak_certificate = weak_cert
-        report.weak = Verdict(PROVEN, "weak-lmi",
-                              {"parameter": weak_cert.parameter})
-        if report.strong.status == UNKNOWN and ksp.holds:
-            # with every vertex sharing the common fixed space, any weak
-            # limit already lies in it, so weak convergence is strong
-            report.strong = Verdict(PROVEN, "ksp-weak-upgrade",
-                                    {"parameter": weak_cert.parameter})
-        if report.strong.status == UNKNOWN:
-            report.strong = Verdict(UNKNOWN, "exhausted", {})
-        return report
-
-    if search_witness:
-        found = find_nonconvergence_witness(family)
-        if found is not None:
-            signal, evidence = found
-            report.witness = evidence
-            report.weak = Verdict(DISPROVEN, "periodic-orbit", {
-                "cycle": evidence["cycle"], "dwell": evidence["dwell"]})
-            if report.strong.status == UNKNOWN:
-                report.strong = Verdict(DISPROVEN, "implied-by-weak", {})
-            return report
-
-    report.weak = Verdict(UNKNOWN, "exhausted", {})
-    if report.strong.status == UNKNOWN:
-        report.strong = Verdict(UNKNOWN, "exhausted", {})
+    if not any(v.disproven for v in vertex_verdicts):
+        band = [i + 1 for i, v in enumerate(vertex_verdicts)
+                if v.status == UNKNOWN]
+        if band:
+            report.diagnostics["vertices_in_tolerance_band"] = band
+        if ksp.holds:
+            # the common kernel already computed is the decomposition's
+            dec = decompose(family.matrices, family.mode, ker, tol)
+            cqlf = cqlf_stability(dec.a_as, family.mode, tol)
+            if cqlf.feasible:
+                report.strong_certificate = StrongCertificate(
+                    family.mode, ker, dec, cqlf=cqlf)
+            else:
+                joint = strong_lmi(family, tol)
+                if joint.feasible:
+                    report.strong_certificate = StrongCertificate(
+                        family.mode, ker, dec, lmi=joint)
+        if report.strong_certificate is None:
+            report.weak_certificate = weak_lmi(family, tol=tol)
+            if report.weak_certificate is None and search_witness:
+                found = find_nonconvergence_witness(family)
+                report.witness = None if found is None else found[1]
+    cert, weak_cert = report.strong_certificate, report.weak_certificate
+    report.strong, report.weak = verdicts_from_evidence(
+        vertex_verdicts, ksp, None if cert is None else cert.kind, ker.dim,
+        None if weak_cert is None else weak_cert.parameter, report.witness)
+    if report.strong.method == "decomposition-cqlf" and family.n > ker.dim:
+        report.rate = convergence_rate(family, cert, tol)
     return report

@@ -8,7 +8,9 @@ kernel test rather than by trusting eigenvalue clustering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 import scipy.linalg
@@ -49,6 +51,13 @@ class Tolerances:
     psd_margin: float = 1e-8
     residual_tol: float = 1e-7
     sim_tol: float = 1e-8
+
+    def __post_init__(self):
+        for key, value in vars(self).items():
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or not math.isfinite(value) or value <= 0):
+                raise InputError(f"tolerance {key!r} must be a finite "
+                                 f"positive number, got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()

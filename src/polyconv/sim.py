@@ -26,6 +26,7 @@ __all__ = [
     "detect_limit",
     "residual_diagnostics",
     "find_nonconvergence_witness",
+    "witness_evidence",
     "verify_witness",
     "trajectory_to_csv",
 ]
@@ -405,16 +406,35 @@ def _orbit_numbers(prop, stages, y0):
     return rec, sep
 
 
+def witness_evidence(family: MatrixFamily, cycle, dwell, y0) -> dict:
+    """The evidence of the orbit through y0 under the vertex cycle held
+    for dwell: its recurrence and separation (see _orbit_numbers) and the
+    signal that runs it."""
+    signal = SwitchingSignal.vertex_cycle(cycle, dwell)
+    rec, sep = _orbit_numbers(*_period_map_and_states(
+        family, signal.sequence, signal.dwell), y0)
+    return {
+        "recurrence": rec,
+        "separation": sep,
+        "periods_checked": WITNESS_PERIODS,
+        "mode": family.mode,
+        "cycle": list(signal.sequence),
+        "dwell": signal.dwell,
+        "start_state": y0.tolist(),
+        "period_length": len(signal.sequence) * signal.dwell,
+    }
+
+
 def find_nonconvergence_witness(family: MatrixFamily):
     """Search vertex-cycle signals for a periodic (non-constant) orbit.
 
     A trajectory that keeps returning to a state it measurably leaves can
     not converge, so a verified orbit disproves weak convergence.  Returns
-    (signal, evidence) or None.  A periodic orbit starts at a fixed vector
-    of the cycle's period map, so the candidates are the orthonormal basis
-    of that map's fixed space, ker(prop - I), with the rank cutoff guarded
-    by 1 + ||prop|| so that a map equal to I up to rounding keeps its whole
-    fixed space.
+    (signal, witness_evidence) or None.  A periodic orbit starts at a
+    fixed vector of the cycle's period map, so the candidates are the
+    orthonormal basis of that map's fixed space, ker(prop - I), with the
+    rank cutoff guarded by 1 + ||prop|| so that a map equal to I up to
+    rounding keeps its whole fixed space.
     """
     n = family.n
     for cycle in _cycle_candidates(family.m_count, WITNESS_PERIOD_MAX):
@@ -425,17 +445,8 @@ def find_nonconvergence_witness(family: MatrixFamily):
             for y0 in fixed.basis.T:
                 rec, sep = _orbit_numbers(prop, stages, y0)
                 if rec <= WITNESS_RECURRENCE and sep >= WITNESS_SEPARATION:
-                    signal = SwitchingSignal.vertex_cycle(cycle, dwell)
-                    return signal, {
-                        "recurrence": rec,
-                        "separation": sep,
-                        "periods_checked": WITNESS_PERIODS,
-                        "mode": family.mode,
-                        "cycle": list(cycle),
-                        "dwell": float(dwell),
-                        "start_state": y0.tolist(),
-                        "period_length": len(cycle) * float(dwell),
-                    }
+                    return (SwitchingSignal.vertex_cycle(cycle, dwell),
+                            witness_evidence(family, cycle, dwell, y0))
     return None
 
 

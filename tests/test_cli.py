@@ -280,6 +280,55 @@ def fresh_report_from(fam) -> dict:
                                  allow_nan=False))
 
 
+def _claim_proven_by_strong_lmi(doc):
+    doc["verdicts"] = {
+        "strong": {"status": "Proven", "method": "strong-lmi",
+                   "details": {"m": 0}, "evidence": "certificates/strong"},
+        "weak": {"status": "Proven", "method": "implied-by-strong",
+                 "details": {}, "evidence": "certificates/strong"}}
+
+
+def _claim_exhausted(doc):
+    unknown = {"status": "Unknown", "method": "exhausted", "details": {},
+               "evidence": None}
+    doc["verdicts"] = {"strong": dict(unknown), "weak": dict(unknown)}
+
+
+# x(k+1) = 1.000000005 x(k) diverges; its vertex sits in the spectral band
+# and its report carries a feasible at-tolerance strong-lmi certificate
+BAND_FAMILY = {"mode": "dt", "matrices": [[[1.000000005]]]}
+
+# edits that make a verdict or a vertex verdict disagree with the evidence
+# the report carries: (catalogue name or None for BAND_FAMILY, edit)
+FORGED_EDITS = {
+    "weak-parameter-detail": (
+        "scalar-half-one",
+        lambda d: d["verdicts"]["weak"]["details"].update(parameter=0.123)),
+    "kernel-dims-detail": (
+        "diag-kernels",
+        lambda d: d["verdicts"]["strong"]["details"].update(
+            kernel_dims=[5, 5])),
+    "band-certificate-proven": (None, _claim_proven_by_strong_lmi),
+    "band-vertex-proven": (
+        None,
+        lambda d: d["vertex_verdicts"][0].update(status="Proven",
+                                                 method="spectral")),
+    "certificate-without-verdict": ("path-consensus", _claim_exhausted),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(FORGED_EDITS))
+def test_forged_verdicts_fail(edit):
+    name, forge = FORGED_EDITS[edit]
+    fam = (family_from_dict(BAND_FAMILY) if name is None
+           else catalogue(name).family)
+    doc = fresh_report_from(fam)
+    assert verify_report(doc, fam)[0]
+    forge(doc)
+    ok, _ = verify_report(doc, fam)
+    assert not ok
+
+
 # single-field edits of a diag-kernels report that once crashed verification
 # or were silently replaced by defaults
 MALFORMED_EDITS = {
@@ -376,6 +425,37 @@ class TestCertifyCommand:
                            stdin=family_json("a11-switching"))
         assert code == 1
         assert json.loads(err)["error"]["type"] == "input"
+
+
+# real-valued options outside their range: (family, arguments)
+_SIM_CT = ("simulate", "--signal", '{"kind":"constant","weights":[1]}',
+           "--x0", "1,0")
+BAD_NUMBER_ARGS = {
+    "analyze-tol-nan": ("scalar-half-one", ("analyze", "--tol", "nan")),
+    "analyze-tol-inf": ("scalar-half-one", ("analyze", "--tol", "inf")),
+    "analyze-tol-zero": ("scalar-half-one", ("analyze", "--tol", "0")),
+    "certify-parameter-nan": (
+        "scalar-half-one",
+        ("certify", "--method", "weak-lmi", "--parameter", "nan")),
+    "simulate-horizon-inf": (
+        "scalar-half-one",
+        ("simulate", "--signal", '{"kind":"constant","weights":[1,0]}',
+         "--x0", "1", "--horizon", "inf")),
+    "simulate-horizon-nan": ("rotation-ct", _SIM_CT + ("--horizon", "nan")),
+    "simulate-sample-dt-nan": (
+        "rotation-ct", _SIM_CT + ("--horizon", "10", "--sample-dt", "nan")),
+    "simulate-sample-dt-zero": (
+        "rotation-ct", _SIM_CT + ("--horizon", "10", "--sample-dt", "0")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBER_ARGS))
+def test_bad_number_is_an_input_error(cli, case):
+    name, args = BAD_NUMBER_ARGS[case]
+    code, out, err = cli(args[0], "-", *args[1:], stdin=family_json(name))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "input"
 
 
 class TestSimulateCommand:

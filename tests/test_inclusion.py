@@ -5,11 +5,14 @@ kernels and decomposition blocks are computed symbolically in the comments,
 and certificate checks go through verify_lmi rather than the solver.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from polyconv.cli import report_to_dict, verify_report
 from polyconv.errors import InputError
 from polyconv.feasibility import verify_lmi
 from polyconv.inclusion import (
@@ -386,12 +389,14 @@ class TestAnalyzeProperties:
         for _ in range(m):
             w = rng.normal(size=(n, n))
             mats.append(0.9 * w / np.linalg.norm(w, 2))
-        rep = analyze(MatrixFamily("dt", mats))
+        fam = MatrixFamily("dt", mats)
+        rep = analyze(fam)
         assert rep.strong.status == PROVEN
         assert rep.weak.status == PROVEN
         cq = rep.strong_certificate.cqlf
         assert verify_lmi(cq.problem, cq.result.values)["pass"]
         assert rep.rate.beta > 0
+        assert verify_report(_json_round_trip(report_to_dict(rep)), fam)[0]
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000), st.sampled_from(["dt", "ct"]))
@@ -409,3 +414,8 @@ class TestAnalyzeProperties:
             assert rep.strong.status == DISPROVEN
         if not rep.ksp.holds:
             assert rep.strong.status == DISPROVEN
+        assert verify_report(_json_round_trip(report_to_dict(rep)), fam)[0]
+
+
+def _json_round_trip(doc):
+    return json.loads(json.dumps(doc, allow_nan=False))

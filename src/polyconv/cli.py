@@ -492,9 +492,12 @@ def _verify_witness_section(doc, family, tol, checks):
     return rebuilt
 
 
-def _verify_verdicts(doc, found, checks) -> None:
+def _verify_verdicts(doc, family, found, checks) -> None:
     """The recorded verdicts must be the ones the rule gives on the
-    evidence of the sections that checked out (found)."""
+    evidence of the sections that checked out (found), and a rate section
+    must be recorded exactly when analyze computes one: for a strong
+    verdict on the common-Lyapunov certificate with a nonempty off-kernel
+    block."""
     from .inclusion import verdicts_from_evidence
     name = "verdicts"
     if not checks.add(name, "vertex_verdicts" in found and "ksp" in found,
@@ -510,6 +513,12 @@ def _verify_verdicts(doc, found, checks) -> None:
                                   _verdict_doc(verdict), 0.0),
                    f"{side}: recorded verdict is not the one its evidence "
                    "gives")
+    needs_rate = (rebuilt[0].method == "decomposition-cqlf"
+                  and family.n > m)
+    checks.add(name, (doc.get("rate") is not None) == needs_rate,
+               "a rate section is recorded exactly when the strong verdict "
+               "rests on the common-Lyapunov certificate and the off-kernel "
+               "block is nonempty")
 
 
 def _report_tolerances(doc):
@@ -571,8 +580,8 @@ def verify_report(doc, family, tol=None):
     # the evidence of each section that checked out; the verdicts come
     # last, as they rest on it
     found = {}
-    sections.append(("verdicts", lambda *_: _verify_verdicts(doc, found,
-                                                             checks)))
+    sections.append(("verdicts", lambda doc, family, tol, checks:
+                     _verify_verdicts(doc, family, found, checks)))
     for name, verify in sections:
         start = len(checks.items)
         try:
@@ -680,7 +689,15 @@ def _cmd_simulate(args) -> int:
                       trajectory_to_csv)
     family = _load_family(args.family)
     tol = _tolerances_from(args.tol)
-    signal = _signal_from_doc(_read_json_arg(args.signal, "signal spec"))
+    spec = _read_json_arg(args.signal, "signal spec")
+    try:
+        signal = _signal_from_doc(spec)
+    except InputError:
+        raise
+    except _MALFORMED as exc:
+        # a wrongly typed field, as in verify_report
+        raise InputError(f"malformed signal spec: {type(exc).__name__}: "
+                         f"{exc}") from None
     x0 = _parse_vector(args.x0, "--x0")
     if family.mode == "dt":
         steps = int(round(args.horizon))
@@ -865,7 +882,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="integrate one switching signal")
     sp.add_argument("family")
     sp.add_argument("--signal", required=True,
-                    help="signal spec (JSON file or inline object)")
+                    help="signal spec (JSON file or inline object); dwells "
+                         "and segment durations are integer steps (dt) or "
+                         "time (ct)")
     sp.add_argument("--x0", required=True, help="initial state, e.g. 1,0")
     sp.add_argument("--horizon", type=_finite_float, required=True,
                     help="steps (dt) or final time (ct)")

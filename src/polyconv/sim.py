@@ -43,10 +43,16 @@ WITNESS_PERIOD_MAX = 4
 WITNESS_DWELLS = {"dt": (1, 2, 3), "ct": (0.5, 1.0, 2.0)}
 
 
+# the most pieces one schedule holds, so that a tiny dwell fails fast
+SCHEDULE_PIECES_MAX = 10**6
+
+
 @dataclass(frozen=True)
 class SwitchingSignal:
     """One of: constant(w), vertex_cycle(sequence, dwell),
-    iid_random(seed, sampling, dwell), explicit(segments)."""
+    iid_random(seed, sampling, dwell), explicit(segments).  schedule is
+    its one realization, read by simulate_dt and simulate_ct alike: dwells
+    and durations count integer steps in DT and time in CT."""
 
     kind: str
     weights: tuple | None = None
@@ -68,8 +74,8 @@ class SwitchingSignal:
             raise InputError("vertex cycle needs at least one index")
         if any(v < 0 for v in seq):
             raise InputError("vertex indices must be nonnegative")
-        if dwell <= 0:
-            raise InputError("dwell must be positive")
+        if not 0 < dwell < np.inf:
+            raise InputError("dwell must be positive and finite")
         return SwitchingSignal("vertex-cycle", sequence=seq,
                                dwell=float(dwell))
 
@@ -78,8 +84,8 @@ class SwitchingSignal:
                    dwell: float = 1.0) -> "SwitchingSignal":
         if sampling not in ("vertex", "dirichlet"):
             raise InputError("sampling must be 'vertex' or 'dirichlet'")
-        if dwell <= 0:
-            raise InputError("dwell must be positive")
+        if not 0 < dwell < np.inf:
+            raise InputError("dwell must be positive and finite")
         return SwitchingSignal("iid-random", seed=int(seed),
                                sampling=sampling, dwell=float(dwell))
 
@@ -95,96 +101,51 @@ class SwitchingSignal:
             raise InputError("explicit signal needs at least one segment")
         return SwitchingSignal("explicit", segments=tuple(segs))
 
-    # -- realizations ----------------------------------------------------
-
-    def weights_dt(self, m_count: int, k_steps: int) -> np.ndarray:
-        """The weight vector applied at each of k_steps DT steps."""
-        out = np.zeros((k_steps, m_count))
+    def schedule(self, m_count: int, horizon: float) -> list:
+        """(duration, w) pieces covering [0, horizon], the last one cut
+        short, an explicit signal's final weight held; iid draws at once."""
         if self.kind == "constant":
-            out[:] = simplex_weights(self.weights, m_count)
-        elif self.kind == "vertex-cycle":
-            dwell = self.dwell
-            if abs(dwell - round(dwell)) > 1e-12 or dwell < 1:
-                raise InputError("DT dwell must be a positive integer")
-            dwell = int(round(dwell))
-            for v in self.sequence:
-                if v >= m_count:
-                    raise InputError(f"vertex index {v} out of range")
-            period = [v for v in self.sequence for _ in range(dwell)]
-            for k in range(k_steps):
-                out[k, period[k % len(period)]] = 1.0
-        elif self.kind == "iid-random":
-            rng = np.random.default_rng(self.seed)
-            if self.sampling == "vertex":
-                out[np.arange(k_steps), rng.integers(0, m_count, k_steps)] = 1.0
-            else:
-                out[:] = rng.dirichlet(np.ones(m_count), size=k_steps)
-        elif self.kind == "explicit":
-            k = 0
-            for dur, w in self.segments:
-                if abs(dur - round(dur)) > 1e-12:
-                    raise InputError(
-                        "DT explicit segment durations must be integers")
-                w = simplex_weights(w, m_count)
-                for _ in range(int(round(dur))):
-                    if k >= k_steps:
-                        return out
-                    out[k] = w
-                    k += 1
-            if k < k_steps:
-                out[k:] = out[k - 1] if k else simplex_weights(
-                    self.segments[-1][1], m_count)
-        else:
-            raise InputError(f"unknown signal kind {self.kind!r}")
-        return out
-
-    def segments_ct(self, m_count: int, t_end: float) -> list:
-        """(duration, w) segments covering [0, t_end], last one truncated."""
-        segs = []
-        if self.kind == "constant":
-            segs.append((t_end, simplex_weights(self.weights, m_count)))
-            return segs
-        if self.kind == "vertex-cycle":
-            for v in self.sequence:
-                if v >= m_count:
-                    raise InputError(f"vertex index {v} out of range")
-            t = 0.0
-            for v in itertools.cycle(self.sequence):
-                if t >= t_end:
-                    break
-                dur = min(self.dwell, t_end - t)
-                w = np.zeros(m_count)
-                w[v] = 1.0
-                segs.append((dur, w))
-                t += dur
-            return segs
-        if self.kind == "iid-random":
-            rng = np.random.default_rng(self.seed)
-            t = 0.0
-            while t < t_end:
-                dur = min(self.dwell, t_end - t)
-                if self.sampling == "vertex":
-                    w = np.zeros(m_count)
-                    w[rng.integers(0, m_count)] = 1.0
-                else:
-                    w = rng.dirichlet(np.ones(m_count))
-                segs.append((dur, w))
-                t += dur
-            return segs
+            return [(horizon, simplex_weights(self.weights, m_count))]
         if self.kind == "explicit":
-            t = 0.0
+            segs, t = [], 0.0
             for dur, w in self.segments:
-                if t >= t_end:
+                if t >= horizon:
                     break
-                dur = min(dur, t_end - t)
+                dur = min(dur, horizon - t)
                 segs.append((dur, simplex_weights(w, m_count)))
                 t += dur
-            if t < t_end - 1e-12:
-                # hold the final weight for the remaining horizon
-                segs.append((t_end - t, simplex_weights(
+            if t < horizon - 1e-12:
+                segs.append((horizon - t, simplex_weights(
                     self.segments[-1][1], m_count)))
             return segs
-        raise InputError(f"unknown signal kind {self.kind!r}")
+        if self.kind == "vertex-cycle" and max(self.sequence) >= m_count:
+            raise InputError(f"vertex index {max(self.sequence)} out of range")
+        if self.kind not in ("vertex-cycle", "iid-random"):
+            raise InputError(f"unknown signal kind {self.kind!r}")
+        dwell = self.dwell
+        if horizon / dwell > SCHEDULE_PIECES_MAX:
+            raise InputError(f"more than {SCHEDULE_PIECES_MAX} dwells fit in "
+                             f"the horizon {horizon}")
+        # whole dwells while one fits, then the truncated rest: cumsum adds
+        # in the order of a running total, so it gives the same starts
+        starts = np.concatenate(
+            ([0.0], np.cumsum(np.full(int(horizon / dwell) + 1, dwell))))
+        full = int(np.argmin((starts < horizon)
+                             & (dwell <= horizon - starts)))
+        durations, t = [dwell] * full, float(starts[full])
+        while t < horizon:
+            durations.append(min(dwell, horizon - t))
+            t += durations[-1]
+        count = len(durations)
+        if self.kind == "vertex-cycle":
+            w = np.eye(m_count)[np.resize(self.sequence, count)]
+        elif self.sampling == "vertex":
+            w = np.eye(m_count)[np.random.default_rng(self.seed).integers(
+                0, m_count, count)]
+        else:
+            w = np.random.default_rng(self.seed).dirichlet(
+                np.ones(m_count), size=count)
+        return list(zip(durations, w))
 
 
 @dataclass
@@ -216,19 +177,28 @@ def simulate_dt(family: MatrixFamily, signal: SwitchingSignal, x0,
     if k_steps < 1:
         raise InputError("k_steps must be at least 1")
     x0 = _validate_x0(family, x0)
-    w = signal.weights_dt(family.m_count, k_steps)
+    pieces = signal.schedule(family.m_count, k_steps)
+    durations = np.array([d for d, _ in pieces], dtype=float)
+    steps = np.rint(durations).astype(int)
+    if np.abs(durations - steps).max() > 1e-12:
+        raise InputError("DT segment durations must be integers")
+    rows = np.array([w for _, w in pieces])
     states = np.empty((k_steps + 1, family.n))
-    states[0] = x0
+    states[0] = x = x0
     mats = family.matrices
-    for k in range(k_steps):
-        a = mats[0] * w[k, 0]
+    k = 0
+    for count, w in zip(steps.tolist(), rows):
+        a = mats[0] * w[0]
         for i in range(1, len(mats)):
-            if w[k, i]:
-                a = a + mats[i] * w[k, i]
-        states[k + 1] = a @ states[k]
+            if w[i]:
+                a = a + mats[i] * w[i]
+        for _ in range(count):
+            k += 1
+            states[k] = x = a @ x
     # one weight row per sample: the weight applied on the step starting
     # there; the final sample repeats the last applied weight
-    weights = np.vstack([w, w[-1:]])
+    weights = np.repeat(rows, steps, axis=0)
+    weights = np.vstack([weights, weights[-1:]])
     traj = Trajectory("dt", np.arange(k_steps + 1, dtype=float), states,
                       weights, signal)
     _attach_limit(traj, tol)
@@ -245,7 +215,7 @@ def simulate_ct(family: MatrixFamily, signal: SwitchingSignal, x0,
     if sample_dt <= 0 or sample_dt > t_end:
         raise InputError("sample_dt must be in (0, t_end]")
     x0 = _validate_x0(family, x0)
-    segs = signal.segments_ct(family.m_count, t_end)
+    segs = signal.schedule(family.m_count, t_end)
     n_grid = int(np.floor(t_end / sample_dt + 1e-9))
     times = np.arange(n_grid + 1) * sample_dt
     if times[-1] < t_end - 1e-12 * max(1.0, t_end):
@@ -320,7 +290,7 @@ def residual_diagnostics(family: MatrixFamily, traj: Trajectory) -> dict:
             np.linalg.norm(family.a_of(w) @ xbar - xbar)
             for w in traj.weights[:-1]])
         return {"pointwise": pointwise}
-    segs = traj.signal.segments_ct(family.m_count, float(traj.times[-1]))
+    segs = traj.signal.schedule(family.m_count, float(traj.times[-1]))
     images = [family.a_of(w) @ xbar for _, w in segs]
     seg_pointwise = np.array([np.linalg.norm(v) for v in images])
     # exact accumulation of int A(w(t)) xbar dt and int w(t) dt

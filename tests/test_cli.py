@@ -314,6 +314,10 @@ FORGED_EDITS = {
         lambda d: d["vertex_verdicts"][0].update(status="Proven",
                                                  method="spectral")),
     "certificate-without-verdict": ("path-consensus", _claim_exhausted),
+    "rate-removed-path-consensus": (
+        "path-consensus", lambda d: d.update(rate=None)),
+    "rate-removed-a11-switching": (
+        "a11-switching", lambda d: d.update(rate=None)),
 }
 
 
@@ -453,6 +457,26 @@ BAD_NUMBER_ARGS = {
 def test_bad_number_is_an_input_error(cli, case):
     name, args = BAD_NUMBER_ARGS[case]
     code, out, err = cli(args[0], "-", *args[1:], stdin=family_json(name))
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "input"
+
+
+# signal specs with a wrongly typed field, each once a traceback
+MALFORMED_SIGNALS = [
+    '{"kind":"iid-random","seed":"abc"}',
+    '{"kind":"vertex-cycle","sequence":[0,"a"]}',
+    '{"kind":"vertex-cycle","sequence":[0,1],"dwell":"2"}',
+    '{"kind":"explicit","segments":[[1]]}',
+    '{"kind":"constant","weights":"x"}',
+]
+
+
+@pytest.mark.parametrize("spec", MALFORMED_SIGNALS)
+def test_malformed_signal_is_an_input_error(cli, spec):
+    code, out, err = cli("simulate", "-", "--signal", spec, "--x0", "1",
+                         "--horizon", "10",
+                         stdin=family_json("scalar-half-one"))
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"]["type"] == "input"

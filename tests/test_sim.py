@@ -37,41 +37,118 @@ PATH_CONSENSUS = MatrixFamily("ct", ([[-1.0, 1.0], [0.0, 0.0]],
                                      [[0.0, 0.0], [1.0, -1.0]]))
 
 
+IDENTITY_PAIR = MatrixFamily("dt", ([[1.0]], [[1.0]]))
+IDENTITY_TRIPLE = MatrixFamily("dt", ([[1.0]], [[1.0]], [[1.0]]))
+
+
+def _dt_weights(family, signal, k_steps):
+    """The weight applied at each of k_steps DT steps."""
+    return simulate_dt(family, signal, [1.0], k_steps).weights[:-1]
+
+
 class TestSignals:
     def test_constant_weights(self):
         s = SwitchingSignal.constant([0.25, 0.75])
-        w = s.weights_dt(2, 3)
+        w = _dt_weights(IDENTITY_PAIR, s, 3)
         assert np.allclose(w, [[0.25, 0.75]] * 3)
 
     def test_constant_outside_simplex_rejected(self):
         s = SwitchingSignal.constant([0.5, 0.6])
         with pytest.raises(InputError):
-            s.weights_dt(2, 1)
+            s.schedule(2, 1)
 
     def test_vertex_cycle_dt(self):
         s = SwitchingSignal.vertex_cycle([0, 1], dwell=2)
-        w = s.weights_dt(2, 6)
+        w = _dt_weights(IDENTITY_PAIR, s, 6)
         assert np.allclose(w[:, 0], [1, 1, 0, 0, 1, 1])
 
     def test_vertex_cycle_index_out_of_range(self):
         s = SwitchingSignal.vertex_cycle([0, 2])
         with pytest.raises(InputError):
-            s.weights_dt(2, 4)
+            s.schedule(2, 4)
 
     def test_iid_random_is_reproducible(self):
         s = SwitchingSignal.iid_random(seed=5, sampling="dirichlet")
-        assert np.allclose(s.weights_dt(3, 8), s.weights_dt(3, 8))
-        assert np.allclose(s.weights_dt(3, 8).sum(axis=1), 1.0)
+        w = _dt_weights(IDENTITY_TRIPLE, s, 8)
+        assert np.array_equal(w, _dt_weights(IDENTITY_TRIPLE, s, 8))
+        assert np.allclose(w.sum(axis=1), 1.0) and w.min() >= 0.0
+
+    def test_iid_random_dt_holds_each_draw_for_its_dwell(self):
+        s = SwitchingSignal.iid_random(seed=3, dwell=3)
+        w = _dt_weights(IDENTITY_PAIR, s, 9)
+        draws = [row for _, row in s.schedule(2, 9)]
+        assert len(draws) == 3
+        assert np.array_equal(w, np.repeat(draws, 3, axis=0))
+
+    @pytest.mark.parametrize("signal", [
+        SwitchingSignal.vertex_cycle([0, 1], dwell=1.5),
+        SwitchingSignal.iid_random(seed=1, dwell=0.5),
+        SwitchingSignal.explicit([(1.0, [1.0, 0.0]), (0.5, [0.0, 1.0])]),
+    ], ids=["vertex-cycle", "iid-random", "explicit"])
+    def test_non_integer_dt_duration_rejected(self, signal):
+        with pytest.raises(InputError, match="integers"):
+            simulate_dt(IDENTITY_PAIR, signal, [1.0], 6)
+
+    @pytest.mark.parametrize("signal", [
+        SwitchingSignal.constant([0.25, 0.75]),
+        SwitchingSignal.vertex_cycle([1, 0, 0], dwell=2),
+        SwitchingSignal.iid_random(seed=7, dwell=2),
+        SwitchingSignal.iid_random(seed=7, sampling="dirichlet"),
+        SwitchingSignal.explicit([(2, [1.0, 0.0]), (3, [0.5, 0.5])]),
+    ], ids=["constant", "vertex-cycle", "iid-vertex", "iid-dirichlet",
+            "explicit"])
+    def test_dt_weights_are_the_schedule_step_by_step(self, signal):
+        expanded = [w for dur, w in signal.schedule(2, 11)
+                    for _ in range(int(dur))]
+        assert np.array_equal(_dt_weights(IDENTITY_PAIR, signal, 11), expanded)
+
+    def test_dwell_durations_are_the_running_total(self):
+        # schedule sums whole dwells with cumsum; the running-total loop
+        # it replaces is the reference, and the arithmetic is the same
+        def running_total(dwell, horizon):
+            out, t = [], 0.0
+            while t < horizon:
+                out.append(min(dwell, horizon - t))
+                t += out[-1]
+            return out
+
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            dwell = float(rng.choice([rng.uniform(0.01, 5.0), 0.1, 0.3,
+                                      1.0 / 3.0, 0.7, 2.0]))
+            horizon = float(rng.choice([rng.uniform(0.01, 50.0), 10.0,
+                                        0.1 * int(rng.integers(1, 100))]))
+            s = SwitchingSignal.vertex_cycle([0, 1], dwell)
+            assert ([d for d, _ in s.schedule(2, horizon)]
+                    == running_total(dwell, horizon))
+
+    def test_explicit_dt_holds_last(self):
+        s = SwitchingSignal.explicit([(1, [1.0, 0.0]), (2, [0.0, 1.0])])
+        w = _dt_weights(IDENTITY_PAIR, s, 6)
+        assert np.allclose(w[:, 1], [0, 1, 1, 1, 1, 1])
 
     def test_explicit_ct_covers_horizon_by_holding_last(self):
         s = SwitchingSignal.explicit([(1.0, [1.0, 0.0]), (0.5, [0.0, 1.0])])
-        segs = s.segments_ct(2, 4.0)
+        segs = s.schedule(2, 4.0)
         assert sum(d for d, _ in segs) == pytest.approx(4.0)
         assert np.allclose(segs[-1][1], [0.0, 1.0])
 
     def test_explicit_rejects_nonpositive_duration(self):
         with pytest.raises(InputError):
             SwitchingSignal.explicit([(0.0, [1.0])])
+
+    @pytest.mark.parametrize("dwell", [float("nan"), float("inf"), 0.0])
+    def test_non_finite_or_nonpositive_dwell_rejected(self, dwell):
+        # built only: realizing a NaN dwell used to never end
+        with pytest.raises(InputError):
+            SwitchingSignal.vertex_cycle([0, 1], dwell)
+        with pytest.raises(InputError):
+            SwitchingSignal.iid_random(1, dwell=dwell)
+
+    def test_dwell_far_below_horizon_rejected(self):
+        s = SwitchingSignal.iid_random(1, dwell=1e-9)
+        with pytest.raises(InputError, match="dwells fit"):
+            s.schedule(2, 10.0)
 
 
 class TestSimulateDt:

@@ -130,9 +130,9 @@ def _verdict_doc(verdict) -> dict:
             "evidence": _EVIDENCE_REF.get(verdict.method)}
 
 
-def _ksp_doc(ksp) -> dict:
-    return {"holds": ksp.holds, "kernel_dims": list(ksp.kernel_dims),
-            "common_dim": ksp.common_dim}
+def _ksp_doc(facts) -> dict:
+    return {"holds": facts.holds, "kernel_dims": list(facts.kernel_dims),
+            "common_dim": facts.common_dim}
 
 
 def _finite_or_none(value):
@@ -177,13 +177,14 @@ def _strong_certificate_doc(cert, tol) -> dict:
     return doc
 
 
-def _weak_certificate_doc(cert, tol) -> dict:
+def _weak_certificate_doc(out, tol) -> dict:
+    """The weak section from the feasible damped-LMI outcome."""
     from .feasibility import verify_lmi
     return {"kind": "weak-lmi",
-            "p": cert.p.tolist(),
-            "parameter": cert.parameter,
+            "p": out.result.values["P"].tolist(),
+            "parameter": out.parameter,
             "checks": _lmi_checks_doc(
-                verify_lmi(cert.problem, cert.result.values, tol))}
+                verify_lmi(out.problem, out.result.values, tol))}
 
 
 def _rate_doc(rate, p, blocks) -> dict:
@@ -216,7 +217,7 @@ def report_to_dict(report, tol=None) -> dict:
     """
     from .linalg import DEFAULT_TOL
     tol = tol or DEFAULT_TOL
-    fam = report.family
+    fam, facts = report.family, report.facts
     doc = {
         "version": _version(),
         "mode": fam.mode,
@@ -225,9 +226,9 @@ def report_to_dict(report, tol=None) -> dict:
         "tolerances": _tol_doc(tol),
         "verdicts": {"strong": _verdict_doc(report.strong),
                      "weak": _verdict_doc(report.weak)},
-        "kernel": {"basis": report.kernel.basis.tolist(),
-                   "dim": report.kernel.dim},
-        "ksp": _ksp_doc(report.ksp),
+        "kernel": {"basis": facts.common.basis.tolist(),
+                   "dim": facts.common_dim},
+        "ksp": _ksp_doc(facts),
         "vertex_verdicts": [_vertex_doc(v) for v in report.vertex_verdicts],
         "certificates": {},
         "witness": _jsonable(report.witness),
@@ -303,9 +304,8 @@ def _eigs_match(recorded, computed, slack: float) -> bool:
     return True
 
 
-def _verify_kernel(doc, family, tol, checks) -> None:
+def _verify_kernel(doc, family, facts, checks) -> None:
     import numpy as np
-    from .inclusion import common_fixed_kernel
     from .linalg import Subspace, subspace_equal
     name = "kernel"
     basis = np.asarray(doc["kernel"]["basis"], dtype=float)
@@ -324,32 +324,29 @@ def _verify_kernel(doc, family, tol, checks) -> None:
     for i, a in enumerate(family.matrices):
         shifted = a - eye if family.mode == "dt" else a
         resid = float(np.linalg.norm(shifted @ basis)) if basis.size else 0.0
-        if not checks.add(name, resid <= tol.residual_tol * scale,
+        if not checks.add(name, resid <= facts.tol.residual_tol * scale,
                           f"kernel not fixed by vertex {i + 1}"):
             return
-    common = common_fixed_kernel(family, tol)
-    checks.add(name, common.dim == dim
-               and subspace_equal(Subspace(basis), common, tol),
+    checks.add(name, facts.common_dim == dim
+               and subspace_equal(Subspace(basis), facts.common, facts.tol),
                "recorded kernel differs from the recomputed one")
 
 
-def _verify_ksp(doc, family, tol, checks):
-    """Returns the recomputed kernel-sharing facts."""
-    from .inclusion import ksp_check
-    ksp = ksp_check(family, tol)
-    checks.add("ksp", _matches(doc["ksp"], _ksp_doc(ksp), 0.0),
+def _verify_ksp(doc, family, facts, checks):
+    """Returns the recomputed kernel facts."""
+    checks.add("ksp", _matches(doc["ksp"], _ksp_doc(facts), 0.0),
                "kernel sharing facts do not recompute")
-    return ksp
+    return facts
 
 
-def _verify_vertices(doc, family, tol, checks):
+def _verify_vertices(doc, family, facts, checks):
     """Rebuilds every vertex verdict; returns the rebuilt ones."""
     import numpy as np
     from .lti import lti_convergent_ct, lti_convergent_dt
     name = "vertex_verdicts"
     vertex_check = (lti_convergent_dt if family.mode == "dt"
                     else lti_convergent_ct)
-    rebuilt = tuple(vertex_check(a, tol) for a in family.matrices)
+    rebuilt = tuple(vertex_check(a, facts.tol) for a in family.matrices)
     recs = doc["vertex_verdicts"]
     if not checks.add(name, isinstance(recs, list)
                       and len(recs) == len(rebuilt),
@@ -364,7 +361,7 @@ def _verify_vertices(doc, family, tol, checks):
         checks.add(name,
                    _eigs_match(eigs, np.asarray(
                        verdict.details["eigenvalues"]), 1e-6 * scale)
-                   and _matches(rec, want, tol.residual_tol * scale),
+                   and _matches(rec, want, facts.tol.residual_tol * scale),
                    f"vertex {i + 1}: recorded verdict does not recompute")
     return rebuilt
 
@@ -386,13 +383,13 @@ def _square(value, dim: int):
     return a.reshape(0, 0) if dim == 0 else a
 
 
-def _verify_strong_certificate(doc, family, tol, checks):
+def _verify_strong_certificate(doc, family, facts, checks):
     """Rebuilds the decomposition in the recorded frame T and re-checks
     the LMI; returns the certificate kind and its kernel block dimension."""
     import numpy as np
-    from .inclusion import common_fixed_kernel
     from .lti import CQLF_GAMMA, block_form, cqlf_problem, reduced_problem
     name = "certificates/strong"
+    tol = facts.tol
     sec = doc["certificates"]["strong"]
     n = family.n
     t = np.asarray(sec["t"], dtype=float)
@@ -401,7 +398,7 @@ def _verify_strong_certificate(doc, family, tol, checks):
             "T is not an orthonormal n x n frame"):
         return None
     # the kernel block must be the full common kernel, not a slice of it
-    m = common_fixed_kernel(family, tol).dim
+    m = facts.common_dim
     r = n - m
     wc = t[:, :r]
     a_as, a_r, resid = block_form(family.matrices, family.mode, wc, t[:, r:])
@@ -431,11 +428,10 @@ def _verify_strong_certificate(doc, family, tol, checks):
     return kind, m
 
 
-def _verify_weak_certificate(doc, family, tol, checks):
+def _verify_weak_certificate(doc, family, facts, checks):
     """Returns the certificate's grid parameter."""
     import numpy as np
-    from .lti import (EPS_GRID, ETA_GRID, aligned_bases, damped_problem,
-                      vertex_kernels)
+    from .lti import EPS_GRID, ETA_GRID, damped_problem
     name = "certificates/weak"
     sec = doc["certificates"]["weak"]
     parameter = sec["parameter"]
@@ -445,15 +441,13 @@ def _verify_weak_certificate(doc, family, tol, checks):
     if not checks.add(name, parameter in grid,
                       "parameter is not on the search grid"):
         return None
-    mats, mode = family.matrices, family.mode
-    bases = aligned_bases(vertex_kernels(mats, mode, tol), tol)
-    _check_lmi(name, damped_problem(mats, mode, parameter, bases, tol),
+    _check_lmi(name, damped_problem(facts, parameter),
                {"P": np.asarray(sec["p"], dtype=float)}, sec["checks"],
-               tol, checks)
+               facts.tol, checks)
     return parameter
 
 
-def _verify_rate(doc, family, tol, checks) -> None:
+def _verify_rate(doc, family, facts, checks) -> None:
     """Rebuilds the rate section at the recorded beta from the strong
     certificate's P, blocks and couplings."""
     import numpy as np
@@ -470,13 +464,13 @@ def _verify_rate(doc, family, tol, checks) -> None:
     beta = float(sec["beta"])
     rebuilt = _rate_doc(RateEstimate(beta, *rate_constants(p, couplings),
                                      family.mode), p, blocks)
-    slack = tol.residual_tol * (1.0 + float(np.linalg.norm(p, 2)))
+    slack = facts.tol.residual_tol * (1.0 + float(np.linalg.norm(p, 2)))
     checks.add(name, beta > 0 and _matches(sec, rebuilt, slack)
                and max(rebuilt["checks"]["block_margins"]) <= slack,
                "rate does not recompute, or P does not decay at beta")
 
 
-def _verify_witness_section(doc, family, tol, checks):
+def _verify_witness_section(doc, family, facts, checks):
     """Rebuilds the orbit numbers from the recorded signal and start
     state, then re-simulates the orbit; returns the rebuilt evidence."""
     import numpy as np
@@ -542,8 +536,9 @@ def verify_report(doc, family, tol=None):
     """Re-check every piece of recorded evidence without the solver.
 
     Each section is rebuilt from the family and the recorded evidence with
-    the code that wrote it, and compared with the recorded one: kernels
-    and vertex verdicts are recomputed with svd/eig, each LMI
+    the code that wrote it, and compared with the recorded one: the vertex
+    kernels are recomputed once (lti.kernel_facts) and every section reads
+    them from those facts, vertex verdicts are recomputed with eig, each LMI
     certificate's constraints are rebuilt and re-checked with verify_lmi,
     and a periodic orbit's numbers are rebuilt and the orbit re-simulated.
     So a report edited after the fact fails even when the edited value
@@ -556,8 +551,10 @@ def verify_report(doc, family, tol=None):
     """
     if not isinstance(doc, dict):
         raise InputError("report must be a JSON object")
+    from .lti import kernel_facts
     if tol is None:
         tol = _report_tolerances(doc)
+    facts = kernel_facts(family.matrices, family.mode, tol)
     checks = _Checks()
     checks.add("mode", doc.get("mode") == family.mode
                and doc.get("n") == family.n
@@ -580,12 +577,12 @@ def verify_report(doc, family, tol=None):
     # the evidence of each section that checked out; the verdicts come
     # last, as they rest on it
     found = {}
-    sections.append(("verdicts", lambda doc, family, tol, checks:
+    sections.append(("verdicts", lambda doc, family, facts, checks:
                      _verify_verdicts(doc, family, found, checks)))
     for name, verify in sections:
         start = len(checks.items)
         try:
-            evidence = verify(doc, family, tol, checks)
+            evidence = verify(doc, family, facts, checks)
         except _MALFORMED as exc:
             checks.add(name, False,
                        f"malformed section: {type(exc).__name__}: {exc}")
@@ -606,37 +603,36 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    from .inclusion import (cqlf_stability, ksp_check, strong_decompose,
-                            strong_lmi, verify_polyhedral_strong, weak_lmi)
+    from .inclusion import (StrongCertificate, cqlf_stability, strong_lmi,
+                            verify_polyhedral_strong, weak_lmi)
+    from .lti import kernel_facts
     family = _load_family(args.family)
     tol = _tolerances_from(args.tol)
     doc = {"method": args.method, "status": "Unknown", "certificate": None}
+    if args.method == "polyhedral" and args.candidate is None:
+        raise InputError("--method polyhedral needs --candidate X.json")
+    facts = kernel_facts(family.matrices, family.mode, tol)
     if args.method == "polyhedral":
-        if args.candidate is None:
-            raise InputError("--method polyhedral needs --candidate X.json")
-        x = _read_json_arg(args.candidate, "candidate file")
-        rep = verify_polyhedral_strong(family, x, tol)
+        rep = verify_polyhedral_strong(
+            facts, _read_json_arg(args.candidate, "candidate file"))
         doc["status"] = "Proven" if rep["pass"] else "Unknown"
         doc["certificate"] = _jsonable(rep)
     elif args.method == "weak-lmi":
-        cert = weak_lmi(family, parameter=args.parameter, tol=tol)
-        if cert is not None:
+        out = weak_lmi(facts, parameter=args.parameter)
+        if out is not None:
             doc["status"] = "Proven"
-            doc["certificate"] = _weak_certificate_doc(cert, tol)
+            doc["certificate"] = _weak_certificate_doc(out, tol)
+    elif not facts.holds:
+        doc["reason"] = ("per-vertex fixed spaces differ from the common "
+                         "one; no strong certificate can exist")
     else:
-        if not ksp_check(family, tol).holds:
-            doc["reason"] = ("per-vertex fixed spaces differ from the "
-                            "common one; no strong certificate can exist")
-            _emit(doc, args.out)
-            return 0
-        from .inclusion import StrongCertificate
-        dec = strong_decompose(family, tol)
+        dec = facts.decomposition
         if args.method == "cqlf":
             out = cqlf_stability(dec.a_as, family.mode, tol)
-            cert = StrongCertificate(family.mode, dec.kernel, dec, cqlf=out)
+            cert = StrongCertificate(dec, cqlf=out)
         else:
-            out = strong_lmi(family, tol)
-            cert = StrongCertificate(family.mode, dec.kernel, dec, lmi=out)
+            out = strong_lmi(facts)
+            cert = StrongCertificate(dec, lmi=out)
         if out.feasible:
             doc["status"] = "Proven"
             doc["certificate"] = _strong_certificate_doc(cert, tol)

@@ -16,32 +16,28 @@ import numpy as np
 
 from .errors import InputError
 from .family import MatrixFamily, family_from_dict, family_to_dict
-from .feasibility import FeasibilityResult, LmiProblem, sdp_feasible
+from .feasibility import sdp_feasible
 from .linalg import (
     DEFAULT_TOL,
-    Subspace,
     Tolerances,
     as_matrix,
     induced_norm_1,
     lozinski_measure_1,
-    subspace_equal,
-    subspace_intersection,
 )
 from .lti import (
     DISPROVEN,
     PROVEN,
     UNKNOWN,
     Decomposition,
+    KernelFacts,
     LmiOutcome,
     Verdict,
-    aligned_bases,
     cqlf_problem,
     damped_lmi,
-    decompose,
+    kernel_facts,
     lti_convergent_ct,
     lti_convergent_dt,
     reduced_lmi,
-    vertex_kernels,
 )
 from .sim import find_nonconvergence_witness
 
@@ -49,14 +45,11 @@ __all__ = [
     "MatrixFamily",
     "family_to_dict",
     "family_from_dict",
-    "KspResult",
+    "KernelFacts",
+    "kernel_facts",
     "StrongCertificate",
-    "WeakCertificate",
     "RateEstimate",
     "AnalysisReport",
-    "common_fixed_kernel",
-    "ksp_check",
-    "strong_decompose",
     "cqlf_stability",
     "strong_lmi",
     "weak_lmi",
@@ -71,16 +64,7 @@ __all__ = [
 
 
 @dataclass
-class KspResult:
-    holds: bool
-    kernel_dims: tuple
-    common_dim: int
-
-
-@dataclass
 class StrongCertificate:
-    mode: str
-    kernel: Subspace
     decomposition: Decomposition
     cqlf: LmiOutcome | None = None
     lmi: LmiOutcome | None = None
@@ -88,15 +72,6 @@ class StrongCertificate:
     @property
     def kind(self) -> str:
         return "decomposition-cqlf" if self.cqlf is not None else "strong-lmi"
-
-
-@dataclass
-class WeakCertificate:
-    mode: str
-    p: np.ndarray
-    parameter: float
-    result: FeasibilityResult
-    problem: LmiProblem
 
 
 @dataclass
@@ -118,48 +93,13 @@ class AnalysisReport:
     family: MatrixFamily
     strong: Verdict
     weak: Verdict
-    kernel: Subspace
-    ksp: KspResult
+    facts: KernelFacts
     strong_certificate: StrongCertificate | None = None
-    weak_certificate: WeakCertificate | None = None
+    weak_certificate: LmiOutcome | None = None
     witness: dict | None = None
     rate: RateEstimate | None = None
     vertex_verdicts: tuple = ()
     diagnostics: dict = field(default_factory=dict)
-
-
-def _kernel_facts(family: MatrixFamily, tol: Tolerances):
-    """The common fixed kernel and the kernel-sharing facts, from one pass
-    over the vertex kernels."""
-    kernels = vertex_kernels(family.matrices, family.mode, tol)
-    common = subspace_intersection(kernels, tol)
-    holds = all(subspace_equal(k, common, tol) for k in kernels)
-    return common, KspResult(holds, tuple(k.dim for k in kernels), common.dim)
-
-
-def common_fixed_kernel(family: MatrixFamily,
-                        tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """DT: intersection of ker(A_i - I); CT: intersection of ker(A_i)."""
-    return subspace_intersection(
-        vertex_kernels(family.matrices, family.mode, tol), tol)
-
-
-def ksp_check(family: MatrixFamily,
-              tol: Tolerances = DEFAULT_TOL) -> KspResult:
-    """True when every per-vertex kernel equals the common one."""
-    return _kernel_facts(family, tol)[1]
-
-
-def strong_decompose(family: MatrixFamily,
-                     tol: Tolerances = DEFAULT_TOL) -> Decomposition:
-    common, ksp = _kernel_facts(family, tol)
-    if not ksp.holds:
-        raise InputError(
-            "family-wide decomposition needs every vertex fixed space to "
-            f"equal the common one (dims {ksp.kernel_dims} vs common "
-            f"{ksp.common_dim}); a shared kernel is necessary for strong "
-            "convergence")
-    return decompose(family.matrices, family.mode, common, tol)
 
 
 def cqlf_stability(blocks, mode: str,
@@ -182,37 +122,29 @@ def cqlf_stability(blocks, mode: str,
     return LmiOutcome(res.feasible, None, res, problem)
 
 
-def strong_lmi(family: MatrixFamily,
-               tol: Tolerances = DEFAULT_TOL) -> LmiOutcome:
+def strong_lmi(facts: KernelFacts) -> LmiOutcome:
     """Joint rank-reduced certificate of strong convergence.  Needs the
     shared-kernel property (the rank condition on P is stated against the
-    common fixed space), and is sufficient only."""
-    dec = strong_decompose(family, tol)
-    return reduced_lmi(family.matrices, family.mode, dec.complement.basis,
-                       tol)
+    common fixed space, see KernelFacts.decomposition), and is sufficient
+    only."""
+    return reduced_lmi(facts, facts.decomposition.complement.basis)
 
 
-def weak_lmi(family: MatrixFamily, parameter: float | None = None,
-             tol: Tolerances = DEFAULT_TOL):
-    """Grid scan of the damped vertex inequalities; a feasible point yields
-    a WeakCertificate, otherwise None.
+def weak_lmi(facts: KernelFacts,
+             parameter: float | None = None) -> LmiOutcome | None:
+    """Grid scan of the damped vertex inequalities: the feasible outcome,
+    or None.
 
     DT feasibility is monotone increasing in eta, so the largest grid eta
     decides the grid and the scan then reports the smallest feasible one.
     CT feasibility is monotone decreasing in eps, so the smallest grid eps
     decides the grid on its own (see damped_lmi).
     """
-    mats, mode = family.matrices, family.mode
-    bases = aligned_bases(vertex_kernels(mats, mode, tol), tol)
-    out = damped_lmi(mats, mode, parameter, bases, tol)
-    if not out.feasible:
-        return None
-    return WeakCertificate(mode, out.result.values["P"], out.parameter,
-                           out.result, out.problem)
+    out = damped_lmi(facts, parameter)
+    return out if out.feasible else None
 
 
-def verify_polyhedral_strong(family: MatrixFamily, x,
-                             tol: Tolerances = DEFAULT_TOL) -> dict:
+def verify_polyhedral_strong(facts: KernelFacts, x) -> dict:
     """Check a polyhedral-function candidate X: per vertex solve
     A_i X = X P_i, require the kernel-aligned columns of P_i to be exact
     unit/zero columns, and the off-kernel block to contract in the 1-norm
@@ -223,12 +155,12 @@ def verify_polyhedral_strong(family: MatrixFamily, x,
     """
     x = as_matrix(x, square=False, name="candidate X")
     n, r = x.shape
-    if n != family.n:
+    tol, ker = facts.tol, facts.common
+    if n != ker.ambient_dim:
         raise InputError("candidate X row count must match the family")
     if np.linalg.matrix_rank(x, tol=tol.rank_rel * max(1.0, float(
             np.linalg.norm(x, 2))) * max(n, r)) < n:
         raise InputError("candidate X must have full row rank")
-    ker = common_fixed_kernel(family, tol)
     xnorm = float(np.linalg.norm(x, 2))
     in_kernel = np.array([
         ker.dim > 0 and np.linalg.norm(x[:, j]) > 0
@@ -239,7 +171,7 @@ def verify_polyhedral_strong(family: MatrixFamily, x,
     report = {"pass": True, "p_blocks": [], "residuals": [],
               "as_norms": [], "reasons": []}
     xp = np.linalg.pinv(x)
-    for i, a in enumerate(family.matrices):
+    for i, a in enumerate(facts.mats):
         p = xp @ a @ x
         resid = float(np.linalg.norm(a @ x - x @ p, 2))
         report["residuals"].append(resid)
@@ -247,7 +179,7 @@ def verify_polyhedral_strong(family: MatrixFamily, x,
             report["pass"] = False
             report["reasons"].append(
                 f"vertex {i + 1}: A X = X P unsolvable (residual {resid:.2e})")
-        target = np.eye(r) if family.mode == "dt" else np.zeros((r, r))
+        target = np.eye(r) if facts.mode == "dt" else np.zeros((r, r))
         col_err = max((float(np.linalg.norm(p[:, j] - target[:, j]))
                        for j in kcols), default=0.0)
         if col_err > tol.residual_tol:
@@ -257,7 +189,7 @@ def verify_polyhedral_strong(family: MatrixFamily, x,
                 f"({col_err:.2e})")
         p_as = p[np.ix_(nonk, nonk)]
         report["p_blocks"].append(p)
-        if family.mode == "dt":
+        if facts.mode == "dt":
             norm = induced_norm_1(p_as) if p_as.size else 0.0
             report["as_norms"].append(norm)
             if norm >= 1.0:
@@ -342,7 +274,7 @@ def dual_family(family: MatrixFamily) -> MatrixFamily:
                         family.labels)
 
 
-def verdicts_from_evidence(vertex_verdicts, ksp: KspResult, strong_kind,
+def verdicts_from_evidence(vertex_verdicts, facts: KernelFacts, strong_kind,
                            m, weak_parameter, orbit) -> tuple:
     """The (strong, weak) verdict pair that the evidence gives: the one
     rule from evidence to verdicts, which analyze applies to what it found
@@ -350,7 +282,7 @@ def verdicts_from_evidence(vertex_verdicts, ksp: KspResult, strong_kind,
 
     A non-convergent vertex (vertex_verdicts) disproves weak convergence,
     and with it strong.  Vertex kernels that differ from the common one
-    (ksp) disprove strong.  A strong certificate (strong_kind
+    (facts) disprove strong.  A strong certificate (strong_kind
     'decomposition-cqlf' or 'strong-lmi', kernel block dimension m)
     proves strong, and strong implies weak.  A weak certificate (its grid
     parameter weak_parameter) proves weak, and with every vertex sharing
@@ -370,7 +302,7 @@ def verdicts_from_evidence(vertex_verdicts, ksp: KspResult, strong_kind,
             return (Verdict(DISPROVEN, "vertex", detail),
                     Verdict(DISPROVEN, "vertex", dict(detail)))
     strong, weak = Verdict(UNKNOWN, "exhausted"), Verdict(UNKNOWN, "exhausted")
-    if ksp.holds and strong_kind is not None:
+    if facts.holds and strong_kind is not None:
         strong = Verdict(PROVEN, strong_kind, {"m": m})
         weak = Verdict(PROVEN, "implied-by-strong")
     elif weak_parameter is not None:
@@ -381,10 +313,10 @@ def verdicts_from_evidence(vertex_verdicts, ksp: KspResult, strong_kind,
         weak = Verdict(DISPROVEN, "periodic-orbit",
                        {"cycle": orbit["cycle"], "dwell": orbit["dwell"]})
         strong = Verdict(DISPROVEN, "implied-by-weak")
-    if not ksp.holds:
+    if not facts.holds:
         strong = Verdict(DISPROVEN, "kernel-mismatch",
-                         {"kernel_dims": list(ksp.kernel_dims),
-                          "common_dim": ksp.common_dim})
+                         {"kernel_dims": list(facts.kernel_dims),
+                          "common_dim": facts.common_dim})
     if any(v.status == UNKNOWN for v in vertex_verdicts):
         strong, weak = (Verdict(UNKNOWN, "vertex-band",
                                 {"certificate_method": v.method})
@@ -406,39 +338,42 @@ def analyze(family: MatrixFamily, tol: Tolerances = DEFAULT_TOL,
     each cycle's period map.  verdicts_from_evidence turns the evidence
     into the verdict pair, and the rate is estimated only when that pair
     rests on the common-Lyapunov certificate.
+
+    The vertex kernels are computed once (kernel_facts), and every stage
+    reads them, the decomposition and the aligned bases from those facts.
     """
     vertex_check = (lti_convergent_dt if family.mode == "dt"
                     else lti_convergent_ct)
     vertex_verdicts = tuple(vertex_check(a, tol) for a in family.matrices)
-    ker, ksp = _kernel_facts(family, tol)
-    report = AnalysisReport(family, None, None, ker, ksp,
+    facts = kernel_facts(family.matrices, family.mode, tol)
+    report = AnalysisReport(family, None, None, facts,
                             vertex_verdicts=vertex_verdicts)
     if not any(v.disproven for v in vertex_verdicts):
         band = [i + 1 for i, v in enumerate(vertex_verdicts)
                 if v.status == UNKNOWN]
         if band:
             report.diagnostics["vertices_in_tolerance_band"] = band
-        if ksp.holds:
-            # the common kernel already computed is the decomposition's
-            dec = decompose(family.matrices, family.mode, ker, tol)
+        if facts.holds:
+            dec = facts.decomposition
             cqlf = cqlf_stability(dec.a_as, family.mode, tol)
             if cqlf.feasible:
-                report.strong_certificate = StrongCertificate(
-                    family.mode, ker, dec, cqlf=cqlf)
+                report.strong_certificate = StrongCertificate(dec, cqlf=cqlf)
             else:
-                joint = strong_lmi(family, tol)
+                joint = strong_lmi(facts)
                 if joint.feasible:
-                    report.strong_certificate = StrongCertificate(
-                        family.mode, ker, dec, lmi=joint)
+                    report.strong_certificate = StrongCertificate(dec,
+                                                                  lmi=joint)
         if report.strong_certificate is None:
-            report.weak_certificate = weak_lmi(family, tol=tol)
+            report.weak_certificate = weak_lmi(facts)
             if report.weak_certificate is None and search_witness:
                 found = find_nonconvergence_witness(family)
                 report.witness = None if found is None else found[1]
     cert, weak_cert = report.strong_certificate, report.weak_certificate
     report.strong, report.weak = verdicts_from_evidence(
-        vertex_verdicts, ksp, None if cert is None else cert.kind, ker.dim,
+        vertex_verdicts, facts, None if cert is None else cert.kind,
+        facts.common_dim,
         None if weak_cert is None else weak_cert.parameter, report.witness)
-    if report.strong.method == "decomposition-cqlf" and family.n > ker.dim:
+    if (report.strong.method == "decomposition-cqlf"
+            and family.n > facts.common_dim):
         report.rate = convergence_rate(family, cert, tol)
     return report

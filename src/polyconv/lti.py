@@ -20,8 +20,10 @@ verify_dual rejects costs the solver run it was meant to save, never a
 verdict.
 
 This module owns the one implementation of each object that the family
-routes in `inclusion` pose at every vertex: the kernel-aligned
-decomposition, the damped vertex LMI, the rank-reduced vertex LMI, the
+routes in `inclusion` pose at every vertex: the vertex fixed spaces and
+their intersection (KernelFacts, built by kernel_facts, the only code that
+computes them), the kernel-aligned decomposition and per-vertex bases read
+from those facts, the damped vertex LMI, the rank-reduced vertex LMI, the
 common quadratic Lyapunov (CQLF) LMI and the DT eta-scan.  Each is written
 over a tuple of vertex matrices A_1..A_m; a single matrix is the one-vertex
 case (a,).
@@ -30,6 +32,7 @@ case (a,).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +59,7 @@ from .linalg import (
     nested_kernel_dims,
     orthogonal_complement,
     spectrum,
+    subspace_equal,
     subspace_intersection,
 )
 
@@ -67,7 +71,9 @@ __all__ = [
     "EPS_GRID",
     "Verdict",
     "Decomposition",
+    "KernelFacts",
     "LmiOutcome",
+    "kernel_facts",
     "dt_aux",
     "ct_aux",
     "eas",
@@ -122,7 +128,6 @@ class Decomposition:
     T' A_i T = [[a_as[i], 0], [a_r[i], I_m]] (dt) or
     [[a_as[i], 0], [a_r[i], 0_m]] (ct)."""
 
-    mode: str
     t: np.ndarray
     m: int
     kernel: Subspace
@@ -142,19 +147,31 @@ class LmiOutcome:
 
 # ---------------------------------------------------------------- aux maps
 
+def _check_mode(mode: str) -> str:
+    if mode not in ("dt", "ct"):
+        raise InputError(f"mode must be 'dt' or 'ct', got {mode!r}")
+    return mode
+
+
+def _check_damping(mode: str, parameter: float) -> None:
+    """The damping range of the mode: eta in (0, 1) (dt), eps > 0 (ct)."""
+    if mode == "dt" and not 0.0 < parameter < 1.0:
+        raise InputError(f"eta must be in (0, 1), got {parameter}")
+    if mode == "ct" and not 0.0 < parameter < np.inf:
+        raise InputError(f"eps must be positive and finite, got {parameter}")
+
+
 def dt_aux(a, eta: float) -> np.ndarray:
     """(1/eta) A - ((1-eta)/eta) I; eigenvalues map nu = (lam-(1-eta))/eta."""
     a = as_matrix(a)
-    if not 0.0 < eta < 1.0:
-        raise InputError(f"eta must be in (0, 1), got {eta}")
+    _check_damping("dt", eta)
     return a / eta - ((1.0 - eta) / eta) * np.eye(a.shape[0])
 
 
 def ct_aux(a, eps: float) -> np.ndarray:
     """A (I + eps A)^-1; eigenvalues map nu = lam / (1 + eps lam)."""
     a = as_matrix(a)
-    if eps <= 0.0:
-        raise InputError(f"eps must be positive, got {eps}")
+    _check_damping("ct", eps)
     n = a.shape[0]
     shifted = np.eye(n) + eps * a
     sv = np.linalg.svd(shifted, compute_uv=False) if n else np.array([1.0])
@@ -172,17 +189,18 @@ def eas(a, tau: float) -> np.ndarray:
 
 
 def _critical(mode: str) -> float:
-    return 1.0 if mode == "dt" else 0.0
+    """The critical eigenvalue lam0 of the mode: 1 (dt) or 0 (ct)."""
+    return 1.0 if _check_mode(mode) == "dt" else 0.0
 
 
 # ---------------------------------------------------------------- spectral
 
 def _spectral_verdict(a, mode: str, tol: Tolerances) -> Verdict:
     a = as_matrix(a)
+    lam0 = _critical(mode)
     n = a.shape[0]
     if n == 0:
         return Verdict(PROVEN, "spectral", {"eigenvalues": [], "kernel_dim": 0})
-    lam0 = _critical(mode)
     g, g2, scale = nested_kernel_dims(a, lam0, tol)
     eigs = spectrum(a).eigenvalues
     details = {
@@ -230,26 +248,6 @@ def lti_convergent_ct(a, tol: Tolerances = DEFAULT_TOL) -> Verdict:
 
 # ------------------------------------------------------------- decompose
 
-def vertex_kernels(mats, mode: str, tol: Tolerances = DEFAULT_TOL) -> list:
-    """ker(A_i - lam0 I) for every vertex, lam0 = 1 (dt) or 0 (ct).
-
-    The rank cutoffs are guarded by one scale, 1 + max ||A_i|| + |lam0|
-    (the shifted matrix can vanish by cancellation, e.g. A - I with A
-    near I).
-    """
-    n = mats[0].shape[0]
-    lam0 = _critical(mode)
-    scale = (1.0 + max(float(np.linalg.norm(a, 2)) for a in mats)
-             + abs(lam0) if n else 1.0)
-    return [kernel(a - lam0 * np.eye(n), tol, scale=scale) for a in mats]
-
-
-def aligned_bases(kernels, tol: Tolerances = DEFAULT_TOL) -> list:
-    """Orthogonal T_i = [complement basis | kernel basis] of each kernel."""
-    return [np.hstack([orthogonal_complement(k, tol).basis, k.basis])
-            for k in kernels]
-
-
 def block_form(mats, mode: str, wc: np.ndarray, wk: np.ndarray):
     """Blocks of T' A_i T for T = [wc | wk]: the off-kernel blocks
     wc' A_i wc, the couplings wk' A_i wc, and the largest deviation of the
@@ -269,34 +267,96 @@ def block_form(mats, mode: str, wc: np.ndarray, wk: np.ndarray):
             tuple(wk.T @ a @ wc for a in mats), residual)
 
 
-def decompose(mats, mode: str, common: Subspace,
-              tol: Tolerances = DEFAULT_TOL) -> Decomposition:
-    """Block form of every vertex in T = [complement | common kernel]."""
-    comp = orthogonal_complement(common, tol)
-    a_as, a_r, residual = block_form(mats, mode, comp.basis, common.basis)
-    return Decomposition(mode, np.hstack([comp.basis, common.basis]),
-                         common.dim, common, comp, a_as, a_r, residual)
+@dataclass(frozen=True, eq=False)
+class KernelFacts:
+    """The fixed spaces ker(A_i - lam0 I) of vertices A_1..A_m, lam0 = 1
+    (dt) or 0 (ct), their intersection (the common kernel), and the
+    matrices, mode and tolerances they were computed with.
+
+    Everything else that rests on the kernels is read from here, built on
+    first use: the kernel-sharing facts (holds, kernel_dims, common_dim),
+    the family-wide decomposition and the per-vertex aligned bases.
+    """
+
+    mats: tuple
+    mode: str
+    tol: Tolerances
+    kernels: tuple
+    common: Subspace
+
+    @cached_property
+    def holds(self) -> bool:
+        """Whether every vertex kernel equals the common one."""
+        return all(subspace_equal(k, self.common, self.tol)
+                   for k in self.kernels)
+
+    @property
+    def kernel_dims(self) -> tuple:
+        return tuple(k.dim for k in self.kernels)
+
+    @property
+    def common_dim(self) -> int:
+        return self.common.dim
+
+    @cached_property
+    def decomposition(self) -> Decomposition:
+        """Block form of every vertex in T = [complement | common kernel];
+        InputError unless every vertex kernel equals the common one."""
+        if not self.holds:
+            raise InputError(
+                "family-wide decomposition needs every vertex fixed space "
+                f"to equal the common one (dims {self.kernel_dims} vs "
+                f"common {self.common_dim}); a shared kernel is necessary "
+                "for strong convergence")
+        comp = orthogonal_complement(self.common, self.tol)
+        a_as, a_r, residual = block_form(self.mats, self.mode, comp.basis,
+                                         self.common.basis)
+        return Decomposition(np.hstack([comp.basis, self.common.basis]),
+                             self.common_dim, self.common, comp, a_as, a_r,
+                             residual)
+
+    @cached_property
+    def bases(self) -> tuple:
+        """Orthogonal T_i = [complement basis | kernel basis] of each
+        vertex kernel."""
+        return tuple(np.hstack([orthogonal_complement(k, self.tol).basis,
+                                k.basis]) for k in self.kernels)
 
 
-def _decompose(mats, mode: str, tol: Tolerances) -> Decomposition:
-    common = subspace_intersection(vertex_kernels(mats, mode, tol), tol)
-    return decompose(mats, mode, common, tol)
+def kernel_facts(mats, mode: str,
+                 tol: Tolerances = DEFAULT_TOL) -> KernelFacts:
+    """The KernelFacts of vertices mats: the one computation of the vertex
+    fixed spaces.
+
+    The rank cutoffs are guarded by one scale, 1 + max ||A_i|| + |lam0|
+    (the shifted matrix can vanish by cancellation, e.g. A - I with A
+    near I).
+    """
+    lam0 = _critical(mode)
+    mats = tuple(mats)
+    n = mats[0].shape[0]
+    scale = (1.0 + max(float(np.linalg.norm(a, 2)) for a in mats)
+             + abs(lam0) if n else 1.0)
+    kernels = tuple(kernel(a - lam0 * np.eye(n), tol, scale=scale)
+                    for a in mats)
+    return KernelFacts(mats, mode, tol, kernels,
+                       subspace_intersection(kernels, tol))
 
 
 def lti_decompose_dt(a, tol: Tolerances = DEFAULT_TOL) -> Decomposition:
-    return _decompose((as_matrix(a),), "dt", tol)
+    return kernel_facts((as_matrix(a),), "dt", tol).decomposition
 
 
 def lti_decompose_ct(a, tol: Tolerances = DEFAULT_TOL) -> Decomposition:
-    return _decompose((as_matrix(a),), "ct", tol)
+    return kernel_facts((as_matrix(a),), "ct", tol).decomposition
 
 
 # ---------------------------------------------------------------- LMIs
 
-def damped_problem(mats, mode: str, parameter: float, bases,
-                   tol: Tolerances = DEFAULT_TOL) -> LmiProblem:
-    """Damped vertex inequalities for one grid parameter, each conjugated
-    by that vertex's own kernel-aligned basis T_i (see aligned_bases):
+def damped_problem(facts: KernelFacts, parameter: float) -> LmiProblem:
+    """Damped vertex inequalities for one parameter, eta in (0, 1) (dt) or
+    eps > 0 (ct), each conjugated by that vertex's own kernel-aligned basis
+    T_i (KernelFacts.bases):
     eta (A'PA - P) + (1-eta) (A-I)'P(A-I) <= 0 (dt) or
     A'P + PA + eps A'PA <= 0 (ct), and P > 0.
 
@@ -305,9 +365,11 @@ def damped_problem(mats, mode: str, parameter: float, bases,
     eta near 1 (eps near 0), a damping-shrunk violation could otherwise
     hide inside the residual acceptance threshold.
     """
-    n = mats[0].shape[0]
+    mode = facts.mode
+    _check_damping(mode, parameter)
+    n = facts.mats[0].shape[0]
     cons = []
-    for i, (a, t) in enumerate(zip(mats, bases)):
+    for i, (a, t) in enumerate(zip(facts.mats, facts.bases)):
         at = a @ t
         if mode == "dt":
             amt = (a - np.eye(n)) @ t
@@ -319,7 +381,7 @@ def damped_problem(mats, mode: str, parameter: float, bases,
             terms = (Term("P", 2.0 / parameter, at, t),
                      Term("P", 1.0, at, at))
         cons.append(Constraint(f"vertex{i + 1}", n, terms))
-    return LmiProblem([VarBlock("P", n)], cons, tol)
+    return LmiProblem([VarBlock("P", n)], cons, facts.tol)
 
 
 def reduced_problem(mats, mode: str, wc: np.ndarray,
@@ -357,6 +419,7 @@ def cqlf_problem(blocks, mode: str,
     """Common quadratic Lyapunov LMI: A_i'PA_i - P (dt) or A_i'P + PA_i
     (ct) below -gamma (tr P / n) I for every block, P > 0.  Blocks of size
     0 leave nothing to constrain."""
+    _check_mode(mode)
     nb = blocks[0].shape[0]
     if nb == 0:
         return LmiProblem([VarBlock("P", 0)], [], tol)
@@ -372,12 +435,11 @@ def cqlf_problem(blocks, mode: str,
     return LmiProblem([VarBlock("P", nb)], cons, tol)
 
 
-def vertex_duals(mats, mode: str, tol: Tolerances = DEFAULT_TOL,
-                 parameter: float | None = None, bases=None,
+def vertex_duals(facts: KernelFacts, parameter: float | None = None,
                  wc: np.ndarray | None = None) -> dict:
     """Candidate factors for verify_dual from vertex eigenpairs: of the
-    damped problem (parameter and bases given, see damped_problem) or of
-    the reduced one (wc given, see reduced_problem).
+    damped problem (parameter given, see damped_problem) or of the reduced
+    one (wc given, see reduced_problem).
 
     Damped form: A_i v = lam v gives F = T_i'[Re v, Im v], so
     T_i Z T_i' = Re(vv*) and, as A Re(vv*) A' = |lam|^2 Re(vv*), the
@@ -394,9 +456,10 @@ def vertex_duals(mats, mode: str, tol: Tolerances = DEFAULT_TOL,
     of its constraint.  The filter carries no trust: verify_dual checks
     the result.
     """
-    a_ratio, b_ratio = dual_ratios(tol)
+    mode = facts.mode
+    a_ratio, b_ratio = dual_ratios(facts.tol)
     factors = {}
-    for i, a in enumerate(mats):
+    for i, a in enumerate(facts.mats):
         if wc is None:
             lam, vec = np.linalg.eig(a)
             if mode == "dt":
@@ -405,7 +468,7 @@ def vertex_duals(mats, mode: str, tol: Tolerances = DEFAULT_TOL,
             else:
                 s = 2.0 * lam.real / parameter + np.abs(lam) ** 2
             q_part = 0.0
-            lift = bases[i].T
+            lift = facts.bases[i].T
         else:
             lam, vec = np.linalg.eig(wc.T @ a @ wc)
             s = (np.abs(lam) ** 2 - 1.0 if mode == "dt"
@@ -435,19 +498,18 @@ def certified_infeasible(problem: LmiProblem,
         diagnostics=f"verify_dual margin {report['margin']:.3e}")
 
 
-def reduced_lmi(mats, mode: str, wc: np.ndarray,
-                tol: Tolerances = DEFAULT_TOL) -> LmiOutcome:
+def reduced_lmi(facts: KernelFacts, wc: np.ndarray) -> LmiOutcome:
     """The reduced vertex LMI over complement basis wc: a certified
     infeasibility from vertex eigenpairs when verify_dual accepts one,
     else sdp_feasible."""
-    prob = reduced_problem(mats, mode, wc, tol)
-    res = (certified_infeasible(prob, vertex_duals(mats, mode, tol, wc=wc))
+    prob = reduced_problem(facts.mats, facts.mode, wc, facts.tol)
+    res = (certified_infeasible(prob, vertex_duals(facts, wc=wc))
            or sdp_feasible(prob))
     return LmiOutcome(res.feasible, None, res, prob)
 
 
-def damped_lmi(mats, mode: str, parameter: float | None, bases,
-               tol: Tolerances = DEFAULT_TOL) -> LmiOutcome:
+def damped_lmi(facts: KernelFacts,
+               parameter: float | None = None) -> LmiOutcome:
     """The damped vertex LMI at one parameter, or over its grid when
     parameter is None.  Each problem first tries a certified infeasibility
     from vertex eigenpairs (vertex_duals, verify_dual); sdp_feasible runs
@@ -473,12 +535,13 @@ def damped_lmi(mats, mode: str, parameter: float | None, bases,
     The returned iteration count covers every probe (a certified probe
     takes none); a grid outcome that is infeasible carries no parameter.
     """
+    mode = facts.mode
+
     def dual(prob: LmiProblem, par: float):
-        return certified_infeasible(prob, vertex_duals(
-            mats, mode, tol, parameter=par, bases=bases))
+        return certified_infeasible(prob, vertex_duals(facts, parameter=par))
 
     def solve(par: float) -> LmiOutcome:
-        prob = damped_problem(mats, mode, par, bases, tol)
+        prob = damped_problem(facts, par)
         res = dual(prob, par) or sdp_feasible(prob)
         return LmiOutcome(res.feasible, par, res, prob)
 
@@ -487,7 +550,7 @@ def damped_lmi(mats, mode: str, parameter: float | None, bases,
     spent = 0
     if mode == "ct":
         fine = EPS_GRID[-1]
-        prob = damped_problem(mats, mode, fine, bases, tol)
+        prob = damped_problem(facts, fine)
         res = dual(prob, fine)
         if res is not None:
             return LmiOutcome(False, None, res, prob)
@@ -524,15 +587,12 @@ def lti_lmi_dt_e(a, eta: float | None = None,
                  tol: Tolerances = DEFAULT_TOL) -> LmiOutcome:
     """Feasibility of the eta-damped DT LMI; with eta=None scans the grid
     (see damped_lmi)."""
-    mats = (as_matrix(a),)
-    bases = aligned_bases(vertex_kernels(mats, "dt", tol), tol)
-    return damped_lmi(mats, "dt", eta, bases, tol)
+    return damped_lmi(kernel_facts((as_matrix(a),), "dt", tol), eta)
 
 
 def _reduced_lmi(a, mode: str, tol: Tolerances) -> LmiOutcome:
-    mats = (as_matrix(a),)
-    wc = orthogonal_complement(vertex_kernels(mats, mode, tol)[0], tol).basis
-    return reduced_lmi(mats, mode, wc, tol)
+    facts = kernel_facts((as_matrix(a),), mode, tol)
+    return reduced_lmi(facts, orthogonal_complement(facts.common, tol).basis)
 
 
 def lti_lmi_dt_f(a, tol: Tolerances = DEFAULT_TOL) -> LmiOutcome:
@@ -543,9 +603,7 @@ def lti_lmi_ct_f(a, eps: float | None = None,
                  tol: Tolerances = DEFAULT_TOL) -> LmiOutcome:
     """Feasibility of the eps-damped CT LMI; with eps=None probes the grid
     (see damped_lmi)."""
-    mats = (as_matrix(a),)
-    bases = aligned_bases(vertex_kernels(mats, "ct", tol), tol)
-    return damped_lmi(mats, "ct", eps, bases, tol)
+    return damped_lmi(kernel_facts((as_matrix(a),), "ct", tol), eps)
 
 
 def lti_lmi_ct_g(a, tol: Tolerances = DEFAULT_TOL) -> LmiOutcome:
@@ -565,11 +623,11 @@ def lti_limit(a, x0, mode: str, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != a.shape[0]:
         raise InputError("x0 dimension does not match A")
-    verdict = (lti_convergent_dt if mode == "dt" else lti_convergent_ct)(a, tol)
+    verdict = _spectral_verdict(a, mode, tol)
     if not verdict.proven:
         raise InputError(
             f"limit undefined: convergence verdict is {verdict.status}")
-    dec = _decompose((a,), mode, tol)
+    dec = kernel_facts((a,), mode, tol).decomposition
     k = a.shape[0] - dec.m
     z = dec.t.T @ x0
     z1, z2 = z[:k], z[k:]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -174,6 +175,8 @@ def simulate_dt(family: MatrixFamily, signal: SwitchingSignal, x0,
                 k_steps: int, tol: Tolerances = DEFAULT_TOL) -> Trajectory:
     if family.mode != "dt":
         raise InputError("simulate_dt needs a DT family")
+    if isinstance(k_steps, bool) or not isinstance(k_steps, Integral):
+        raise InputError(f"k_steps must be an integer, got {k_steps!r}")
     if k_steps < 1:
         raise InputError("k_steps must be at least 1")
     x0 = _validate_x0(family, x0)
@@ -210,10 +213,10 @@ def simulate_ct(family: MatrixFamily, signal: SwitchingSignal, x0,
                 tol: Tolerances = DEFAULT_TOL) -> Trajectory:
     if family.mode != "ct":
         raise InputError("simulate_ct needs a CT family")
-    if t_end <= 0:
-        raise InputError("t_end must be positive")
-    if sample_dt <= 0 or sample_dt > t_end:
-        raise InputError("sample_dt must be in (0, t_end]")
+    if not 0 < t_end < np.inf:
+        raise InputError(f"t_end must be positive and finite, got {t_end}")
+    if not 0 < sample_dt <= t_end:
+        raise InputError(f"sample_dt must be in (0, t_end], got {sample_dt}")
     x0 = _validate_x0(family, x0)
     segs = signal.schedule(family.m_count, t_end)
     n_grid = int(np.floor(t_end / sample_dt + 1e-9))

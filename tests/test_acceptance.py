@@ -19,7 +19,7 @@ from polyconv.feasibility import CERTIFIED_INFEASIBLE, verify_dual
 from polyconv.examples import (catalogue, catalogue_names,
                                opinion_social_family, spike_schedule_signal)
 from polyconv.family import MatrixFamily
-from polyconv.inclusion import analyze, dual_family, euler_family, ksp_check
+from polyconv.inclusion import analyze, dual_family, euler_family, kernel_facts
 from polyconv.lasalle import lasalle_set_quadratic
 from polyconv.lti import (DISPROVEN, PROVEN, UNKNOWN, lti_convergent_ct,
                           lti_convergent_dt, lti_lmi_ct_f, lti_lmi_ct_g,
@@ -105,7 +105,7 @@ def test_triangular_pair_cycles_while_its_transpose_converges():
 
 def test_mass_conserving_flow_stalls_while_its_dual_reaches_consensus():
     fam = catalogue("ct-duality").family
-    assert not ksp_check(fam).holds
+    assert not kernel_facts(fam.matrices, fam.mode).holds
     for seed in range(5):
         traj = simulate_ct(fam, SwitchingSignal.iid_random(seed),
                            [0.7, 0.3], 50.0, 0.1)
@@ -133,7 +133,7 @@ def test_two_node_consensus_rate_certificate_bounds_disagreement():
     rate = report.rate
     assert rate is not None
     assert rate.beta == pytest.approx(1.0, rel=1e-9)
-    kernel = report.kernel
+    kernel = report.facts.common
     x0 = np.array([1.0, -1.0])
     d0 = kernel.distance(x0)
     for seed in range(100):
@@ -327,7 +327,7 @@ def test_verdict_lattice_is_consistent_on_catalogue_and_random_families():
         assert report.strong.status in (PROVEN, DISPROVEN, UNKNOWN)
         assert report.weak.status in (PROVEN, DISPROVEN, UNKNOWN)
         assert not (report.strong.proven and report.weak.disproven), idx
-        if not report.ksp.holds:
+        if not report.facts.holds:
             assert report.strong.disproven, idx
         if report.weak.disproven:
             assert report.strong.disproven, idx

@@ -12,7 +12,7 @@ import pytest
 from polyconv.cli import main, report_to_dict, verify_report
 from polyconv.examples import catalogue
 from polyconv.family import MatrixFamily, family_from_dict
-from polyconv.inclusion import (StrongCertificate, analyze, strong_decompose,
+from polyconv.inclusion import (StrongCertificate, analyze, kernel_facts,
                                 strong_lmi, weak_lmi)
 from polyconv.lti import ETA_GRID
 
@@ -237,10 +237,10 @@ class TestVerifyCommand:
     def test_joint_form_strong_certificate_verifies(self):
         fam = catalogue("path-consensus").family
         doc = fresh_report("path-consensus")
-        out = strong_lmi(fam)
+        facts = kernel_facts(fam.matrices, fam.mode)
+        out = strong_lmi(facts)
         assert out.feasible
-        dec = strong_decompose(fam)
-        cert = StrongCertificate(fam.mode, dec.kernel, dec, lmi=out)
+        cert = StrongCertificate(facts.decomposition, lmi=out)
         from polyconv.cli import _strong_certificate_doc
         from polyconv.linalg import DEFAULT_TOL
         doc["certificates"]["strong"] = json.loads(json.dumps(
@@ -255,7 +255,7 @@ class TestVerifyCommand:
 
     def test_shared_kernel_upgrade_report_verifies(self):
         fam = MatrixFamily("dt", [[[0.5]]])
-        cert = weak_lmi(fam)
+        cert = weak_lmi(kernel_facts(fam.matrices, fam.mode))
         assert cert is not None
         from polyconv.cli import _weak_certificate_doc
         from polyconv.linalg import DEFAULT_TOL
@@ -367,6 +367,53 @@ def test_malformed_report_is_an_input_error_or_fails(cli, tmp_path, edit):
         assert json.loads(out)["verified"] is False
 
 
+# shares the kernel e3, but its off-kernel pair [[0, 2], [0, 0]] and
+# [[0, 0], [2, 0]] has the unstable product diag(4, 0): no CQLF, no strong
+# and no weak LMI certificate, so analyze runs every stage
+_ALL_STAGES = MatrixFamily("dt", (np.array([[0, 2, 0], [0, 0, 0], [0, 0, 1]]),
+                                  np.array([[0, 0, 0], [2, 0, 0], [0, 0, 1]])))
+
+
+def test_each_entry_point_computes_the_vertex_kernels_once(cli,
+                                                           monkeypatch):
+    import polyconv.inclusion as inclusion
+    import polyconv.lti as lti
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrapped = counted("kernel_facts", lti.kernel_facts)
+    monkeypatch.setattr(lti, "kernel_facts", wrapped)
+    monkeypatch.setattr(inclusion, "kernel_facts", wrapped)
+    for stage in ("cqlf_stability", "strong_lmi", "weak_lmi"):
+        monkeypatch.setattr(inclusion, stage,
+                            counted(stage, getattr(inclusion, stage)))
+    report = analyze(_ALL_STAGES)
+    assert calls == ["kernel_facts", "cqlf_stability", "strong_lmi",
+                     "weak_lmi"]
+    docs = {"all-stages": (_ALL_STAGES, json.loads(json.dumps(
+        report_to_dict(report), allow_nan=False)))}
+    # reports with a weak certificate, a strong one with a rate, a witness
+    for name in ("scalar-half-one", "path-consensus", "dt-duality"):
+        docs[name] = (catalogue(name).family, fresh_report(name))
+    for name, (fam, doc) in docs.items():
+        calls.clear()
+        assert verify_report(doc, fam)[0], name
+        assert calls == ["kernel_facts"], name
+    family = json.dumps({"mode": "dt",
+                         "matrices": [a.tolist() for a in
+                                      _ALL_STAGES.matrices]})
+    for method in ("cqlf", "strong-lmi", "weak-lmi"):
+        calls.clear()
+        code, out, _ = cli("certify", "-", "--method", method, stdin=family)
+        assert code == 0 and json.loads(out)["status"] == "Unknown"
+        assert calls.count("kernel_facts") == 1, method
+
+
 class TestCertifyCommand:
     def test_cqlf_proven_on_consensus(self, cli):
         code, out, _ = cli("certify", "-", "--method", "cqlf",
@@ -429,6 +476,23 @@ class TestCertifyCommand:
                            stdin=family_json("a11-switching"))
         assert code == 1
         assert json.loads(err)["error"]["type"] == "input"
+
+    # unstable families whose damped LMI is feasible at a damping parameter
+    # outside its range: eta in (0, 1) (dt), eps > 0 (ct)
+    @pytest.mark.parametrize("mode,diag,parameter", [
+        ("ct", [1.0, 0.5], "-0.1"), ("ct", [1.0, 0.5], "0"),
+        ("dt", [2.0, 1.5], "1.5"), ("dt", [2.0, 1.5], "-0.5"),
+        ("dt", [2.0, 1.5], "1")])
+    def test_weak_lmi_parameter_out_of_range_is_an_input_error(
+            self, cli, mode, diag, parameter):
+        fam = json.dumps({"mode": mode, "matrices": [np.diag(diag).tolist()]})
+        code, out, err = cli("certify", "-", "--method", "weak-lmi",
+                             "--parameter", parameter, stdin=fam)
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "input"
+        assert ("eta" if mode == "dt" else "eps") in error["message"]
 
 
 # real-valued options outside their range: (family, arguments)

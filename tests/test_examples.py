@@ -16,7 +16,7 @@ from polyconv.examples import (
     spike_schedule_signal,
 )
 from polyconv.family import MatrixFamily
-from polyconv.inclusion import analyze, common_fixed_kernel, ksp_check
+from polyconv.inclusion import analyze, kernel_facts
 from polyconv.lasalle import lasalle_set_quadratic, weak_kernel_triviality_scan
 from polyconv.linalg import kernel
 from polyconv.lti import DISPROVEN, PROVEN, lti_convergent_ct
@@ -24,6 +24,10 @@ from polyconv.sim import simulate_ct
 
 PATH_L = [[1.0, -1.0], [-1.0, 1.0]]
 CYCLE_L = [[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0]]
+
+
+def facts(fam):
+    return kernel_facts(fam.matrices, fam.mode)
 
 
 class TestOpinionFamily:
@@ -36,17 +40,17 @@ class TestOpinionFamily:
 
     def test_two_node_path_shares_kernels(self):
         fam = opinion_family(PATH_L)
-        res = ksp_check(fam)
+        res = facts(fam)
         assert res.holds
         assert res.common_dim == 1
         ones = np.ones(2) / np.sqrt(2)
-        assert common_fixed_kernel(fam).distance(ones) < 1e-12
+        assert facts(fam).common.distance(ones) < 1e-12
 
     def test_three_node_cycle_kernels_are_hyperplanes(self):
         # each vertex annihilates a whole hyperplane, so the per-vertex
         # kernels exceed the one-dimensional agreement line
         fam = opinion_family(CYCLE_L)
-        res = ksp_check(fam)
+        res = facts(fam)
         assert not res.holds
         assert res.kernel_dims == (2, 2, 2)
         assert res.common_dim == 1
@@ -117,18 +121,18 @@ class TestOpinionSocialFamily:
         assert fam.metadata["beta_bar"] == pytest.approx(0.5)
         expected = [[-2.0, 1.0, 0.5], [1.0, -2.0, 0.5], [0.0, 0.0, 0.0]]
         np.testing.assert_allclose(fam.matrices[0], expected)
-        res = ksp_check(fam)
+        res = facts(fam)
         assert res.holds
         direction = np.array([0.5, 0.5, 1.0])
         direction /= np.linalg.norm(direction)
-        assert common_fixed_kernel(fam).distance(direction) < 1e-10
+        assert facts(fam).common.distance(direction) < 1e-10
 
     def test_unbiased_distinct_graphs_still_share_kernel(self):
         g1 = [[-1.0, 1.0], [1.0, -1.0]]
         g2 = [[-2.0, 2.0], [2.0, -2.0]]
         fam = opinion_social_family(np.eye(2), [g1, g2], 1.0, [0.5, 0.5])
         assert fam.metadata["unbiased"]
-        assert ksp_check(fam).holds
+        assert facts(fam).holds
         report = analyze(fam, search_witness=False)
         assert report.strong.status == PROVEN
 
@@ -137,7 +141,7 @@ class TestOpinionSocialFamily:
         g2 = [[-2.0, 2.0], [2.0, -2.0]]
         fam = opinion_social_family(np.eye(2), [g1, g2], 1.0, [1.0, 0.0])
         assert not fam.metadata["unbiased"]
-        res = ksp_check(fam)
+        res = facts(fam)
         assert not res.holds
         report = analyze(fam, search_witness=False)
         assert report.strong.status == DISPROVEN
@@ -179,7 +183,7 @@ class TestKolmogorovFamily:
         report = analyze(fam, search_witness=False)
         assert report.strong.status == PROVEN
         ones = np.ones(2) / np.sqrt(2)
-        assert report.kernel.distance(ones) < 1e-12
+        assert report.facts.common.distance(ones) < 1e-12
 
     def test_row_case_is_infinity_norm_nonexpansive(self):
         fam = kolmogorov_family("row", self.ROW_PAIR)
@@ -193,7 +197,7 @@ class TestKolmogorovFamily:
         fam = kolmogorov_family("column", entry.family.matrices)
         for built, expected in zip(fam.matrices, entry.family.matrices):
             np.testing.assert_allclose(built, expected)
-        assert not ksp_check(fam).holds
+        assert not facts(fam).holds
 
     def test_single_generator_is_convergent_lti(self):
         verdict = lti_convergent_ct(np.array(self.ROW_PAIR[0]))
@@ -369,3 +373,7 @@ class TestCatalogueInvariance:
                                    tuple(q.T @ a @ q for a in fam.matrices))
             assert _methods(rotated) == want, seed
         assert _methods(MatrixFamily(fam.mode, fam.matrices[::-1])) == want
+        # a repeated vertex spans the same polytope, and the copy comes
+        # last, so every witness cycle through it follows its original
+        duplicated = fam.matrices + fam.matrices[:1]
+        assert _methods(MatrixFamily(fam.mode, duplicated)) == want

@@ -19,13 +19,11 @@ from polyconv.inclusion import (
     MatrixFamily,
     StrongCertificate,
     analyze,
-    common_fixed_kernel,
     convergence_rate,
     cqlf_stability,
     dual_family,
     euler_family,
-    ksp_check,
-    strong_decompose,
+    kernel_facts,
     strong_lmi,
     verify_polyhedral_strong,
     weak_lmi,
@@ -42,47 +40,51 @@ SPIKE = MatrixFamily("ct", [[[0.0]], [[-1.0]]])
 PATH_CONSENSUS = MatrixFamily("ct", [[[-1, 1], [0, 0]], [[0, 0], [1, -1]]])
 
 
+def facts(fam):
+    return kernel_facts(fam.matrices, fam.mode)
+
+
 class TestKernelAndKsp:
     def test_a11_shares_e2(self):
-        ker = common_fixed_kernel(A11)
+        ker = facts(A11).common
         assert ker.dim == 1
         assert ker.distance(np.array([0.0, 1.0])) < 1e-12
-        res = ksp_check(A11)
+        res = facts(A11)
         assert res.holds
         assert res.kernel_dims == (1, 1)
         assert res.common_dim == 1
 
     def test_duality_kernels_differ(self):
         # ker(A1 - I) = span (2, 1), ker(A2 - I) = span (4, 1)
-        res = ksp_check(DT_DUALITY)
+        res = facts(DT_DUALITY)
         assert not res.holds
         assert res.kernel_dims == (1, 1)
         assert res.common_dim == 0
 
     def test_diag_kernels_differ(self):
-        res = ksp_check(DIAG_KERNELS)
+        res = facts(DIAG_KERNELS)
         assert not res.holds
         assert res.common_dim == 0
 
     def test_spike_dims(self):
-        res = ksp_check(SPIKE)
+        res = facts(SPIKE)
         assert not res.holds
         assert res.kernel_dims == (1, 0)
 
     def test_path_consensus_agreement_line(self):
-        ker = common_fixed_kernel(PATH_CONSENSUS)
+        ker = facts(PATH_CONSENSUS).common
         assert ker.dim == 1
         assert ker.distance(np.array([1.0, 1.0]) / np.sqrt(2)) < 1e-12
-        assert ksp_check(PATH_CONSENSUS).holds
+        assert facts(PATH_CONSENSUS).holds
 
     def test_identity_family_full_kernel(self):
         fam = MatrixFamily("dt", [np.eye(3)])
-        assert common_fixed_kernel(fam).dim == 3
+        assert facts(fam).common.dim == 3
 
 
 class TestStrongDecompose:
     def test_a11_blocks(self):
-        dec = strong_decompose(A11)
+        dec = facts(A11).decomposition
         assert dec.m == 1
         assert np.allclose(dec.a_as[0], [[0.5]])
         assert np.allclose(dec.a_as[1], [[0.75]])
@@ -91,14 +93,14 @@ class TestStrongDecompose:
         assert dec.residual < 1e-12
 
     def test_path_consensus_blocks(self):
-        dec = strong_decompose(PATH_CONSENSUS)
+        dec = facts(PATH_CONSENSUS).decomposition
         assert dec.m == 1
         assert np.allclose(dec.a_as[0], [[-1.0]])
         assert np.allclose(dec.a_as[1], [[-1.0]])
 
     def test_requires_shared_kernel(self):
         with pytest.raises(InputError, match="shared kernel"):
-            strong_decompose(DT_DUALITY)
+            facts(DT_DUALITY).decomposition
 
 
 class TestCqlf:
@@ -122,6 +124,11 @@ class TestCqlf:
         assert out.feasible
         assert out.result.values["P"].shape == (0, 0)
 
+    def test_unknown_mode_rejected(self):
+        # posed as CT, the DT-unstable block -1.5 would get a CQLF
+        with pytest.raises(InputError, match="mode"):
+            cqlf_stability([[[-1.5]]], "DT")
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(InputError):
             cqlf_stability([np.eye(2), np.eye(3)], "dt")
@@ -140,51 +147,51 @@ class TestCqlf:
 
 class TestStrongLmi:
     def test_a11_feasible_and_verified(self):
-        out = strong_lmi(A11)
+        out = strong_lmi(facts(A11))
         assert out.feasible
         assert verify_lmi(out.problem, out.result.values)["pass"]
 
     def test_path_consensus_feasible(self):
-        out = strong_lmi(PATH_CONSENSUS)
+        out = strong_lmi(facts(PATH_CONSENSUS))
         assert out.feasible
         assert verify_lmi(out.problem, out.result.values)["pass"]
 
     def test_defective_vertex_infeasible(self):
         fam = MatrixFamily("dt", [[[1, 1], [0, 1]]])
-        assert not strong_lmi(fam).feasible
+        assert not strong_lmi(facts(fam)).feasible
 
     def test_requires_shared_kernel(self):
         with pytest.raises(InputError, match="shared kernel"):
-            strong_lmi(HALF_ONE)
+            strong_lmi(facts(HALF_ONE))
 
 
 class TestWeakLmi:
     def test_half_one_smallest_eta(self):
         # vertex 0.5 needs eta >= 0.25, vertex 1 is identically zero,
         # so the smallest grid value already works
-        cert = weak_lmi(HALF_ONE)
+        cert = weak_lmi(facts(HALF_ONE))
         assert cert is not None
         assert cert.parameter == ETA_GRID[0]
-        assert verify_lmi(cert.problem, {"P": cert.p})["pass"]
+        assert verify_lmi(cert.problem, cert.result.values)["pass"]
 
     def test_pm_one_infeasible(self):
         # vertex -1 forces 4 (1 - eta) P <= 0 against P > 0
-        assert weak_lmi(PM_ONE) is None
+        assert weak_lmi(facts(PM_ONE)) is None
 
     def test_dt_duality_infeasible(self):
-        assert weak_lmi(DT_DUALITY) is None
+        assert weak_lmi(facts(DT_DUALITY)) is None
 
     def test_ct_duality_infeasible(self):
-        assert weak_lmi(CT_DUALITY) is None
+        assert weak_lmi(facts(CT_DUALITY)) is None
 
     def test_diag_kernels_feasible(self):
-        cert = weak_lmi(DIAG_KERNELS)
+        cert = weak_lmi(facts(DIAG_KERNELS))
         assert cert is not None
         assert cert.parameter == EPS_GRID[-1]
-        assert verify_lmi(cert.problem, {"P": cert.p})["pass"]
+        assert verify_lmi(cert.problem, cert.result.values)["pass"]
 
     def test_spike_feasible(self):
-        assert weak_lmi(SPIKE) is not None
+        assert weak_lmi(facts(SPIKE)) is not None
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ct_one_vertex_semisimple_kernel_feasible(self, seed):
@@ -198,21 +205,21 @@ class TestWeakLmi:
         g -= (max(np.linalg.eigvals(g).real) + 0.5) * np.eye(4)
         core = np.zeros((6, 6))
         core[2:, 2:] = g
-        cert = weak_lmi(MatrixFamily("ct", [q @ core @ q.T]))
+        cert = weak_lmi(facts(MatrixFamily("ct", [q @ core @ q.T])))
         assert cert is not None
         assert cert.parameter == EPS_GRID[-1]
-        assert verify_lmi(cert.problem, {"P": cert.p})["pass"]
+        assert verify_lmi(cert.problem, cert.result.values)["pass"]
 
     def test_explicit_parameter(self):
-        assert weak_lmi(DIAG_KERNELS, parameter=1e-2) is not None
-        assert weak_lmi(PM_ONE, parameter=0.9) is None
+        assert weak_lmi(facts(DIAG_KERNELS), parameter=1e-2) is not None
+        assert weak_lmi(facts(PM_ONE), parameter=0.9) is None
 
 
 class TestVerifyPolyhedralStrong:
     def test_a11_identity_candidate(self):
         # kernel column e2 maps to itself; off-kernel entries are the
         # contraction factors 0.5 and 0.75
-        rep = verify_polyhedral_strong(A11, np.eye(2))
+        rep = verify_polyhedral_strong(facts(A11), np.eye(2))
         assert rep["pass"]
         assert rep["as_norms"] == pytest.approx([0.5, 0.75])
 
@@ -220,35 +227,35 @@ class TestVerifyPolyhedralStrong:
         # columns: agreement direction (1,1), disagreement (1,-1);
         # A_i X = X P_i with P_i = [[0, -1], [0, -1]] or [[0, 1], [0, -1]]
         x = np.array([[1.0, 1.0], [1.0, -1.0]])
-        rep = verify_polyhedral_strong(PATH_CONSENSUS, x)
+        rep = verify_polyhedral_strong(facts(PATH_CONSENSUS), x)
         assert rep["pass"]
         assert rep["as_norms"] == pytest.approx([-1.0, -1.0])
         assert max(rep["residuals"]) < 1e-12
 
     def test_neutral_vertex_fails_norm(self):
-        rep = verify_polyhedral_strong(HALF_ONE, np.array([[1.0]]))
+        rep = verify_polyhedral_strong(facts(HALF_ONE), np.array([[1.0]]))
         assert not rep["pass"]
         assert any("1-norm" in r for r in rep["reasons"])
 
     def test_rotation_fails_norm(self):
         c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
         fam = MatrixFamily("dt", [[[c, -s], [s, c]]])
-        rep = verify_polyhedral_strong(fam, np.eye(2))
+        rep = verify_polyhedral_strong(facts(fam), np.eye(2))
         assert not rep["pass"]
 
     def test_scaled_kernel_column_accepted(self):
-        rep = verify_polyhedral_strong(A11, np.array([[1.0, 0.0],
+        rep = verify_polyhedral_strong(facts(A11), np.array([[1.0, 0.0],
                                                       [0.0, 5.0]]))
         assert rep["pass"]
 
     def test_rank_deficient_candidate_rejected(self):
         with pytest.raises(InputError, match="full row rank"):
-            verify_polyhedral_strong(A11, np.array([[1.0, 2.0],
+            verify_polyhedral_strong(facts(A11), np.array([[1.0, 2.0],
                                                     [2.0, 4.0]]))
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(InputError):
-            verify_polyhedral_strong(A11, np.eye(3))
+            verify_polyhedral_strong(facts(A11), np.eye(3))
 
 
 class TestEulerAndDual:
@@ -374,8 +381,8 @@ class TestConvergenceRate:
         assert rep.rate.c0 == pytest.approx(1.0)
 
     def test_requires_cqlf_evidence(self):
-        dec = strong_decompose(A11)
-        cert = StrongCertificate("dt", dec.kernel, dec, lmi=strong_lmi(A11))
+        f = facts(A11)
+        cert = StrongCertificate(f.decomposition, lmi=strong_lmi(f))
         with pytest.raises(InputError, match="common-Lyapunov"):
             convergence_rate(A11, cert)
 
@@ -412,7 +419,7 @@ class TestAnalyzeProperties:
             assert rep.weak.status == PROVEN
         if rep.weak.status == DISPROVEN:
             assert rep.strong.status == DISPROVEN
-        if not rep.ksp.holds:
+        if not rep.facts.holds:
             assert rep.strong.status == DISPROVEN
         assert verify_report(_json_round_trip(report_to_dict(rep)), fam)[0]
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from polyconv.errors import InputError
 from polyconv.examples import kolmogorov_family
 from polyconv.family import MatrixFamily
-from polyconv.inclusion import weak_lmi
+from polyconv.inclusion import kernel_facts, weak_lmi
 from polyconv.lasalle import (
     euler_gap,
     lasalle_gap_dt,
@@ -191,8 +191,8 @@ class TestLaSalleSetQuadratic:
             lasalle_set_quadratic(DIAG_KERNELS, np.eye(3))
 
     def test_weak_certificate_is_wqlf(self):
-        cert = weak_lmi(DIAG_KERNELS)
-        ls = lasalle_set_quadratic(DIAG_KERNELS, cert.p)
+        cert = weak_lmi(kernel_facts(DIAG_KERNELS.matrices, "ct"))
+        ls = lasalle_set_quadratic(DIAG_KERNELS, cert.result.values["P"])
         assert len(ls.subspaces) == 2
 
     def test_weak_kernel_points_inside_smooth_set(self):

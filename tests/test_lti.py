@@ -25,11 +25,11 @@ from polyconv.lti import (
     ETA_GRID,
     PROVEN,
     UNKNOWN,
-    aligned_bases,
     ct_aux,
     damped_lmi,
     dt_aux,
     eas,
+    kernel_facts,
     lti_convergent_ct,
     lti_convergent_dt,
     lti_decompose_ct,
@@ -40,7 +40,6 @@ from polyconv.lti import (
     lti_lmi_dt_e,
     lti_lmi_dt_f,
     vertex_duals,
-    vertex_kernels,
 )
 
 
@@ -357,6 +356,28 @@ class TestCtLmiG:
         assert not lti_lmi_ct_g([[0.0, 1.0], [0.0, 0.0]]).feasible
 
 
+class TestInputRanges:
+    # each unstable matrix passes its damped LMI at a parameter outside
+    # the damping range, so such a parameter must be refused
+    @pytest.mark.parametrize("eta", [1.5, -0.5, 1.0, 0.0, np.nan])
+    def test_dt_eta_outside_open_interval_rejected(self, eta):
+        with pytest.raises(InputError, match="eta"):
+            lti_lmi_dt_e(np.diag([2.0, 1.5]), eta=eta)
+
+    @pytest.mark.parametrize("eps", [-0.1, 0.0, np.inf, np.nan])
+    def test_ct_eps_not_positive_rejected(self, eps):
+        with pytest.raises(InputError, match="eps"):
+            lti_lmi_ct_f(np.diag([1.0, 0.5]), eps=eps)
+
+    def test_unknown_mode_rejected(self):
+        # "DT" was once read as CT: the Disproven CT verdict of a
+        # convergent DT matrix
+        with pytest.raises(InputError, match="mode"):
+            kernel_facts((np.eye(2),), "DT")
+        with pytest.raises(InputError, match="mode"):
+            lti_limit(np.diag([0.5, 1.0]), [1.0, 1.0], "DT")
+
+
 # ----------------------------------------------- certified infeasibility
 
 DT_ROUTES = (lti_lmi_dt_e, lti_lmi_dt_f)
@@ -410,10 +431,9 @@ class TestCertifiedInfeasibility:
         # image that is >= 0 and nonzero, so no dual exists and the answer
         # stays the solver's heuristic
         a = np.asarray(JORDAN[mode])
-        mats = (a,)
-        bases = aligned_bases(vertex_kernels(mats, mode))
+        facts = kernel_facts((a,), mode)
         for par in (ETA_GRID if mode == "dt" else EPS_GRID):
-            assert vertex_duals(mats, mode, parameter=par, bases=bases) == {}
+            assert vertex_duals(facts, parameter=par) == {}
         out = route(a)
         assert not out.feasible
         assert out.result.status == INFEASIBLE
@@ -430,18 +450,15 @@ class TestCertifiedInfeasibility:
 
     def test_family_dual_names_only_the_offending_vertex(self):
         mats = (np.diag([0.5, 0.2]), rotation(1.0))
-        bases = aligned_bases(vertex_kernels(mats, "dt"))
-        out = damped_lmi(mats, "dt", None, bases)
+        out = damped_lmi(kernel_facts(mats, "dt"))
         assert out.result.status == CERTIFIED_INFEASIBLE
         assert set(out.result.factors) == {"vertex2"}
         assert verify_dual(out.problem, out.result.factors)["pass"]
 
     def test_stable_matrix_yields_no_dual(self):
         a = np.diag([0.5, -0.3])
-        mats = (a,)
-        bases = aligned_bases(vertex_kernels(mats, "dt"))
-        assert vertex_duals(mats, "dt", parameter=ETA_GRID[-1],
-                            bases=bases) == {}
+        assert vertex_duals(kernel_facts((a,), "dt"),
+                            parameter=ETA_GRID[-1]) == {}
         assert lti_lmi_dt_e(a).feasible
 
 

@@ -182,6 +182,18 @@ class TestSimulateDt:
         with pytest.raises(InputError):
             simulate_dt(fam, SwitchingSignal.constant([1.0]), [1.0], 0)
 
+    @pytest.mark.parametrize("k_steps", [2.5, 3.0, np.nan, "3", True])
+    def test_non_integer_step_count_rejected(self, k_steps):
+        fam = MatrixFamily("dt", (np.eye(1),))
+        with pytest.raises(InputError, match="k_steps must be an integer"):
+            simulate_dt(fam, SwitchingSignal.constant([1.0]), [1.0], k_steps)
+
+    def test_numpy_integer_step_count_accepted(self):
+        fam = MatrixFamily("dt", (np.eye(1),))
+        traj = simulate_dt(fam, SwitchingSignal.constant([1.0]), [1.0],
+                           np.int64(3))
+        assert traj.states.shape == (4, 1)
+
     def test_mode_mismatch(self):
         with pytest.raises(InputError):
             simulate_dt(SPIKE, SwitchingSignal.constant([1.0, 0.0]), [1.0], 5)
@@ -233,6 +245,14 @@ class TestSimulateCt:
         with pytest.raises(InputError):
             simulate_ct(SPIKE, SwitchingSignal.constant([1.0, 0.0]), [1.0],
                         t_end=1.0, sample_dt=2.0)
+
+    @pytest.mark.parametrize("t_end,sample_dt", [
+        (np.inf, 0.1), (np.nan, 0.1), (1.0, np.nan), (1.0, np.inf),
+        (np.inf, np.inf)])
+    def test_non_finite_times_rejected(self, t_end, sample_dt):
+        with pytest.raises(InputError):
+            simulate_ct(SPIKE, SwitchingSignal.constant([1.0, 0.0]), [1.0],
+                        t_end=t_end, sample_dt=sample_dt)
 
 
 class TestDetectLimit:

@@ -28,8 +28,10 @@ alternating projections degrade to sublinear rates when the solution
 touches a cone face, which rank-pinned certificates do routinely.)  The
 solver itself is not part of the trust base.  Two answers carry evidence
 that an eigenvalue-only check re-derives: "Feasible" (values that
-verify_lmi accepts) and "Infeasible" (dual factors that verify_dual
-accepts, built by the caller before any iteration).
+verify_lmi accepts, found by the solver or built by the caller as a
+candidate before any iteration, e.g. a Lyapunov-equation solution) and
+"Infeasible" (dual factors that verify_dual accepts, built by the caller
+before any iteration).  A caller-built answer reports 0 iterations.
 "Infeasible-at-tolerance" is the solver's stall heuristic and carries no
 certificate.
 """

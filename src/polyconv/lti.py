@@ -13,11 +13,12 @@ one strictly inside the (1e-12, 1e-8) band returns Unknown.
 The LMI routes assemble the corresponding feasibility problems in
 kernel-aligned coordinates (which exposes the structurally-zero rows to the
 solver's facial reduction) and adjudicate purely through the two
-solver-free checks: verify_lmi for a certificate (found by sdp_feasible)
-and verify_dual for a certificate of infeasibility.  Eigenvectors enter
-only as candidates for the latter (see vertex_duals): a candidate that
-verify_dual rejects costs the solver run it was meant to save, never a
-verdict.
+solver-free checks: verify_lmi for a certificate (found by sdp_feasible,
+or for the common-Lyapunov LMI first tried as a Lyapunov-equation
+solution, see lyapunov_candidates) and verify_dual for a certificate of
+infeasibility.  Eigenvectors enter only as candidates for the latter (see
+vertex_duals).  A candidate that its check rejects costs the solver run it
+was meant to save, never a verdict.
 
 This module owns the one implementation of each object that the family
 routes in `inclusion` pose at every vertex: the vertex fixed spaces and
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InputError
 from .feasibility import (
@@ -153,12 +155,18 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
+def _check_positive(name: str, value: float) -> None:
+    """A step or damping value must be positive and finite (NaN is not)."""
+    if not 0.0 < value < np.inf:
+        raise InputError(f"{name} must be positive and finite, got {value}")
+
+
 def _check_damping(mode: str, parameter: float) -> None:
     """The damping range of the mode: eta in (0, 1) (dt), eps > 0 (ct)."""
     if mode == "dt" and not 0.0 < parameter < 1.0:
         raise InputError(f"eta must be in (0, 1), got {parameter}")
-    if mode == "ct" and not 0.0 < parameter < np.inf:
-        raise InputError(f"eps must be positive and finite, got {parameter}")
+    if mode == "ct":
+        _check_positive("eps", parameter)
 
 
 def dt_aux(a, eta: float) -> np.ndarray:
@@ -183,8 +191,7 @@ def ct_aux(a, eps: float) -> np.ndarray:
 def eas(a, tau: float) -> np.ndarray:
     """Explicit Euler step map I + tau A; eigenvalues map nu = 1 + tau lam."""
     a = as_matrix(a)
-    if tau <= 0.0:
-        raise InputError(f"tau must be positive, got {tau}")
+    _check_positive("tau", tau)
     return np.eye(a.shape[0]) + tau * a
 
 
@@ -496,6 +503,63 @@ def certified_infeasible(problem: LmiProblem,
     return FeasibilityResult(
         CERTIFIED_INFEASIBLE, {}, {}, {}, 0, factors=factors,
         diagnostics=f"verify_dual margin {report['margin']:.3e}")
+
+
+def lyapunov_candidates(blocks, mode: str):
+    """Candidate values for the common-Lyapunov problem (cqlf_problem) from
+    Lyapunov equations: P with B'PB - P = -I (dt) or B'P + PB = -I (ct),
+    first for the mean block B, then for each block in turn.  Yields
+    (label, {"P": P}) pairs lazily, so a candidate that passes spares the
+    rest.
+
+    An equation is solved only for a B strictly stable by its eigenvalues,
+    spectral radius below 1 - UNKNOWN_BAND (dt) or spectral abscissa below
+    -UNKNOWN_BAND (1 + ||B||) (ct): only then does it have a unique
+    solution, and the margin keeps the solver clear of the near-singular
+    Sylvester systems it would perturb.  The candidates carry no trust:
+    certified_feasible checks them with verify_lmi.
+    """
+    mode = _check_mode(mode)
+    if blocks[0].shape[0] == 0:
+        return
+    eye = np.eye(blocks[0].shape[0])
+    labelled = [("mean block", sum(blocks) / len(blocks))]
+    if len(blocks) > 1:
+        labelled += [(f"block {i + 1}", b) for i, b in enumerate(blocks)]
+    for label, b in labelled:
+        lam = np.linalg.eigvals(b)
+        if mode == "dt":
+            stable = float(np.abs(lam).max()) < 1.0 - UNKNOWN_BAND
+        else:
+            stable = float(lam.real.max()) < -UNKNOWN_BAND * (
+                1.0 + float(np.linalg.norm(b, 2)))
+        if not stable:
+            continue
+        try:
+            if mode == "dt":
+                p = scipy.linalg.solve_discrete_lyapunov(b.T, eye)
+            else:
+                p = scipy.linalg.solve_continuous_lyapunov(b.T, -eye)
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(np.isfinite(p)):
+            yield (f"Lyapunov-equation candidate of the {label}",
+                   {"P": 0.5 * (p + p.T)})
+
+
+def certified_feasible(problem: LmiProblem,
+                       candidates) -> FeasibilityResult | None:
+    """The Feasible result for the first of candidates, (label, values)
+    pairs, that verify_lmi accepts, else None (the caller falls back to
+    sdp_feasible).  The primal mirror of certified_infeasible."""
+    for label, values in candidates:
+        report = verify_lmi(problem, values)
+        if report["pass"]:
+            return FeasibilityResult(
+                FEASIBLE, values, report["constraint_max_eigs"],
+                report["var_min_eigs"], 0,
+                diagnostics=f"{label} passes verify_lmi")
+    return None
 
 
 def reduced_lmi(facts: KernelFacts, wc: np.ndarray) -> LmiOutcome:

@@ -5,16 +5,20 @@ kernels and decomposition blocks are computed symbolically in the comments,
 and certificate checks go through verify_lmi rather than the solver.
 """
 
+import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import polyconv.inclusion as inclusion
 from polyconv.cli import report_to_dict, verify_report
 from polyconv.errors import InputError
-from polyconv.feasibility import verify_lmi
+from polyconv.examples import catalogue
+from polyconv.feasibility import FEASIBLE, FeasibilityResult, verify_lmi
 from polyconv.inclusion import (
     MatrixFamily,
     StrongCertificate,
@@ -28,7 +32,17 @@ from polyconv.inclusion import (
     verify_polyhedral_strong,
     weak_lmi,
 )
-from polyconv.lti import DISPROVEN, EPS_GRID, ETA_GRID, PROVEN, UNKNOWN
+from polyconv.lti import (
+    DISPROVEN,
+    EPS_GRID,
+    ETA_GRID,
+    PROVEN,
+    UNKNOWN,
+    LmiOutcome,
+    certified_feasible,
+    cqlf_problem,
+    lyapunov_candidates,
+)
 
 A11 = MatrixFamily("dt", [[[0.5, 0], [1, 1]], [[0.75, 0], [1, 1]]])
 HALF_ONE = MatrixFamily("dt", [[[0.5]], [[1.0]]])
@@ -42,6 +56,42 @@ PATH_CONSENSUS = MatrixFamily("ct", [[[-1, 1], [0, 0]], [[0, 0], [1, -1]]])
 
 def facts(fam):
     return kernel_facts(fam.matrices, fam.mode)
+
+
+def decaying_blocks(rng, n, m, mode):
+    """m blocks that all decay strictly, with a wide margin, in one planted
+    quadratic form P0: B'P0 + P0 B = -2R with R >= I/2 (ct), or
+    B = P0^-1/2 M P0^1/2 with ||M|| <= 0.8 (dt)."""
+    g = rng.standard_normal((n, n))
+    w, u = np.linalg.eigh(g @ g.T / n + np.eye(n))
+    p0 = (u * w) @ u.T
+    blocks = []
+    for _ in range(m):
+        if mode == "ct":
+            s = rng.standard_normal((n, n)) / np.sqrt(n)
+            h = rng.standard_normal((n, n))
+            blocks.append(np.linalg.solve(
+                p0, 0.5 * (s - s.T) - h @ h.T / n - 0.5 * np.eye(n)))
+        else:
+            mm = rng.standard_normal((n, n))
+            mm *= rng.uniform(0.3, 0.8) / np.linalg.norm(mm, 2)
+            blocks.append((u / np.sqrt(w)) @ u.T @ mm @ (u * np.sqrt(w)) @ u.T)
+    return blocks
+
+
+def tight_dt_pair(rng, rho=0.97, kmax=6):
+    """A 2x2 DT pair scaled so that the largest rho(product)^(1/k) over
+    the products of length k <= kmax is rho: stable, with a tight margin."""
+    mats = rng.standard_normal((2, 2, 2))
+    worst = 0.0
+    for k in range(1, kmax + 1):
+        for word in itertools.product(range(2), repeat=k):
+            prod = np.eye(2)
+            for i in word:
+                prod = mats[i] @ prod
+            worst = max(worst, float(
+                np.abs(np.linalg.eigvals(prod)).max()) ** (1.0 / k))
+    return [rho * a / worst for a in mats]
 
 
 class TestKernelAndKsp:
@@ -134,6 +184,47 @@ class TestCqlf:
             cqlf_stability([np.eye(2), np.eye(3)], "dt")
         with pytest.raises(InputError):
             cqlf_stability([], "dt")
+
+    @pytest.mark.parametrize("mode", ["ct", "dt"])
+    def test_wide_margin_family_needs_no_solver(self, monkeypatch, mode):
+        calls = []
+        solve = inclusion.sdp_feasible
+
+        def counting(problem):
+            calls.append(problem)
+            return solve(problem)
+        monkeypatch.setattr(inclusion, "sdp_feasible", counting)
+        blocks = decaying_blocks(np.random.default_rng(3), 6, 3, mode)
+        out = cqlf_stability(blocks, mode)
+        assert calls == []
+        assert out.feasible
+        assert out.result.iterations == 0
+        assert "Lyapunov-equation candidate" in out.result.diagnostics
+        assert verify_lmi(out.problem, out.result.values)["pass"]
+
+    def test_tight_pair_falls_back_to_the_solver(self):
+        # a stable pair with a CQLF that no Lyapunov-equation candidate
+        # gives: 41 of the 118 such pairs among 135 draws of this generator
+        blocks = tight_dt_pair(np.random.default_rng(0))
+        problem = cqlf_problem(blocks, "dt")
+        assert certified_feasible(
+            problem, lyapunov_candidates(blocks, "dt")) is None
+        out = cqlf_stability(blocks, "dt")
+        assert out.feasible
+        assert out.result.iterations > 0
+        assert verify_lmi(out.problem, out.result.values)["pass"]
+
+    @pytest.mark.parametrize("blocks, mode", [
+        ([[[0.0]]], "ct"), ([[[1e-17]]], "ct"), ([[[1.1]]], "dt"),
+        ([[[1.0]]], "dt"), ([[[-1.0]]], "dt"), ([[[2.0]], [[-2.0]]], "ct"),
+        ([[[0.0, 1.0], [-1.0, 0.0]]], "ct")])
+    def test_singular_and_unstable_blocks_warn_nothing(self, blocks, mode):
+        # no Lyapunov equation is solved for a block that is not strictly
+        # stable (here every one but the block -2), so the candidate stage
+        # adds no solver warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not cqlf_stability(blocks, mode).feasible
 
     @settings(max_examples=20, deadline=None)
     @given(arrays(np.float64, (3, 3), elements=st.floats(-1, 1)))
@@ -273,6 +364,11 @@ class TestEulerAndDual:
         with pytest.raises(InputError):
             euler_family(PATH_CONSENSUS, 0.0)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_euler_rejects_non_finite_tau(self, tau):
+        with pytest.raises(InputError, match="positive and finite"):
+            euler_family(PATH_CONSENSUS, tau)
+
     def test_dual_family_transposes(self):
         dual = dual_family(CT_DUALITY)
         assert dual.mode == "ct"
@@ -385,6 +481,67 @@ class TestConvergenceRate:
         cert = StrongCertificate(f.decomposition, lmi=strong_lmi(f))
         with pytest.raises(InputError, match="common-Lyapunov"):
             convergence_rate(A11, cert)
+
+    def test_non_decaying_p_rejected(self):
+        # rho(A) = 1/2, but |A x| > |x| for some x: P = I does not decay
+        fam = MatrixFamily("dt", [[[0.5, 2.0], [0.0, 0.5]]])
+        f = facts(fam)
+        dec = f.decomposition
+        fake = FeasibilityResult(FEASIBLE, {"P": np.eye(2)}, {}, {}, 0)
+        cert = StrongCertificate(dec, cqlf=LmiOutcome(
+            True, None, fake, cqlf_problem(dec.a_as, "dt")))
+        with pytest.raises(InputError, match="does not decay"):
+            convergence_rate(fam, cert)
+        fake.values["P"] = -np.eye(2)
+        with pytest.raises(InputError, match="positive definite"):
+            convergence_rate(fam, cert)
+
+    @pytest.mark.parametrize("family", [
+        # the catalogue entries with a rate, then seeded families whose
+        # certificate is a Lyapunov-equation candidate, and one whose
+        # certificate comes from the solver
+        catalogue("a11-switching").family,
+        catalogue("path-consensus").family,
+        *(MatrixFamily(mode, decaying_blocks(np.random.default_rng(seed),
+                                             n, m, mode))
+          for seed, (n, m) in enumerate([(2, 2), (4, 3), (7, 2)])
+          for mode in ("ct", "dt")),
+        MatrixFamily("dt", tight_dt_pair(np.random.default_rng(0)))])
+    def test_closed_form_matches_bisection(self, family):
+        rep = analyze(family)
+        cert = rep.strong_certificate
+        blocks = cert.decomposition.a_as
+        p = cert.cqlf.result.values["P"]
+        beta = rep.rate.beta
+        assert type(beta) is float
+        assert _decays_at(family.mode, blocks, p, beta)
+        ref = _bisected_rate(family.mode, blocks, p)
+        assert beta == pytest.approx(ref, rel=1e-9)
+
+
+def _decays_at(mode, blocks, p, b) -> bool:
+    """The rate predicate: A'P + PA + 2bP <= 0 (ct) or
+    A'PA - e^(-2b) P <= 0 (dt) for every block."""
+    rho = np.exp(-b)
+    return all(float(np.linalg.eigvalsh(
+        a.T @ p + p @ a + 2.0 * b * p if mode == "ct"
+        else a.T @ p @ a - rho * rho * p)[-1]) <= 0.0 for a in blocks)
+
+
+def _bisected_rate(mode, blocks, p) -> float:
+    """Reference rate: the largest b with _decays_at, by doubling to the
+    1e12 cap and 80 bisection steps."""
+    lo, hi = 0.0, 1.0
+    while _decays_at(mode, blocks, p, hi) and hi < 1e12:
+        hi *= 2.0
+    assert _decays_at(mode, blocks, p, lo)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _decays_at(mode, blocks, p, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 class TestAnalyzeProperties:

@@ -95,6 +95,11 @@ class TestAuxMaps:
         with pytest.raises(InputError):
             eas(np.eye(2), -0.1)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_eas_rejects_non_finite_tau(self, tau):
+        with pytest.raises(InputError, match="positive and finite"):
+            eas(np.eye(2), tau)
+
     @given(st.lists(st.floats(-5, 5), min_size=1, max_size=5),
            st.floats(0.05, 0.95))
     def test_dt_aux_spectral_map_on_diagonals(self, diag, eta):

@@ -5,9 +5,11 @@ kernels and decomposition blocks are computed symbolically in the comments,
 and certificate checks go through verify_lmi rather than the solver.
 """
 
+import importlib.util
 import itertools
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +214,26 @@ class TestCqlf:
         out = cqlf_stability(blocks, "dt")
         assert out.feasible
         assert out.result.iterations > 0
+        assert verify_lmi(out.problem, out.result.values)["pass"]
+
+    def test_block_candidate_decides_when_the_mean_block_fails(
+            self, monkeypatch):
+        # a tight pair whose mean block's candidate fails verify_lmi but
+        # whose second block's candidate passes: 43 of the 118 pairs with
+        # a CQLF among 135 draws of this generator are decided this way
+        def no_solver(problem):
+            raise AssertionError("sdp_feasible called")
+        monkeypatch.setattr(inclusion, "sdp_feasible", no_solver)
+        blocks = tight_dt_pair(np.random.default_rng(4))
+        problem = cqlf_problem(blocks, "dt")
+        label, values = next(lyapunov_candidates(blocks, "dt"))
+        assert "mean block" in label
+        assert not verify_lmi(problem, values)["pass"]
+        out = cqlf_stability(blocks, "dt")
+        assert out.feasible
+        assert out.result.iterations == 0
+        assert out.result.diagnostics == (
+            "Lyapunov-equation candidate of the block 2 passes verify_lmi")
         assert verify_lmi(out.problem, out.result.values)["pass"]
 
     @pytest.mark.parametrize("blocks, mode", [
@@ -517,6 +539,36 @@ class TestConvergenceRate:
         assert _decays_at(family.mode, blocks, p, beta)
         ref = _bisected_rate(family.mode, blocks, p)
         assert beta == pytest.approx(ref, rel=1e-9)
+
+    def test_rate_on_a_cqlf_scaling_family_is_pinned(self):
+        # the benchmark's cqlf-scaling operation 38 at seed 1, "analyze dt
+        # n=10 m=4 k=2".  beta is the decay rate of whichever P certifies:
+        # here the mean block's Lyapunov-equation solution, which decays
+        # ten times slower than the solver's P for the same LMI.  A P
+        # chosen for its rate should raise this pin.
+        gen = _bench_generators()
+        g = gen.cqlf_family(np.random.default_rng([20240814, 1, 38]),
+                            10, 4, 2, "dt")
+        q = gen.orthogonal(np.random.default_rng([1, 1, 38]), 10)
+        fam = MatrixFamily("dt", [q.T @ a @ q for a in g["matrices"]])
+        rep = analyze(fam)
+        cert = rep.strong_certificate
+        assert "mean block" in cert.cqlf.result.diagnostics
+        assert rep.rate.beta == pytest.approx(0.0040937643, rel=1e-6)
+        solved = inclusion.sdp_feasible(cert.cqlf.problem)
+        by_solver = StrongCertificate(cert.decomposition, cqlf=LmiOutcome(
+            True, None, solved, cert.cqlf.problem))
+        assert convergence_rate(fam, by_solver).beta > 5.0 * rep.rate.beta
+
+
+def _bench_generators():
+    """The benchmark's seeded generators (bench/generators.py, numpy and
+    scipy only), loaded by path: bench/ is not a package."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("bench_generators", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _decays_at(mode, blocks, p, b) -> bool:

@@ -43,7 +43,7 @@ from .lti import (
     lyapunov_candidates,
     reduced_lmi,
 )
-from .sim import find_nonconvergence_witness
+from .sim import divergent_cycle, find_nonconvergence_witness
 
 __all__ = [
     "MatrixFamily",
@@ -355,18 +355,43 @@ def analyze(family: MatrixFamily, tol: Tolerances = DEFAULT_TOL,
     """Tri-state strong/weak verdict pipeline.
 
     Collects evidence in order and stops once it settles the verdicts:
-    per-vertex necessary spectra, kernel sharing (necessary for strong),
-    decomposition + common-Lyapunov or the joint rank-reduced certificate
-    (strong sufficient), damped vertex inequalities (weak sufficient),
-    then periodic-orbit search.  The orbit search tries vertex cycles up
-    to sim.WITNESS_PERIOD_MAX vertices at the dwells sim.WITNESS_DWELLS,
-    and takes its candidate start states only from the fixed space of
-    each cycle's period map.  verdicts_from_evidence turns the evidence
-    into the verdict pair, and the rate is estimated only when that pair
-    rests on the common-Lyapunov certificate.
+    1. the per-vertex spectra (necessary; a vertex disproof ends here);
+    2. the vertex kernels, computed once (kernel_facts), whose sharing is
+       necessary for strong; every later stage reads them, the
+       decomposition and the aligned bases from these facts;
+    3. the Lyapunov-equation candidates of the common-Lyapunov stage
+       (lti.certified_feasible), which prove strong without the solver;
+    4. the cycle screen: the periodic-orbit search
+       (sim.find_nonconvergence_witness), then the first vertex cycle
+       whose period map the DT spectral test disproves
+       (sim.divergent_cycle);
+    5. the solver stages, only when the screen finds neither: the
+       common-Lyapunov solve on the off-kernel blocks (cqlf_stability)
+       or the joint rank-reduced certificate (strong sufficient), then
+       the damped vertex inequalities (weak sufficient).
+    verdicts_from_evidence turns the evidence into the verdict pair, and
+    the rate is estimated only when that pair rests on the
+    common-Lyapunov certificate.
 
-    The vertex kernels are computed once (kernel_facts), and every stage
-    reads them, the decomposition and the aligned bases from those facts.
+    The screen goes before the solver because it cannot hide a
+    certificate.  The samples x(kT) = Phi^k x of a periodic vertex signal
+    form an LTI system, so a spectrally disproven Phi (in DT,
+    rho(Phi)^(1/L) for a cycle of L steps bounds the joint spectral
+    radius from below) or a periodic orbit
+    rules out weak convergence, and with it every certificate that
+    stages 3 and 5 look for; the solver could only stall to infeasible.
+    A verified orbit disproves weak convergence (periodic-orbit).  A
+    divergent period map ends the analysis Unknown/exhausted: it is
+    recorded in diagnostics["divergent_cycle"], outside the evidence that
+    verify_report checks, because no evidence kind for it exists yet.
+    The orbit search and the spectral test walk the cycles up to
+    sim.WITNESS_PERIOD_MAX vertices at the dwells sim.WITNESS_DWELLS.
+
+    When a vertex verdict sits in the spectral tolerance band, the screen
+    runs after the solver stages instead: its powers of a band vertex can
+    leave the band and read as divergent, where the solver's at-tolerance
+    certificate caps the verdict to Unknown/vertex-band.  With
+    search_witness false the screen is skipped.
     """
     vertex_check = (lti_convergent_dt if family.mode == "dt"
                     else lti_convergent_ct)
@@ -374,6 +399,17 @@ def analyze(family: MatrixFamily, tol: Tolerances = DEFAULT_TOL,
     facts = kernel_facts(family.matrices, family.mode, tol)
     report = AnalysisReport(family, None, None, facts,
                             vertex_verdicts=vertex_verdicts)
+
+    def screen() -> bool:
+        found = find_nonconvergence_witness(family)
+        if found is not None:
+            report.witness = found[1]
+            return True
+        divergent = divergent_cycle(family, tol)
+        if divergent is not None:
+            report.diagnostics["divergent_cycle"] = divergent
+        return divergent is not None
+
     if not any(v.disproven for v in vertex_verdicts):
         band = [i + 1 for i, v in enumerate(vertex_verdicts)
                 if v.status == UNKNOWN]
@@ -381,19 +417,32 @@ def analyze(family: MatrixFamily, tol: Tolerances = DEFAULT_TOL,
             report.diagnostics["vertices_in_tolerance_band"] = band
         if facts.holds:
             dec = facts.decomposition
-            cqlf = cqlf_stability(dec.a_as, family.mode, tol)
-            if cqlf.feasible:
-                report.strong_certificate = StrongCertificate(dec, cqlf=cqlf)
-            else:
-                joint = strong_lmi(facts)
-                if joint.feasible:
+            problem = cqlf_problem(dec.a_as, family.mode, tol)
+            res = certified_feasible(
+                problem, lyapunov_candidates(dec.a_as, family.mode))
+            if res is not None:
+                report.strong_certificate = StrongCertificate(
+                    dec, cqlf=LmiOutcome(True, None, res, problem))
+        screen_first = search_witness and not band
+        if report.strong_certificate is None and not (screen_first
+                                                      and screen()):
+            if facts.holds:
+                # cqlf_stability tries the candidates again before its
+                # solve, a millisecond against the solve
+                cqlf = cqlf_stability(dec.a_as, family.mode, tol)
+                if cqlf.feasible:
                     report.strong_certificate = StrongCertificate(dec,
-                                                                  lmi=joint)
-        if report.strong_certificate is None:
-            report.weak_certificate = weak_lmi(facts)
-            if report.weak_certificate is None and search_witness:
-                found = find_nonconvergence_witness(family)
-                report.witness = None if found is None else found[1]
+                                                                  cqlf=cqlf)
+                else:
+                    joint = strong_lmi(facts)
+                    if joint.feasible:
+                        report.strong_certificate = StrongCertificate(
+                            dec, lmi=joint)
+            if report.strong_certificate is None:
+                report.weak_certificate = weak_lmi(facts)
+                if (report.weak_certificate is None and search_witness
+                        and band):
+                    screen()
     cert, weak_cert = report.strong_certificate, report.weak_certificate
     report.strong, report.weak = verdicts_from_evidence(
         vertex_verdicts, facts, None if cert is None else cert.kind,

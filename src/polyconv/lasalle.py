@@ -17,6 +17,7 @@ from .errors import InputError, NumericalError
 from .family import MatrixFamily
 from .feasibility import lp_simplex_membership
 from .linalg import DEFAULT_TOL, Subspace, Tolerances, as_matrix, kernel
+from .lti import _check_positive
 
 __all__ = [
     "WeakKernelResult",
@@ -315,8 +316,7 @@ def euler_gap(family: MatrixFamily, p, tau: float, x,
     values witness that no admissible direction decreases V at x.
     """
     _require_ct(family, "euler_gap")
-    if not np.isfinite(tau) or tau <= 0:
-        raise InputError(f"tau must be positive, got {tau}")
+    _check_positive("tau", tau)
     p = _check_pd(p, family.n)
     x = _state_vector(x, family.n)
     if float(np.linalg.norm(x)) == 0.0:

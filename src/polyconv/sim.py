@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InputError
 from .family import MatrixFamily, simplex_weights
 from .linalg import DEFAULT_TOL, Tolerances, kernel, matrix_exponential
+from .lti import lti_convergent_dt
 
 __all__ = [
     "SwitchingSignal",
@@ -27,6 +28,7 @@ __all__ = [
     "detect_limit",
     "residual_diagnostics",
     "find_nonconvergence_witness",
+    "divergent_cycle",
     "witness_evidence",
     "verify_witness",
     "trajectory_to_csv",
@@ -343,27 +345,50 @@ def _cycle_candidates(m_count: int, period_max: int):
             yield key
 
 
-def _period_map_and_states(family: MatrixFamily, cycle, dwell):
-    """The one-period propagator and the within-period propagators from the
-    period start (a few interior points per segment in CT)."""
-    n = family.n
-    prop = np.eye(n)
-    stages = [np.eye(n)]
-    if family.mode == "dt":
-        for v in cycle:
+def _vertex_exponentials(family: MatrixFamily):
+    """A function giving e^(A_v t) for vertex v and time t, each computed
+    once per returned function: one search shares them across its cycles
+    and dwells."""
+    memo = {}
+
+    def expm(v: int, t: float) -> np.ndarray:
+        if (v, t) not in memo:
+            memo[v, t] = matrix_exponential(family.matrices[v] * t)
+        return memo[v, t]
+    return expm
+
+
+def _period_map_and_states(family: MatrixFamily, cycle, dwell, expm,
+                           stages: bool = True):
+    """The one-period propagator and, when stages is set, the
+    within-period propagators from the period start (a few interior points
+    per segment in CT); expm is a _vertex_exponentials function."""
+    prop = np.eye(family.n)
+    passed = [prop]
+    for v in cycle:
+        if family.mode == "dt":
             a = family.matrices[v]
             for _ in range(int(dwell)):
                 prop = a @ prop
-                stages.append(prop.copy())
-    else:
-        for v in cycle:
-            e_full = matrix_exponential(family.matrices[v] * dwell)
-            for frac in (0.25, 0.5, 0.75):
-                stages.append(matrix_exponential(
-                    family.matrices[v] * (dwell * frac)) @ prop)
-            prop = e_full @ prop
-            stages.append(prop.copy())
-    return prop, stages
+                passed.append(prop)
+        else:
+            if stages:
+                passed += [expm(v, dwell * frac) @ prop
+                           for frac in (0.25, 0.5, 0.75)]
+            prop = expm(v, dwell) @ prop
+            passed.append(prop)
+    return prop, passed
+
+
+def _period_maps(family: MatrixFamily, expm):
+    """(cycle, dwell, period map) of every searched signal, in search
+    order: vertex cycles up to WITNESS_PERIOD_MAX vertices, each held for
+    every dwell of WITNESS_DWELLS; expm is a _vertex_exponentials
+    function."""
+    for cycle in _cycle_candidates(family.m_count, WITNESS_PERIOD_MAX):
+        for dwell in WITNESS_DWELLS[family.mode]:
+            yield cycle, dwell, _period_map_and_states(
+                family, cycle, dwell, expm, stages=False)[0]
 
 
 def _orbit_numbers(prop, stages, y0):
@@ -379,13 +404,8 @@ def _orbit_numbers(prop, stages, y0):
     return rec, sep
 
 
-def witness_evidence(family: MatrixFamily, cycle, dwell, y0) -> dict:
-    """The evidence of the orbit through y0 under the vertex cycle held
-    for dwell: its recurrence and separation (see _orbit_numbers) and the
-    signal that runs it."""
-    signal = SwitchingSignal.vertex_cycle(cycle, dwell)
-    rec, sep = _orbit_numbers(*_period_map_and_states(
-        family, signal.sequence, signal.dwell), y0)
+def _evidence(family: MatrixFamily, signal: SwitchingSignal, y0, rec,
+              sep) -> dict:
     return {
         "recurrence": rec,
         "separation": sep,
@@ -398,6 +418,17 @@ def witness_evidence(family: MatrixFamily, cycle, dwell, y0) -> dict:
     }
 
 
+def witness_evidence(family: MatrixFamily, cycle, dwell, y0) -> dict:
+    """The evidence of the orbit through y0 under the vertex cycle held
+    for dwell: its recurrence and separation (see _orbit_numbers) and the
+    signal that runs it."""
+    signal = SwitchingSignal.vertex_cycle(cycle, dwell)
+    rec, sep = _orbit_numbers(*_period_map_and_states(
+        family, signal.sequence, signal.dwell,
+        _vertex_exponentials(family)), y0)
+    return _evidence(family, signal, y0, rec, sep)
+
+
 def find_nonconvergence_witness(family: MatrixFamily):
     """Search vertex-cycle signals for a periodic (non-constant) orbit.
 
@@ -408,18 +439,54 @@ def find_nonconvergence_witness(family: MatrixFamily):
     orthonormal basis of that map's fixed space, ker(prop - I), with the
     rank cutoff guarded by 1 + ||prop|| so that a map equal to I up to
     rounding keeps its whole fixed space.
+
+    The signals are walked in _period_maps order, and the first orbit
+    found is returned.  Each vertex exponential is computed once per
+    search, and the within-period propagators only for a map whose fixed
+    space is nonempty.
+
+    inclusion.analyze runs this search, and then divergent_cycle, before
+    any solver stage (see its stage order).  An orbit, like a divergent
+    period map, rules out every certificate of convergence, so the solver
+    could only stall.  An orbit disproves weak convergence; a divergent
+    map leaves the verdicts Unknown and is recorded in the report's
+    diagnostics only, until verify_report can re-derive an evidence kind
+    for it.
     """
-    n = family.n
-    for cycle in _cycle_candidates(family.m_count, WITNESS_PERIOD_MAX):
-        for dwell in WITNESS_DWELLS[family.mode]:
-            prop, stages = _period_map_and_states(family, cycle, dwell)
-            fixed = kernel(prop - np.eye(n),
-                           scale=1.0 + float(np.linalg.norm(prop, 2)))
-            for y0 in fixed.basis.T:
-                rec, sep = _orbit_numbers(prop, stages, y0)
-                if rec <= WITNESS_RECURRENCE and sep >= WITNESS_SEPARATION:
-                    return (SwitchingSignal.vertex_cycle(cycle, dwell),
-                            witness_evidence(family, cycle, dwell, y0))
+    eye = np.eye(family.n)
+    expm = _vertex_exponentials(family)
+    for cycle, dwell, prop in _period_maps(family, expm):
+        fixed = kernel(prop - eye, scale=1.0 + float(np.linalg.norm(prop, 2)))
+        if not fixed.dim:
+            continue
+        _, passed = _period_map_and_states(family, cycle, dwell, expm)
+        for y0 in fixed.basis.T:
+            rec, sep = _orbit_numbers(prop, passed, y0)
+            if rec <= WITNESS_RECURRENCE and sep >= WITNESS_SEPARATION:
+                signal = SwitchingSignal.vertex_cycle(cycle, dwell)
+                return signal, _evidence(family, signal, y0, rec, sep)
+    return None
+
+
+def divergent_cycle(family: MatrixFamily,
+                    tol: Tolerances = DEFAULT_TOL) -> dict | None:
+    """The first searched vertex cycle (in _period_maps order) whose
+    period map Phi the DT spectral test lti_convergent_dt disproves, or
+    None.
+
+    The samples x(kT) = Phi^k x of the periodic signal form an LTI
+    system, so such a cycle has a trajectory without a limit, and no
+    certificate of convergence can exist for the family.  Returns the
+    cycle, its dwell, the spectral method and Phi's spectral radius.
+    """
+    for cycle, dwell, prop in _period_maps(family,
+                                           _vertex_exponentials(family)):
+        verdict = lti_convergent_dt(prop, tol)
+        if verdict.disproven:
+            return {"cycle": list(cycle), "dwell": float(dwell),
+                    "method": verdict.method,
+                    "spectral_radius": float(np.abs(
+                        verdict.details["eigenvalues"]).max())}
     return None
 
 

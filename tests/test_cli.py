@@ -392,9 +392,14 @@ def test_each_entry_point_computes_the_vertex_kernels_once(cli,
     for stage in ("cqlf_stability", "strong_lmi", "weak_lmi"):
         monkeypatch.setattr(inclusion, stage,
                             counted(stage, getattr(inclusion, stage)))
-    report = analyze(_ALL_STAGES)
+    report = analyze(_ALL_STAGES, search_witness=False)
     assert calls == ["kernel_facts", "cqlf_stability", "strong_lmi",
                      "weak_lmi"]
+    # the cycle screen finds the unstable product diag(4, 0, 1) before
+    # any solver stage
+    calls.clear()
+    assert "divergent_cycle" in analyze(_ALL_STAGES).diagnostics
+    assert calls == ["kernel_facts"]
     docs = {"all-stages": (_ALL_STAGES, json.loads(json.dumps(
         report_to_dict(report), allow_nan=False)))}
     # reports with a weak certificate, a strong one with a rate, a witness

@@ -13,13 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import polyconv.inclusion as inclusion
 from polyconv.cli import report_to_dict, verify_report
 from polyconv.errors import InputError
-from polyconv.examples import catalogue
+from polyconv.examples import catalogue, catalogue_names
 from polyconv.feasibility import FEASIBLE, FeasibilityResult, verify_lmi
 from polyconv.inclusion import (
     MatrixFamily,
@@ -45,6 +46,7 @@ from polyconv.lti import (
     cqlf_problem,
     lyapunov_candidates,
 )
+from polyconv.sim import divergent_cycle, find_nonconvergence_witness
 
 A11 = MatrixFamily("dt", [[[0.5, 0], [1, 1]], [[0.75, 0], [1, 1]]])
 HALF_ONE = MatrixFamily("dt", [[[0.5]], [[1.0]]])
@@ -594,6 +596,99 @@ def _bisected_rate(mode, blocks, p) -> float:
         else:
             hi = mid
     return lo
+
+
+# seeded witness-search families (bench/generators.py orbit_family):
+# (n, m, mode, planted cycle, planted dwell)
+_SCREEN_CASES = ((3, 2, "dt", (0, 1), 1), (4, 3, "dt", (0, 1, 2), 2),
+                 (5, 2, "ct", (0, 0, 1), 0.5), (4, 3, "ct", (0, 2), 1.0))
+
+
+def _screen_families(growth):
+    """growth 1 plants a periodic orbit, growth 1.3 a diverging cycle."""
+    gen = _bench_generators()
+    return [MatrixFamily(mode, gen.orbit_family(
+        np.random.default_rng([7, i]), n, m, mode, cycle, dwell,
+        growth)["matrices"])
+            for i, (n, m, mode, cycle, dwell) in enumerate(_SCREEN_CASES)]
+
+
+def _rebuilt_period_map(family, cycle, dwell):
+    """The period map from numpy products (dt) or scipy.linalg.expm (ct)."""
+    prop = np.eye(family.n)
+    for v in cycle:
+        a = family.matrices[v]
+        prop = (np.linalg.matrix_power(a, int(dwell)) if family.mode == "dt"
+                else scipy.linalg.expm(a * dwell)) @ prop
+    return prop
+
+
+class TestCycleScreen:
+    @pytest.fixture(scope="class")
+    def diverging(self):
+        return _screen_families(1.3)
+
+    @pytest.fixture(scope="class")
+    def orbits(self):
+        return _screen_families(1.0)
+
+    def test_diverging_families_end_without_the_solver(self, diverging,
+                                                       monkeypatch):
+        import polyconv.lti as lti
+        calls = []
+
+        def counted(problem):
+            calls.append(problem)
+            return lti.sdp_feasible(problem)
+
+        monkeypatch.setattr(inclusion, "sdp_feasible", counted)
+        monkeypatch.setattr(lti, "sdp_feasible", counted)
+        for fam in diverging:
+            rep = analyze(fam)
+            assert (rep.strong.status, rep.strong.method) == (UNKNOWN,
+                                                              "exhausted")
+            assert (rep.weak.status, rep.weak.method) == (UNKNOWN,
+                                                          "exhausted")
+            assert "divergent_cycle" in rep.diagnostics
+            assert verify_report(report_to_dict(rep), fam)[0]
+        assert calls == []
+
+    def test_divergent_period_map_re_derives(self, diverging):
+        for fam in diverging:
+            hit = analyze(fam).diagnostics["divergent_cycle"]
+            prop = _rebuilt_period_map(fam, hit["cycle"], hit["dwell"])
+            radius = float(np.abs(np.linalg.eigvals(prop)).max())
+            assert radius > 1.0
+            assert radius == pytest.approx(hit["spectral_radius"], rel=1e-6)
+
+    def test_orbit_families_report_the_search_witness(self, orbits):
+        for fam in orbits:
+            rep = analyze(fam)
+            _, ev = find_nonconvergence_witness(fam)
+            assert (rep.weak.status, rep.weak.method) == (DISPROVEN,
+                                                          "periodic-orbit")
+            assert (rep.witness["cycle"], rep.witness["dwell"]) == (
+                ev["cycle"], ev["dwell"])
+            assert "divergent_cycle" not in rep.diagnostics
+
+    def test_no_certificate_beside_a_divergent_cycle(self, diverging,
+                                                     orbits):
+        families = [catalogue(name).family for name in catalogue_names()]
+        families += diverging + orbits
+        checked = 0
+        for fam in families:
+            if divergent_cycle(fam) is None:
+                continue
+            checked += 1
+            f = facts(fam)
+            outs = [weak_lmi(f)]
+            if f.holds:
+                outs += [cqlf_stability(f.decomposition.a_as, fam.mode),
+                         strong_lmi(f)]
+            for out in outs:
+                assert out is None or not (out.feasible and verify_lmi(
+                    out.problem, out.result.values)["pass"])
+        assert checked >= len(diverging) + 3
 
 
 class TestAnalyzeProperties:

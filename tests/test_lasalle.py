@@ -279,6 +279,11 @@ class TestEulerGap:
         with pytest.raises(InputError, match="tau"):
             euler_gap(DIAG_KERNELS, np.eye(2), -1.0, [1.0, 0.0])
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_rejects_non_finite_tau(self, tau):
+        with pytest.raises(InputError, match="positive and finite"):
+            euler_gap(DIAG_KERNELS, np.eye(2), tau, [1.0, 0.0])
+
     def test_requires_ct(self):
         with pytest.raises(InputError):
             euler_gap(PM_ONE, np.eye(1), 0.1, [1.0])

@@ -152,7 +152,7 @@ def _lmi_checks_doc(check) -> dict:
             "scale": check["scale"]}
 
 
-def _strong_certificate_doc(cert, tol) -> dict:
+def _strong_certificate_doc(cert) -> dict:
     from .feasibility import verify_lmi
     from .lti import CQLF_GAMMA
     dec = cert.decomposition
@@ -173,18 +173,18 @@ def _strong_certificate_doc(cert, tol) -> dict:
         doc["p1"] = _jsonable(lmi.result.values["P1"])
         doc["q"] = _jsonable(lmi.result.values["Q"])
     doc["checks"] = _lmi_checks_doc(
-        verify_lmi(lmi.problem, lmi.result.values, tol))
+        verify_lmi(lmi.problem, lmi.result.values))
     return doc
 
 
-def _weak_certificate_doc(out, tol) -> dict:
+def _weak_certificate_doc(out) -> dict:
     """The weak section from the feasible damped-LMI outcome."""
     from .feasibility import verify_lmi
     return {"kind": "weak-lmi",
             "p": out.result.values["P"].tolist(),
             "parameter": out.parameter,
             "checks": _lmi_checks_doc(
-                verify_lmi(out.problem, out.result.values, tol))}
+                verify_lmi(out.problem, out.result.values))}
 
 
 def _rate_doc(rate, p, blocks) -> dict:
@@ -208,22 +208,22 @@ def _cert_rate_doc(report) -> dict:
                      cert.decomposition.a_as)
 
 
-def report_to_dict(report, tol=None) -> dict:
+def report_to_dict(report) -> dict:
     """Flatten an AnalysisReport into the JSON report document.
 
-    Every Proven/Disproven verdict points at an evidence section, and each
-    LMI certificate records the definiteness and constraint margins it was
-    accepted with, so verify_report can re-derive and compare them.
+    The tolerances section records the ones the analysis ran at
+    (report.facts.tol).  Every Proven/Disproven verdict points at an
+    evidence section, and each LMI certificate records the definiteness
+    and constraint margins it was accepted with, so verify_report can
+    re-derive and compare them.
     """
-    from .linalg import DEFAULT_TOL
-    tol = tol or DEFAULT_TOL
     fam, facts = report.family, report.facts
     doc = {
         "version": _version(),
         "mode": fam.mode,
         "n": fam.n,
         "m_count": fam.m_count,
-        "tolerances": _tol_doc(tol),
+        "tolerances": _tol_doc(facts.tol),
         "verdicts": {"strong": _verdict_doc(report.strong),
                      "weak": _verdict_doc(report.weak)},
         "kernel": {"basis": facts.common.basis.tolist(),
@@ -237,10 +237,10 @@ def report_to_dict(report, tol=None) -> dict:
     }
     if report.strong_certificate is not None:
         doc["certificates"]["strong"] = _strong_certificate_doc(
-            report.strong_certificate, tol)
+            report.strong_certificate)
     if report.weak_certificate is not None:
         doc["certificates"]["weak"] = _weak_certificate_doc(
-            report.weak_certificate, tol)
+            report.weak_certificate)
     if report.rate is not None:
         doc["rate"] = _cert_rate_doc(report)
     return doc
@@ -366,13 +366,13 @@ def _verify_vertices(doc, family, facts, checks):
     return rebuilt
 
 
-def _check_lmi(name, problem, values, recorded, tol, checks) -> None:
+def _check_lmi(name, problem, values, recorded, checks) -> None:
     """verify_lmi must pass and reproduce the recorded margins."""
     from .feasibility import verify_lmi
-    check = verify_lmi(problem, values, tol)
+    check = verify_lmi(problem, values)
     if checks.add(name, check["pass"], "certificate infeasible"):
-        checks.add(name, _matches(recorded, _lmi_checks_doc(check),
-                                  tol.residual_tol * (1.0 + check["scale"])),
+        slack = problem.tol.residual_tol * (1.0 + check["scale"])
+        checks.add(name, _matches(recorded, _lmi_checks_doc(check), slack),
                    "recorded margins do not recompute")
 
 
@@ -424,7 +424,7 @@ def _verify_strong_certificate(doc, family, facts, checks):
     else:
         checks.add(name, False, f"unknown strong certificate kind {kind!r}")
         return None
-    _check_lmi(name, problem, values, sec["checks"], tol, checks)
+    _check_lmi(name, problem, values, sec["checks"], checks)
     return kind, m
 
 
@@ -443,7 +443,7 @@ def _verify_weak_certificate(doc, family, facts, checks):
         return None
     _check_lmi(name, damped_problem(facts, parameter),
                {"P": np.asarray(sec["p"], dtype=float)}, sec["checks"],
-               facts.tol, checks)
+               checks)
     return parameter
 
 
@@ -532,8 +532,9 @@ def _report_tolerances(doc):
 _MALFORMED = (AttributeError, TypeError, KeyError, IndexError, ValueError)
 
 
-def verify_report(doc, family, tol=None):
-    """Re-check every piece of recorded evidence without the solver.
+def verify_report(doc, family):
+    """Re-check every piece of recorded evidence without the solver, at
+    the tolerances the report records (its tolerances section).
 
     Each section is rebuilt from the family and the recorded evidence with
     the code that wrote it, and compared with the recorded one: the vertex
@@ -552,9 +553,8 @@ def verify_report(doc, family, tol=None):
     if not isinstance(doc, dict):
         raise InputError("report must be a JSON object")
     from .lti import kernel_facts
-    if tol is None:
-        tol = _report_tolerances(doc)
-    facts = kernel_facts(family.matrices, family.mode, tol)
+    facts = kernel_facts(family.matrices, family.mode,
+                         _report_tolerances(doc))
     checks = _Checks()
     checks.add("mode", doc.get("mode") == family.mode
                and doc.get("n") == family.n
@@ -598,7 +598,7 @@ def _cmd_analyze(args) -> int:
     from .inclusion import analyze
     family = _load_family(args.family)
     tol = _tolerances_from(args.tol)
-    _emit(report_to_dict(analyze(family, tol), tol=tol), args.out)
+    _emit(report_to_dict(analyze(family, tol)), args.out)
     return 0
 
 
@@ -621,7 +621,7 @@ def _cmd_certify(args) -> int:
         out = weak_lmi(facts, parameter=args.parameter)
         if out is not None:
             doc["status"] = "Proven"
-            doc["certificate"] = _weak_certificate_doc(out, tol)
+            doc["certificate"] = _weak_certificate_doc(out)
     elif not facts.holds:
         doc["reason"] = ("per-vertex fixed spaces differ from the common "
                          "one; no strong certificate can exist")
@@ -635,7 +635,7 @@ def _cmd_certify(args) -> int:
             cert = StrongCertificate(dec, lmi=out)
         if out.feasible:
             doc["status"] = "Proven"
-            doc["certificate"] = _strong_certificate_doc(cert, tol)
+            doc["certificate"] = _strong_certificate_doc(cert)
     _emit(doc, args.out)
     return 0
 
@@ -780,7 +780,7 @@ def _cmd_rate(args) -> int:
     from .inclusion import analyze
     family = _load_family(args.family)
     tol = _tolerances_from(args.tol)
-    report = analyze(family, tol, search_witness=False)
+    report = analyze(family, tol)
     if report.rate is None:
         raise InputError(
             "no rate available: strong convergence was not established "

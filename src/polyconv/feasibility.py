@@ -296,16 +296,13 @@ def _facial_reduction(g, nvar, con_rows, con_offset, ntot):
     """Detect slack diagonal entries that no variable reaches, so the
     affine map forces them to 0.  A diagonal forced to 0 pins its whole
     row/column inside the PSD cone, so selector equalities for the
-    off-diagonals are appended and the forced coordinates are reported so
-    the cone projection can work on the corresponding face of the PSD cone
-    directly (a face reached only tangentially stalls alternating
-    projections).
+    off-diagonals are appended.
 
-    Returns (extra_rows, forced_by_constraint).
+    Returns (extra_rows, names of the constraints with a forced diagonal).
     """
     extra = []
     seen = set()
-    forced_map = {}
+    forced_names = set()
     for c, r0 in con_rows:
         d = c.dim
         rows = slice(r0, r0 + _svec_dim(d))
@@ -318,7 +315,7 @@ def _facial_reduction(g, nvar, con_rows, con_offset, ntot):
                   if nvar == 0 or np.abs(
                       g[r0 + _svec_index(i, i, d), :nvar]).max() <= ztol]
         if forced:
-            forced_map[c.name] = tuple(forced)
+            forced_names.add(c.name)
         s0 = con_offset[c.name]
         for i in forced:
             for j in range(d):
@@ -334,7 +331,7 @@ def _facial_reduction(g, nvar, con_rows, con_offset, ntot):
                     row = np.zeros(ntot)
                     row[s0 + _svec_index(lo, hi, d)] = 1.0
                     extra.append(row)
-    return extra, forced_map
+    return extra, forced_names
 
 
 def _extract(problem, z, var_offset):
@@ -364,8 +361,8 @@ def sdp_feasible(problem: LmiProblem) -> FeasibilityResult:
         values = {v.name: np.zeros((0, 0)) for v in problem.variables}
         return FeasibilityResult(FEASIBLE, values, {}, {}, 0)
 
-    extra, forced_map = _facial_reduction(g, nvar, con_rows, con_offset,
-                                          ntot)
+    extra, forced_names = _facial_reduction(g, nvar, con_rows, con_offset,
+                                            ntot)
     if extra:
         g = np.vstack([g, np.array(extra)])
     b = np.zeros(g.shape[0])
@@ -413,22 +410,13 @@ def sdp_feasible(problem: LmiProblem) -> FeasibilityResult:
 
     # cone floors: variables target twice the accepted floor internally,
     # which is sound by homogeneity (scale any exact solution up).
-    # Slack blocks with forced-zero diagonals live on the matching face of
-    # the PSD cone, so they are projected onto that face (zero the forced
-    # rows and columns, eigen-project the rest): the full-cone projection
-    # keeps rotating the pinned coordinates back in and crawls.
-    floors = []
-    face_blocks = []
-    for v in problem.variables:
-        floors.append((var_offset[v.name], v.dim, 2.0 * strict_floor))
-    for c in problem.constraints:
-        forced = forced_map.get(c.name)
-        if forced:
-            keep = np.array([i for i in range(c.dim) if i not in forced],
-                            dtype=int)
-            face_blocks.append((con_offset[c.name], c.dim, keep))
-        else:
-            floors.append((con_offset[c.name], c.dim, 0.0))
+    # Slack blocks with forced-zero diagonals are left out of the cone
+    # projection: only the affine selector rows from _facial_reduction act
+    # on them, so DR does not enforce their semidefiniteness.
+    floors = [(var_offset[v.name], v.dim, 2.0 * strict_floor)
+              for v in problem.variables]
+    floors += [(con_offset[c.name], c.dim, 0.0) for c in problem.constraints
+               if c.name not in forced_names]
 
     # group equal-dimension blocks so the eigendecompositions batch
     groups = []
@@ -459,23 +447,9 @@ def sdp_feasible(problem: LmiProblem) -> FeasibilityResult:
         return out
 
     def violation(values):
-        worst = 0.0
-        resids = {}
-        mins = {}
-        scale = _candidate_scale(values)
-        for v in problem.variables:
-            if v.dim == 0:
-                mins[v.name] = np.inf
-                continue
-            me = float(np.linalg.eigvalsh(values[v.name])[0])
-            mins[v.name] = me
-            worst = max(worst, strict_floor - me)
-        accept = _residual_accept(problem, mins, scale, tol)
-        for c in problem.constraints:
-            m = evaluate_constraint(c, values)
-            r = float(np.linalg.eigvalsh(m)[-1]) if c.dim else 0.0
-            resids[c.name] = r
-            worst = max(worst, r - accept)
+        scale, mins, accept, resids = _acceptance(problem, values)
+        worst = max([0.0] + [strict_floor - me for me in mins.values()]
+                    + [r - accept for r in resids.values()])
         return worst, resids, mins, scale
 
     x = np.zeros(ntot)
@@ -528,38 +502,40 @@ def sdp_feasible(problem: LmiProblem) -> FeasibilityResult:
         diagnostics=f"budget exhausted with violation {worst:.3e}")
 
 
-def _candidate_scale(values: dict) -> float:
-    """Certificate scale for relative residual thresholds: the largest
-    variable spectral norm (1.0 when there are no sized variables)."""
-    s = 0.0
-    any_sized = False
-    for x in values.values():
-        x = np.asarray(x, dtype=float)
-        if x.size == 0:
-            continue
-        any_sized = True
-        s = max(s, float(np.linalg.norm(x, 2)))
-    return s if any_sized else 1.0
+def _acceptance(problem: LmiProblem, values: dict) -> tuple:
+    """(scale, var_min_eigs, accept, constraint_max_eigs): what a candidate
+    is accepted by, the one computation behind verify_lmi and the solver's
+    own stopping test.
 
-
-def _residual_accept(problem: LmiProblem, mins: dict, scale: float,
-                     tol: Tolerances) -> float:
-    """Constraint residual acceptance level for a candidate: relative to the
-    certificate scale, and additionally to the weakest variable eigenvalue
-    (see REL_SLACK), floored near machine noise."""
-    accept = tol.residual_tol * scale
-    weakest = min((mins[v.name] for v in problem.variables if v.dim > 0),
+    scale, the certificate scale for relative thresholds, is the largest
+    variable spectral norm (1.0 when there are no sized variables).
+    accept, the constraint residual acceptance level, is relative to that
+    scale and additionally to the weakest variable eigenvalue (see
+    REL_SLACK), floored near machine noise.  The eigenvalues are those of
+    sym(X) and of the constraints evaluated at sym(X).
+    """
+    values = {v.name: np.asarray(values[v.name], dtype=float)
+              for v in problem.variables}
+    scale = max((float(np.linalg.norm(x, 2)) for x in values.values()
+                 if x.size), default=1.0)
+    sym_values = {name: _sym(x) for name, x in values.items()}
+    mins = {v.name: (float(np.linalg.eigvalsh(sym_values[v.name])[0])
+                     if v.dim else np.inf) for v in problem.variables}
+    accept = problem.tol.residual_tol * scale
+    weakest = min((mins[v.name] for v in problem.variables if v.dim),
                   default=None)
     if weakest is not None:
-        accept = min(accept,
-                     max(REL_SLACK * weakest, NOISE_FLOOR * scale))
-    return accept
+        accept = min(accept, max(REL_SLACK * weakest, NOISE_FLOOR * scale))
+    maxs = {c.name: (float(np.linalg.eigvalsh(
+                evaluate_constraint(c, sym_values))[-1]) if c.dim else 0.0)
+            for c in problem.constraints}
+    return scale, mins, accept, maxs
 
 
-def verify_lmi(problem: LmiProblem, values: dict,
-               tol: Tolerances | None = None) -> dict:
-    """Independent certificate check: symmetry, definiteness margins, and
-    constraint residuals, using eigenvalue computations only.
+def verify_lmi(problem: LmiProblem, values: dict) -> dict:
+    """Independent certificate check at problem.tol: symmetry,
+    definiteness margins, and constraint residuals, using eigenvalue
+    computations only.
 
     Residuals are accepted at residual_tol relative to the certificate
     scale (largest variable norm) and to the weakest variable eigenvalue
@@ -574,15 +550,8 @@ def verify_lmi(problem: LmiProblem, values: dict,
     quadratic form sees only the symmetric part of its matrix, so after
     the symmetry check the constraints are evaluated at sym(X).
     """
-    tol = tol or problem.tol
-    delta = tol.psd_margin
-    report = {"pass": True, "constraint_max_eigs": {}, "var_min_eigs": {},
-              "symmetry_residuals": {}, "scale": 0.0}
-
-    def fail():
-        report["pass"] = False
-
-    sym_values = {}
+    tol = problem.tol
+    report = {"pass": True, "symmetry_residuals": {}}
     for v in problem.variables:
         if v.name not in values:
             raise InputError(f"missing value for variable {v.name!r}")
@@ -592,26 +561,13 @@ def verify_lmi(problem: LmiProblem, values: dict,
         sym_resid = float(np.linalg.norm(x - x.T)) / (1.0 + np.linalg.norm(x))
         report["symmetry_residuals"][v.name] = sym_resid
         if sym_resid > 1e-9:
-            fail()
-        sym_values[v.name] = _sym(x)
-    scale = _candidate_scale({v.name: values[v.name] for v in problem.variables})
-    report["scale"] = scale
-    for v in problem.variables:
-        if v.dim == 0:
-            report["var_min_eigs"][v.name] = np.inf
-            continue
-        me = float(np.linalg.eigvalsh(sym_values[v.name])[0])
-        report["var_min_eigs"][v.name] = me
-        need = max(delta, STRICT_SEP * tol.residual_tol * scale)
-        if me < need * (1.0 - _JITTER):
-            fail()
-    accept = _residual_accept(problem, report["var_min_eigs"], scale, tol)
-    for c in problem.constraints:
-        m = evaluate_constraint(c, sym_values)
-        r = float(np.linalg.eigvalsh(m)[-1]) if c.dim else 0.0
-        report["constraint_max_eigs"][c.name] = r
-        if r > accept * (1.0 + _JITTER):
-            fail()
+            report["pass"] = False
+    scale, mins, accept, maxs = _acceptance(problem, values)
+    need = max(tol.psd_margin, STRICT_SEP * tol.residual_tol * scale)
+    if (any(me < need * (1.0 - _JITTER) for me in mins.values())
+            or any(r > accept * (1.0 + _JITTER) for r in maxs.values())):
+        report["pass"] = False
+    report.update(constraint_max_eigs=maxs, var_min_eigs=mins, scale=scale)
     return report
 
 
@@ -623,11 +579,10 @@ def dual_ratios(tol: Tolerances) -> tuple:
     return a, b
 
 
-def verify_dual(problem: LmiProblem, factors: dict,
-                tol: Tolerances | None = None) -> dict:
-    """Independent check of a certificate of infeasibility: it passes only
-    when no values can pass verify_lmi on the problem.  Eigenvalue checks
-    only.
+def verify_dual(problem: LmiProblem, factors: dict) -> dict:
+    """Independent check of a certificate of infeasibility at problem.tol:
+    it passes only when no values can pass verify_lmi on the problem.
+    Eigenvalue checks only.
 
     factors maps constraint names to F_c (dim_c x r_c), so that
     Z_c = F_c F_c' >= 0 by construction; a constraint without an entry has
@@ -655,7 +610,6 @@ def verify_dual(problem: LmiProblem, factors: dict,
     (plus |cf| dim_v tr Z_c per trace term): the floating-point error of
     the pairing, whose terms can cancel.  All-zero factors are rejected.
     """
-    tol = tol or problem.tol
     names = {c.name for c in problem.constraints}
     for name in factors:
         if name not in names:
@@ -689,7 +643,7 @@ def verify_dual(problem: LmiProblem, factors: dict,
             e = np.linalg.eigvalsh(x)
             w_pos += float(e[e > 0.0].sum())
             w_neg -= float(e[e < 0.0].sum())
-    a, b = dual_ratios(tol)
+    a, b = dual_ratios(problem.tol)
     bracket = w_pos - b * w_neg - a * trace_z - b * DUAL_ROUNDING * rounding
     report["margin"] = bracket / trace_z
     report["pass"] = bool(bracket > 0.0)

@@ -237,8 +237,8 @@ def rate_constants(p, couplings) -> tuple:
     return float(np.sqrt(eigp[-1] / eigp[0])), c1
 
 
-def convergence_rate(family: MatrixFamily, cert: StrongCertificate,
-                     tol: Tolerances = DEFAULT_TOL) -> RateEstimate:
+def convergence_rate(family: MatrixFamily,
+                     cert: StrongCertificate) -> RateEstimate:
     """Exponential envelope for the off-kernel state from the CQLF:
     the largest beta with A'P + PA <= -2 beta P per block (ct), or the
     smallest contraction rho with A'PA <= rho^2 P (dt, beta = -ln rho);
@@ -350,8 +350,8 @@ def verdicts_from_evidence(vertex_verdicts, facts: KernelFacts, strong_kind,
     return strong, weak
 
 
-def analyze(family: MatrixFamily, tol: Tolerances = DEFAULT_TOL,
-            search_witness: bool = True) -> AnalysisReport:
+def analyze(family: MatrixFamily,
+            tol: Tolerances = DEFAULT_TOL) -> AnalysisReport:
     """Tri-state strong/weak verdict pipeline.
 
     Collects evidence in order and stops once it settles the verdicts:
@@ -371,7 +371,8 @@ def analyze(family: MatrixFamily, tol: Tolerances = DEFAULT_TOL,
        the damped vertex inequalities (weak sufficient).
     verdicts_from_evidence turns the evidence into the verdict pair, and
     the rate is estimated only when that pair rests on the
-    common-Lyapunov certificate.
+    common-Lyapunov certificate.  Every stage decides at tol, which the
+    report carries as facts.tol.
 
     The screen goes before the solver because it cannot hide a
     certificate.  The samples x(kT) = Phi^k x of a periodic vertex signal
@@ -390,8 +391,7 @@ def analyze(family: MatrixFamily, tol: Tolerances = DEFAULT_TOL,
     When a vertex verdict sits in the spectral tolerance band, the screen
     runs after the solver stages instead: its powers of a band vertex can
     leave the band and read as divergent, where the solver's at-tolerance
-    certificate caps the verdict to Unknown/vertex-band.  With
-    search_witness false the screen is skipped.
+    certificate caps the verdict to Unknown/vertex-band.
     """
     vertex_check = (lti_convergent_dt if family.mode == "dt"
                     else lti_convergent_ct)
@@ -423,9 +423,7 @@ def analyze(family: MatrixFamily, tol: Tolerances = DEFAULT_TOL,
             if res is not None:
                 report.strong_certificate = StrongCertificate(
                     dec, cqlf=LmiOutcome(True, None, res, problem))
-        screen_first = search_witness and not band
-        if report.strong_certificate is None and not (screen_first
-                                                      and screen()):
+        if report.strong_certificate is None and (band or not screen()):
             if facts.holds:
                 # cqlf_stability tries the candidates again before its
                 # solve, a millisecond against the solve
@@ -440,8 +438,7 @@ def analyze(family: MatrixFamily, tol: Tolerances = DEFAULT_TOL,
                             dec, lmi=joint)
             if report.strong_certificate is None:
                 report.weak_certificate = weak_lmi(facts)
-                if (report.weak_certificate is None and search_witness
-                        and band):
+                if report.weak_certificate is None and band:
                     screen()
     cert, weak_cert = report.strong_certificate, report.weak_certificate
     report.strong, report.weak = verdicts_from_evidence(
@@ -450,5 +447,5 @@ def analyze(family: MatrixFamily, tol: Tolerances = DEFAULT_TOL,
         None if weak_cert is None else weak_cert.parameter, report.witness)
     if (report.strong.method == "decomposition-cqlf"
             and family.n > facts.common_dim):
-        report.rate = convergence_rate(family, cert, tol)
+        report.rate = convergence_rate(family, cert)
     return report

@@ -127,8 +127,7 @@ def _simplex_grid(m_count: int, per_edge: int):
         yield np.asarray(comp, dtype=float) / per_edge
 
 
-def _singular_weight_candidates(family: MatrixFamily, per_edge: int,
-                                tol: Tolerances):
+def _singular_weight_candidates(family: MatrixFamily, per_edge: int):
     """Weights where A(w) is (nearly) singular, found by a determinant
     sign scan over edge segments of the simplex grid; a generator, so the
     pair scan runs only as far as the caller reads."""
@@ -190,7 +189,7 @@ def weak_kernel_triviality_scan(family: MatrixFamily, samples: int = 200,
     def candidates():
         for a in family.matrices:
             yield from kernel(a, tol, scale=scale).basis.T
-        for w in _singular_weight_candidates(family, per_edge, tol):
+        for w in _singular_weight_candidates(family, per_edge):
             yield from kernel(family.a_of(w), tol, scale=scale).basis.T
         for _ in range(samples):
             v = rng.normal(size=n)
@@ -286,8 +285,7 @@ def _minimize_quadratic_on_simplex(h: np.ndarray, g: np.ndarray,
                          f"tolerance within {GAP_MAX_ITER} iterations")
 
 
-def lasalle_gap_dt(family: MatrixFamily, p, x,
-                   tol: Tolerances = DEFAULT_TOL) -> float:
+def lasalle_gap_dt(family: MatrixFamily, p, x) -> float:
     """min over simplex weights of V(A(w)x) - V(x), V = x'Px.
 
     Nonpositive whenever P is a weak Lyapunov function; zero gap marks
@@ -308,8 +306,7 @@ def lasalle_gap_dt(family: MatrixFamily, p, x,
     return val
 
 
-def euler_gap(family: MatrixFamily, p, tau: float, x,
-              tol: Tolerances = DEFAULT_TOL) -> float:
+def euler_gap(family: MatrixFamily, p, tau: float, x) -> float:
     """min over weights of (V(x + tau A(w)x) - V(x)) / tau for a CT family.
 
     The Euler difference quotient of V along the family; strictly positive

@@ -45,6 +45,13 @@ class Tolerances:
     residual_tol: acceptance slack for <= 0 constraint residuals and
         algebraic identity checks.
     sim_tol: convergence/Cauchy threshold for simulated trajectories.
+
+    An analysis decides at one Tolerances, and the objects it computes
+    carry them: KernelFacts.tol (and so AnalysisReport.facts.tol),
+    LmiProblem.tol, and the report's tolerances section.  Downstream code
+    reads them from there: report_to_dict records facts.tol, verify_lmi
+    and verify_dual check at problem.tol, and verify_report re-checks at
+    the report's tolerances section.
     """
 
     rank_rel: float = 1e-10

@@ -3,6 +3,7 @@ and solver-independent report verification."""
 
 import copy
 import io
+import itertools
 import json
 import sys
 
@@ -14,6 +15,7 @@ from polyconv.examples import catalogue
 from polyconv.family import MatrixFamily, family_from_dict
 from polyconv.inclusion import (StrongCertificate, analyze, kernel_facts,
                                 strong_lmi, weak_lmi)
+from polyconv.linalg import Tolerances
 from polyconv.lti import ETA_GRID
 
 
@@ -242,9 +244,8 @@ class TestVerifyCommand:
         assert out.feasible
         cert = StrongCertificate(facts.decomposition, lmi=out)
         from polyconv.cli import _strong_certificate_doc
-        from polyconv.linalg import DEFAULT_TOL
         doc["certificates"]["strong"] = json.loads(json.dumps(
-            _strong_certificate_doc(cert, DEFAULT_TOL), allow_nan=False))
+            _strong_certificate_doc(cert), allow_nan=False))
         doc["verdicts"]["strong"]["method"] = "strong-lmi"
         doc["rate"] = None
         ok, checks = verify_report(doc, fam)
@@ -258,7 +259,6 @@ class TestVerifyCommand:
         cert = weak_lmi(kernel_facts(fam.matrices, fam.mode))
         assert cert is not None
         from polyconv.cli import _weak_certificate_doc
-        from polyconv.linalg import DEFAULT_TOL
         doc = fresh_report_from(fam)
         doc["verdicts"]["strong"] = {
             "status": "Proven", "method": "ksp-weak-upgrade",
@@ -269,10 +269,24 @@ class TestVerifyCommand:
             "details": {"parameter": cert.parameter},
             "evidence": "certificates/weak"}
         doc["certificates"] = {"weak": json.loads(json.dumps(
-            _weak_certificate_doc(cert, DEFAULT_TOL), allow_nan=False))}
+            _weak_certificate_doc(cert), allow_nan=False))}
         doc["rate"] = None
         ok, checks = verify_report(doc, fam)
         assert ok, [c for c in checks if not c["pass"]]
+
+
+def test_a_report_records_and_verifies_at_its_analysis_tolerances():
+    # at rank_rel 1e-6 the 1 + 1e-8 direction is fixed by both vertices,
+    # at the default rank_rel it is not: the report must be checked at the
+    # tolerances it was computed with
+    fam = MatrixFamily("dt", (np.diag([1.0, 1.0 + 1e-8, 0.5]),
+                              np.diag([1.0, 1.0 + 1e-8, 0.25])))
+    rep = analyze(fam, Tolerances(rank_rel=1e-6))
+    assert rep.strong.status == "Proven" and rep.facts.common_dim == 2
+    doc = json.loads(json.dumps(report_to_dict(rep), allow_nan=False))
+    assert doc["tolerances"]["rank_rel"] == 1e-6
+    ok, checks = verify_report(doc, fam)
+    assert ok, [c for c in checks if not c["pass"]]
 
 
 def fresh_report_from(fam) -> dict:
@@ -369,9 +383,24 @@ def test_malformed_report_is_an_input_error_or_fails(cli, tmp_path, edit):
 
 # shares the kernel e3, but its off-kernel pair [[0, 2], [0, 0]] and
 # [[0, 0], [2, 0]] has the unstable product diag(4, 0): no CQLF, no strong
-# and no weak LMI certificate, so analyze runs every stage
+# and no weak LMI certificate, and the cycle screen finds that product
 _ALL_STAGES = MatrixFamily("dt", (np.array([[0, 2, 0], [0, 0, 0], [0, 0, 1]]),
                                   np.array([[0, 0, 0], [2, 0, 0], [0, 0, 1]])))
+
+
+def _screen_undecided_pair() -> MatrixFamily:
+    """A random 2 x 2 DT pair scaled so that its vertex cycles of up to 4
+    steps reach spectral radius 0.97 per step: the Lyapunov-equation
+    candidate fails and the cycle screen finds nothing, so analyze runs
+    every solver stage."""
+    rng = np.random.default_rng(0)
+    for _ in range(9):
+        pair = (rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
+    rho = max(max(abs(np.linalg.eigvals(
+        np.linalg.multi_dot([pair[i] for i in word] + [np.eye(2)]))))
+        ** (1.0 / k) for k in range(1, 5)
+        for word in itertools.product((0, 1), repeat=k))
+    return MatrixFamily("dt", tuple(0.97 / rho * a for a in pair))
 
 
 def test_each_entry_point_computes_the_vertex_kernels_once(cli,
@@ -392,7 +421,8 @@ def test_each_entry_point_computes_the_vertex_kernels_once(cli,
     for stage in ("cqlf_stability", "strong_lmi", "weak_lmi"):
         monkeypatch.setattr(inclusion, stage,
                             counted(stage, getattr(inclusion, stage)))
-    report = analyze(_ALL_STAGES, search_witness=False)
+    undecided = _screen_undecided_pair()
+    report = analyze(undecided)
     assert calls == ["kernel_facts", "cqlf_stability", "strong_lmi",
                      "weak_lmi"]
     # the cycle screen finds the unstable product diag(4, 0, 1) before
@@ -400,7 +430,7 @@ def test_each_entry_point_computes_the_vertex_kernels_once(cli,
     calls.clear()
     assert "divergent_cycle" in analyze(_ALL_STAGES).diagnostics
     assert calls == ["kernel_facts"]
-    docs = {"all-stages": (_ALL_STAGES, json.loads(json.dumps(
+    docs = {"all-stages": (undecided, json.loads(json.dumps(
         report_to_dict(report), allow_nan=False)))}
     # reports with a weak certificate, a strong one with a rate, a witness
     for name in ("scalar-half-one", "path-consensus", "dt-duality"):

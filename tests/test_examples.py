@@ -57,7 +57,7 @@ class TestOpinionFamily:
         ones = np.ones(3) / np.sqrt(3)
         for a in fam.matrices:
             assert kernel(a).distance(ones) < 1e-12
-        report = analyze(fam, search_witness=False)
+        report = analyze(fam)
         assert report.strong.status == DISPROVEN
         assert report.strong.method == "kernel-mismatch"
 
@@ -86,7 +86,7 @@ class TestPersistentInputAugment:
         assert ker.dim == 1
         direction = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
         assert ker.distance(direction) < 1e-12
-        report = analyze(aug, search_witness=False)
+        report = analyze(aug)
         assert report.strong.status == PROVEN
 
     def test_zero_input_keeps_input_axis(self):
@@ -133,7 +133,7 @@ class TestOpinionSocialFamily:
         fam = opinion_social_family(np.eye(2), [g1, g2], 1.0, [0.5, 0.5])
         assert fam.metadata["unbiased"]
         assert facts(fam).holds
-        report = analyze(fam, search_witness=False)
+        report = analyze(fam)
         assert report.strong.status == PROVEN
 
     def test_biased_input_breaks_kernel_sharing(self):
@@ -143,7 +143,7 @@ class TestOpinionSocialFamily:
         assert not fam.metadata["unbiased"]
         res = facts(fam)
         assert not res.holds
-        report = analyze(fam, search_witness=False)
+        report = analyze(fam)
         assert report.strong.status == DISPROVEN
 
     def test_diagonal_matrix_delta_accepted(self):
@@ -180,7 +180,7 @@ class TestKolmogorovFamily:
     def test_row_case_strongly_convergent(self):
         fam = kolmogorov_family("row", self.ROW_PAIR)
         assert fam.metadata["stochasticity"] == "row"
-        report = analyze(fam, search_witness=False)
+        report = analyze(fam)
         assert report.strong.status == PROVEN
         ones = np.ones(2) / np.sqrt(2)
         assert report.facts.common.distance(ones) < 1e-12
@@ -242,7 +242,7 @@ class TestPlantTuningFamily:
     def test_positive_b_min_converges_strongly(self):
         fam = plant_tuning_family((1.0, 2.0), (0.5, 1.0), 1.0)
         assert "weak_limit_set" not in fam.metadata
-        report = analyze(fam, search_witness=False)
+        report = analyze(fam)
         assert report.strong.status == PROVEN
 
     def test_validation(self):

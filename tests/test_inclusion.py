@@ -475,12 +475,6 @@ class TestAnalyzeCatalogue:
         assert rep.strong.status == PROVEN
         assert rep.rate is None
 
-    def test_witness_search_can_be_disabled(self):
-        rep = analyze(DT_DUALITY, search_witness=False)
-        assert rep.weak.status == UNKNOWN
-        assert rep.weak.method == "exhausted"
-        assert rep.strong.status == DISPROVEN
-
     def test_tolerance_band_family_stays_unknown(self):
         # 1 + 1e-9 diverges, but its LMI violation (2e-9) sits below the
         # solver residual tolerance; the band cap keeps this honest

@@ -153,7 +153,6 @@ def _lmi_checks_doc(check) -> dict:
 
 
 def _strong_certificate_doc(cert) -> dict:
-    from .feasibility import verify_lmi
     from .lti import CQLF_GAMMA
     dec = cert.decomposition
     doc = {
@@ -172,50 +171,36 @@ def _strong_certificate_doc(cert) -> dict:
         lmi = cert.lmi
         doc["p1"] = _jsonable(lmi.result.values["P1"])
         doc["q"] = _jsonable(lmi.result.values["Q"])
-    doc["checks"] = _lmi_checks_doc(
-        verify_lmi(lmi.problem, lmi.result.values))
+    doc["checks"] = _lmi_checks_doc(lmi.result.check)
     return doc
 
 
 def _weak_certificate_doc(out) -> dict:
     """The weak section from the feasible damped-LMI outcome."""
-    from .feasibility import verify_lmi
     return {"kind": "weak-lmi",
             "p": out.result.values["P"].tolist(),
             "parameter": out.parameter,
-            "checks": _lmi_checks_doc(
-                verify_lmi(out.problem, out.result.values))}
+            "checks": _lmi_checks_doc(out.result.check)}
 
 
-def _rate_doc(rate, p, blocks) -> dict:
+def _rate_doc(rate) -> dict:
     """The rate section: the envelope, and the decay margin at beta of
-    each off-kernel block under P."""
-    import numpy as np
-    margins = []
-    for b in blocks:
-        if rate.mode == "ct":
-            m = b.T @ p + p @ b + 2.0 * rate.beta * p
-        else:
-            m = b.T @ p @ b - np.exp(-2.0 * rate.beta) * p
-        margins.append(float(np.linalg.eigvalsh(0.5 * (m + m.T))[-1]))
+    each off-kernel block under P that accepted beta."""
     return {"beta": rate.beta, "c0": rate.c0, "c1": rate.c1,
-            "mode": rate.mode, "checks": {"block_margins": margins}}
-
-
-def _cert_rate_doc(report) -> dict:
-    cert = report.strong_certificate
-    return _rate_doc(report.rate, cert.cqlf.result.values["P"],
-                     cert.decomposition.a_as)
+            "mode": rate.mode,
+            "checks": {"block_margins": list(rate.block_margins)}}
 
 
 def report_to_dict(report) -> dict:
     """Flatten an AnalysisReport into the JSON report document.
 
-    The tolerances section records the ones the analysis ran at
-    (report.facts.tol).  Every Proven/Disproven verdict points at an
-    evidence section, and each LMI certificate records the definiteness
-    and constraint margins it was accepted with, so verify_report can
-    re-derive and compare them.
+    Formatting only: nothing is recomputed.  The tolerances section
+    records the ones the analysis ran at (report.facts.tol).  Every
+    Proven/Disproven verdict points at an evidence section.  Each LMI
+    certificate records the margins of the verify_lmi report that
+    accepted it (FeasibilityResult.check), and the rate the decay margins
+    that accepted beta (RateEstimate.block_margins); verify_report
+    re-derives them from the evidence.
     """
     fam, facts = report.family, report.facts
     doc = {
@@ -242,7 +227,7 @@ def report_to_dict(report) -> dict:
         doc["certificates"]["weak"] = _weak_certificate_doc(
             report.weak_certificate)
     if report.rate is not None:
-        doc["rate"] = _cert_rate_doc(report)
+        doc["rate"] = _rate_doc(report.rate)
     return doc
 
 
@@ -451,7 +436,7 @@ def _verify_rate(doc, family, facts, checks) -> None:
     """Rebuilds the rate section at the recorded beta from the strong
     certificate's P, blocks and couplings."""
     import numpy as np
-    from .inclusion import RateEstimate, rate_constants
+    from .inclusion import RateEstimate, decay_margins, rate_constants
     name = "rate"
     sec = doc["rate"]
     strong = doc["certificates"].get("strong") or {}
@@ -462,8 +447,9 @@ def _verify_rate(doc, family, facts, checks) -> None:
     couplings = [np.asarray(b, dtype=float) for b in strong["couplings"]]
     blocks = [np.asarray(b, dtype=float) for b in strong["blocks"]]
     beta = float(sec["beta"])
-    rebuilt = _rate_doc(RateEstimate(beta, *rate_constants(p, couplings),
-                                     family.mode), p, blocks)
+    rebuilt = _rate_doc(RateEstimate(
+        beta, *rate_constants(p, couplings), family.mode,
+        decay_margins(p, blocks, beta, family.mode)))
     slack = facts.tol.residual_tol * (1.0 + float(np.linalg.norm(p, 2)))
     checks.add(name, beta > 0 and _matches(sec, rebuilt, slack)
                and max(rebuilt["checks"]["block_margins"]) <= slack,
@@ -786,7 +772,7 @@ def _cmd_rate(args) -> int:
             "no rate available: strong convergence was not established "
             f"through the common-Lyapunov route (strong verdict: "
             f"{report.strong.status}, {report.strong.method})")
-    _emit(_cert_rate_doc(report), args.out)
+    _emit(_rate_doc(report.rate), args.out)
     return 0
 
 

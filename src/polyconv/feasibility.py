@@ -141,14 +141,16 @@ class LmiProblem:
 
 @dataclass
 class FeasibilityResult:
+    """A feasibility answer.  check is the verify_lmi report that accepted
+    values, set on every Feasible result by its producer, else None."""
+
     status: str
     values: dict
-    constraint_residuals: dict
-    var_min_eigs: dict
     iterations: int
     diagnostics: str = ""
     # constraint name -> F_c of a certificate of infeasibility (verify_dual)
     factors: dict = field(default_factory=dict)
+    check: dict | None = None
 
     @property
     def feasible(self) -> bool:
@@ -296,13 +298,10 @@ def _facial_reduction(g, nvar, con_rows, con_offset, ntot):
     """Detect slack diagonal entries that no variable reaches, so the
     affine map forces them to 0.  A diagonal forced to 0 pins its whole
     row/column inside the PSD cone, so selector equalities for the
-    off-diagonals are appended.
-
-    Returns (extra_rows, names of the constraints with a forced diagonal).
+    off-diagonals are returned as extra rows of the affine system.
     """
     extra = []
     seen = set()
-    forced_names = set()
     for c, r0 in con_rows:
         d = c.dim
         rows = slice(r0, r0 + _svec_dim(d))
@@ -314,8 +313,6 @@ def _facial_reduction(g, nvar, con_rows, con_offset, ntot):
         forced = [i for i in range(d)
                   if nvar == 0 or np.abs(
                       g[r0 + _svec_index(i, i, d), :nvar]).max() <= ztol]
-        if forced:
-            forced_names.add(c.name)
         s0 = con_offset[c.name]
         for i in forced:
             for j in range(d):
@@ -331,7 +328,7 @@ def _facial_reduction(g, nvar, con_rows, con_offset, ntot):
                     row = np.zeros(ntot)
                     row[s0 + _svec_index(lo, hi, d)] = 1.0
                     extra.append(row)
-    return extra, forced_names
+    return extra
 
 
 def _extract(problem, z, var_offset):
@@ -359,10 +356,10 @@ def sdp_feasible(problem: LmiProblem) -> FeasibilityResult:
     if ntot == 0:
         # only zero-size blocks: the empty matrices are the certificate
         values = {v.name: np.zeros((0, 0)) for v in problem.variables}
-        return FeasibilityResult(FEASIBLE, values, {}, {}, 0)
+        return FeasibilityResult(FEASIBLE, values, 0,
+                                 check=verify_lmi(problem, values))
 
-    extra, forced_names = _facial_reduction(g, nvar, con_rows, con_offset,
-                                            ntot)
+    extra = _facial_reduction(g, nvar, con_rows, con_offset, ntot)
     if extra:
         g = np.vstack([g, np.array(extra)])
     b = np.zeros(g.shape[0])
@@ -402,21 +399,18 @@ def sdp_feasible(problem: LmiProblem) -> FeasibilityResult:
     if np.linalg.norm(g @ zstar - b) > 1e-8 * (1.0 + np.linalg.norm(b)):
         values = {v.name: np.zeros((v.dim, v.dim)) for v in problem.variables}
         return FeasibilityResult(
-            INFEASIBLE, values, {}, {}, 0,
+            INFEASIBLE, values, 0,
             diagnostics="affine constraint system is inconsistent")
 
     def proj_affine(z):
         return z - gpinv @ (g @ z - b)
 
     # cone floors: variables target twice the accepted floor internally,
-    # which is sound by homogeneity (scale any exact solution up).
-    # Slack blocks with forced-zero diagonals are left out of the cone
-    # projection: only the affine selector rows from _facial_reduction act
-    # on them, so DR does not enforce their semidefiniteness.
+    # which is sound by homogeneity (scale any exact solution up); every
+    # slack block, forced-zero diagonals included, goes onto the PSD cone
     floors = [(var_offset[v.name], v.dim, 2.0 * strict_floor)
               for v in problem.variables]
-    floors += [(con_offset[c.name], c.dim, 0.0) for c in problem.constraints
-               if c.name not in forced_names]
+    floors += [(con_offset[c.name], c.dim, 0.0) for c in problem.constraints]
 
     # group equal-dimension blocks so the eigendecompositions batch
     groups = []
@@ -450,7 +444,7 @@ def sdp_feasible(problem: LmiProblem) -> FeasibilityResult:
         scale, mins, accept, resids = _acceptance(problem, values)
         worst = max([0.0] + [strict_floor - me for me in mins.values()]
                     + [r - accept for r in resids.values()])
-        return worst, resids, mins, scale
+        return worst, scale
 
     x = np.zeros(ntot)
     for v in problem.variables:
@@ -466,14 +460,15 @@ def sdp_feasible(problem: LmiProblem) -> FeasibilityResult:
         if not np.all(np.isfinite(x)):
             raise NumericalError("feasibility iterate diverged")
         values = _extract(problem, z, var_offset)
-        worst, resids, mins, scale = violation(values)
+        worst, scale = violation(values)
         if worst <= 0.0:
-            result = FeasibilityResult(FEASIBLE, values, resids, mins, it)
-            if not verify_lmi(problem, values)["pass"]:
-                # should not happen: internal acceptance is stricter
-                result.status = MAX_ITERATIONS
-                result.diagnostics = "verify_lmi rejected candidate"
-            return result
+            check = verify_lmi(problem, values)
+            if check["pass"]:
+                return FeasibilityResult(FEASIBLE, values, it, check=check)
+            # should not happen: internal acceptance is stricter
+            return FeasibilityResult(
+                MAX_ITERATIONS, values, it,
+                diagnostics="verify_lmi rejected candidate")
         rel = worst / max(scale, 1e-300)
         history.append(rel)
         # track the scale-relative violation: the absolute one shrinks
@@ -493,12 +488,12 @@ def sdp_feasible(problem: LmiProblem) -> FeasibilityResult:
             fired = rel > 1e3 * tol.residual_tol
         if fired:
             return FeasibilityResult(
-                INFEASIBLE, values, resids, mins, it,
+                INFEASIBLE, values, it,
                 diagnostics=f"stalled with violation {worst:.3e}")
     values = _extract(problem, z, var_offset)
-    worst, resids, mins, _ = violation(values)
+    worst, _ = violation(values)
     return FeasibilityResult(
-        MAX_ITERATIONS, values, resids, mins, ITERATION_BUDGET,
+        MAX_ITERATIONS, values, ITERATION_BUDGET,
         diagnostics=f"budget exhausted with violation {worst:.3e}")
 
 

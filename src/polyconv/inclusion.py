@@ -60,6 +60,7 @@ __all__ = [
     "verify_polyhedral_strong",
     "euler_family",
     "rate_constants",
+    "decay_margins",
     "convergence_rate",
     "dual_family",
     "verdicts_from_evidence",
@@ -84,10 +85,14 @@ class StrongCertificate:
 
 @dataclass
 class RateEstimate:
+    """The envelope, and the decay margin at beta of each off-kernel block
+    (decay_margins), all <= 0: the check that accepted beta."""
+
     beta: float
     c0: float
     c1: float
     mode: str
+    block_margins: list
 
     def bound(self, t) -> np.ndarray:
         """The transient envelope (c0 c1 / beta) e^(-beta t) scaling the
@@ -133,7 +138,7 @@ def cqlf_stability(blocks, mode: str,
     problem = cqlf_problem(blocks, mode, tol)
     res = (certified_feasible(problem, lyapunov_candidates(blocks, mode))
            or sdp_feasible(problem))
-    return LmiOutcome(res.feasible, None, res, problem)
+    return LmiOutcome(None, res, problem)
 
 
 def strong_lmi(facts: KernelFacts) -> LmiOutcome:
@@ -237,6 +242,18 @@ def rate_constants(p, couplings) -> tuple:
     return float(np.sqrt(eigp[-1] / eigp[0])), c1
 
 
+def decay_margins(p, blocks, beta: float, mode: str) -> list:
+    """The decay predicate of the rate: per block, the largest eigenvalue
+    of A'P + PA + 2 beta P (ct) or A'PA - rho^2 P with rho = e^-beta (dt).
+    P decays at rate beta on every block iff every margin is <= 0."""
+    if mode == "ct":
+        mats = (a.T @ p + p @ a + 2.0 * beta * p for a in blocks)
+    else:
+        rho = np.exp(-beta)
+        mats = (a.T @ p @ a - rho * rho * p for a in blocks)
+    return [float(np.linalg.eigvalsh(m)[-1]) for m in mats]
+
+
 def convergence_rate(family: MatrixFamily,
                      cert: StrongCertificate) -> RateEstimate:
     """Exponential envelope for the off-kernel state from the CQLF:
@@ -247,10 +264,11 @@ def convergence_rate(family: MatrixFamily,
     beta comes in closed form from the largest generalized eigenvalue
     lam of (S_i, P) over the blocks, S_i = A_i'P + PA_i with
     beta = -lam/2 (ct), or S_i = A_i'PA_i with rho^2 = lam (dt), capped
-    at RATE_CAP.  It is then confirmed on the predicate itself, and
-    shaved by a few relative ulps (the step doubling each time) until the
-    predicate holds, so rounding in the eigensolver never reports a rate
-    that P does not support.  InputError when P does not decay."""
+    at RATE_CAP.  It is then shaved by a few relative ulps (the step
+    doubling each time) until the one decay predicate, decay_margins,
+    holds, so rounding in the eigensolver never reports a rate that P does
+    not support; its margins at that beta are kept as block_margins.
+    InputError when P does not decay."""
     if cert.cqlf is None or not cert.cqlf.feasible:
         raise InputError("rate estimation needs a feasible common-Lyapunov "
                          "certificate for the off-kernel blocks")
@@ -270,29 +288,20 @@ def convergence_rate(family: MatrixFamily,
                 from None
 
     if family.mode == "ct":
-        def ok(b):
-            return all(float(np.linalg.eigvalsh(
-                a.T @ p + p @ a + 2.0 * b * p)[-1]) <= 0.0 for a in blocks)
-
         beta = -0.5 * max(top(a.T @ p + p @ a) for a in blocks)
     else:
-        def contracts(rho):
-            return all(float(np.linalg.eigvalsh(
-                a.T @ p @ a - rho * rho * p)[-1]) <= 0.0 for a in blocks)
-
-        def ok(b):
-            return contracts(np.exp(-b))
         rho2 = max(top(a.T @ p @ a) for a in blocks)
         beta = -0.5 * float(np.log(rho2)) if rho2 > 0.0 else np.inf
     beta = min(beta, RATE_CAP)
     shave = 4.0 * float(np.finfo(float).eps)
-    while beta > 0.0 and not ok(beta):
+    while beta > 0.0:
+        margins = decay_margins(p, blocks, beta, family.mode)
+        if max(margins) <= 0.0:
+            return RateEstimate(beta, c0, c1, family.mode, margins)
         beta -= shave * beta
         shave *= 2.0
-    if not beta > 0.0:
-        raise InputError("certificate P does not decay strictly on the "
-                         "off-kernel blocks")
-    return RateEstimate(beta, c0, c1, family.mode)
+    raise InputError("certificate P does not decay strictly on the "
+                     "off-kernel blocks")
 
 
 def dual_family(family: MatrixFamily) -> MatrixFamily:
@@ -422,7 +431,7 @@ def analyze(family: MatrixFamily,
                 problem, lyapunov_candidates(dec.a_as, family.mode))
             if res is not None:
                 report.strong_certificate = StrongCertificate(
-                    dec, cqlf=LmiOutcome(True, None, res, problem))
+                    dec, cqlf=LmiOutcome(None, res, problem))
         if report.strong_certificate is None and (band or not screen()):
             if facts.holds:
                 # cqlf_stability tries the candidates again before its

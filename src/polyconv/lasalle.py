@@ -177,9 +177,13 @@ def weak_kernel_triviality_scan(family: MatrixFamily, samples: int = 200,
     scan), and random unit samples.  They are built one at a time, so the
     scan stops paying at its first witness.  Any feasible membership at
     x != 0 is returned as a witness; otherwise the result is
-    likely-trivial, explicitly non-certified.
+    likely-trivial, explicitly non-certified.  A negative samples or seed
+    is an InputError.
     """
     _require_ct(family, "weak_kernel_triviality_scan")
+    if samples < 0 or seed < 0:
+        raise InputError("samples and seed must be nonnegative, got "
+                         f"samples={samples}, seed={seed}")
     rng = np.random.default_rng(seed)
     n = family.n
     scale = 1.0 + max(float(np.linalg.norm(a, 2)) for a in family.matrices)

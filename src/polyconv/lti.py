@@ -141,10 +141,13 @@ class Decomposition:
 
 @dataclass
 class LmiOutcome:
-    feasible: bool
     parameter: float | None
     result: FeasibilityResult
     problem: LmiProblem
+
+    @property
+    def feasible(self) -> bool:
+        return self.result.feasible
 
 
 # ---------------------------------------------------------------- aux maps
@@ -501,7 +504,7 @@ def certified_infeasible(problem: LmiProblem,
     if not report["pass"]:
         return None
     return FeasibilityResult(
-        CERTIFIED_INFEASIBLE, {}, {}, {}, 0, factors=factors,
+        CERTIFIED_INFEASIBLE, {}, 0, factors=factors,
         diagnostics=f"verify_dual margin {report['margin']:.3e}")
 
 
@@ -551,13 +554,13 @@ def certified_feasible(problem: LmiProblem,
                        candidates) -> FeasibilityResult | None:
     """The Feasible result for the first of candidates, (label, values)
     pairs, that verify_lmi accepts, else None (the caller falls back to
-    sdp_feasible).  The primal mirror of certified_infeasible."""
+    sdp_feasible).  The primal mirror of certified_infeasible; the result
+    carries the accepting report as its check."""
     for label, values in candidates:
-        report = verify_lmi(problem, values)
-        if report["pass"]:
+        check = verify_lmi(problem, values)
+        if check["pass"]:
             return FeasibilityResult(
-                FEASIBLE, values, report["constraint_max_eigs"],
-                report["var_min_eigs"], 0,
+                FEASIBLE, values, 0, check=check,
                 diagnostics=f"{label} passes verify_lmi")
     return None
 
@@ -569,7 +572,7 @@ def reduced_lmi(facts: KernelFacts, wc: np.ndarray) -> LmiOutcome:
     prob = reduced_problem(facts.mats, facts.mode, wc, facts.tol)
     res = (certified_infeasible(prob, vertex_duals(facts, wc=wc))
            or sdp_feasible(prob))
-    return LmiOutcome(res.feasible, None, res, prob)
+    return LmiOutcome(None, res, prob)
 
 
 def damped_lmi(facts: KernelFacts,
@@ -593,8 +596,8 @@ def damped_lmi(facts: KernelFacts,
     is returned only if verify_lmi also accepts it on the EPS_GRID[-1]
     problem: monotonicity holds in exact arithmetic, but the acceptance
     margins are relative to each problem's own scale, so the reported
-    problem is re-checked rather than assumed.  Otherwise the EPS_GRID[-1]
-    problem is solved directly.
+    problem is re-checked (certified_feasible) rather than assumed.
+    Otherwise the EPS_GRID[-1] problem is solved directly.
 
     The returned iteration count covers every probe (a certified probe
     takes none); a grid outcome that is infeasible carries no parameter.
@@ -607,7 +610,7 @@ def damped_lmi(facts: KernelFacts,
     def solve(par: float) -> LmiOutcome:
         prob = damped_problem(facts, par)
         res = dual(prob, par) or sdp_feasible(prob)
-        return LmiOutcome(res.feasible, par, res, prob)
+        return LmiOutcome(par, res, prob)
 
     if parameter is not None:
         return solve(parameter)
@@ -617,20 +620,13 @@ def damped_lmi(facts: KernelFacts,
         prob = damped_problem(facts, fine)
         res = dual(prob, fine)
         if res is not None:
-            return LmiOutcome(False, None, res, prob)
+            return LmiOutcome(None, res, prob)
         coarse = solve(EPS_GRID[0])
         spent = coarse.result.iterations
-        if coarse.feasible:
-            report = verify_lmi(prob, coarse.result.values)
-            if report["pass"]:
-                res = FeasibilityResult(
-                    FEASIBLE, coarse.result.values,
-                    report["constraint_max_eigs"], report["var_min_eigs"],
-                    spent, diagnostics=f"solved at eps={EPS_GRID[0]:g}, "
-                                       f"verified at eps={fine:g}")
-                return LmiOutcome(True, fine, res, prob)
-        res = sdp_feasible(prob)
-        out = LmiOutcome(res.feasible, fine, res, prob)
+        solved = ([(f"the eps={EPS_GRID[0]:g} solution", coarse.result.values)]
+                  if coarse.feasible else [])
+        res = certified_feasible(prob, solved) or sdp_feasible(prob)
+        out = LmiOutcome(fine, res, prob)
     else:
         out = solve(ETA_GRID[-1])
     spent += out.result.iterations

@@ -89,6 +89,8 @@ class SwitchingSignal:
             raise InputError("sampling must be 'vertex' or 'dirichlet'")
         if not 0 < dwell < np.inf:
             raise InputError("dwell must be positive and finite")
+        if int(seed) < 0:
+            raise InputError(f"seed must be nonnegative, got {seed}")
         return SwitchingSignal("iid-random", seed=int(seed),
                                sampling=sampling, dwell=float(dwell))
 

@@ -236,6 +236,33 @@ class TestVerifyCommand:
             ok, checks = verify_report(doc, catalogue(name).family)
             assert ok, (name, [c for c in checks if not c["pass"]])
 
+    def test_report_to_dict_only_formats(self, monkeypatch):
+        # reports with a CQLF certificate and a rate, a joint-form strong
+        # certificate, and a weak certificate: their margins are the ones
+        # recorded when the analysis accepted them, not recomputed
+        reports = [analyze(catalogue(name).family)
+                   for name in ("path-consensus", "scalar-half-one")]
+        fam = catalogue("path-consensus").family
+        f = kernel_facts(fam.matrices, fam.mode)
+        reports.append(copy.copy(reports[0]))
+        reports[-1].strong_certificate = StrongCertificate(
+            f.decomposition, lmi=strong_lmi(f))
+        reports[-1].rate = None
+        assert reports[0].rate is not None
+        assert reports[1].weak_certificate is not None
+        expected = [report_to_dict(r) for r in reports]
+
+        def boom(*args, **kwargs):
+            raise AssertionError("report_to_dict recomputed a number")
+
+        import polyconv.feasibility
+        import polyconv.inclusion
+        monkeypatch.setattr(polyconv.feasibility, "verify_lmi", boom)
+        monkeypatch.setattr(polyconv.inclusion, "decay_margins", boom)
+        for routine in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, routine, boom)
+        assert [report_to_dict(r) for r in reports] == expected
+
     def test_joint_form_strong_certificate_verifies(self):
         fam = catalogue("path-consensus").family
         doc = fresh_report("path-consensus")
@@ -530,7 +557,7 @@ class TestCertifyCommand:
         assert ("eta" if mode == "dt" else "eps") in error["message"]
 
 
-# real-valued options outside their range: (family, arguments)
+# numeric options outside their range: (family, arguments)
 _SIM_CT = ("simulate", "--signal", '{"kind":"constant","weights":[1]}',
            "--x0", "1,0")
 BAD_NUMBER_ARGS = {
@@ -549,6 +576,10 @@ BAD_NUMBER_ARGS = {
         "rotation-ct", _SIM_CT + ("--horizon", "10", "--sample-dt", "nan")),
     "simulate-sample-dt-zero": (
         "rotation-ct", _SIM_CT + ("--horizon", "10", "--sample-dt", "0")),
+    "weak-kernel-seed-negative": (
+        "ct-duality", ("weak-kernel", "--scan", "5", "--seed", "-1")),
+    "weak-kernel-scan-negative": (
+        "ct-duality", ("weak-kernel", "--scan", "-3")),
 }
 
 
@@ -561,9 +592,11 @@ def test_bad_number_is_an_input_error(cli, case):
     assert json.loads(err)["error"]["type"] == "input"
 
 
-# signal specs with a wrongly typed field, each once a traceback
+# signal specs with a wrongly typed or out-of-range field, each once a
+# traceback
 MALFORMED_SIGNALS = [
     '{"kind":"iid-random","seed":"abc"}',
+    '{"kind":"iid-random","seed":-4}',
     '{"kind":"vertex-cycle","sequence":[0,"a"]}',
     '{"kind":"vertex-cycle","sequence":[0,1],"dwell":"2"}',
     '{"kind":"explicit","segments":[[1]]}',

@@ -505,9 +505,9 @@ class TestConvergenceRate:
         fam = MatrixFamily("dt", [[[0.5, 2.0], [0.0, 0.5]]])
         f = facts(fam)
         dec = f.decomposition
-        fake = FeasibilityResult(FEASIBLE, {"P": np.eye(2)}, {}, {}, 0)
+        fake = FeasibilityResult(FEASIBLE, {"P": np.eye(2)}, 0)
         cert = StrongCertificate(dec, cqlf=LmiOutcome(
-            True, None, fake, cqlf_problem(dec.a_as, "dt")))
+            None, fake, cqlf_problem(dec.a_as, "dt")))
         with pytest.raises(InputError, match="does not decay"):
             convergence_rate(fam, cert)
         fake.values["P"] = -np.eye(2)
@@ -553,8 +553,26 @@ class TestConvergenceRate:
         assert rep.rate.beta == pytest.approx(0.0040937643, rel=1e-6)
         solved = inclusion.sdp_feasible(cert.cqlf.problem)
         by_solver = StrongCertificate(cert.decomposition, cqlf=LmiOutcome(
-            True, None, solved, cert.cqlf.problem))
+            None, solved, cert.cqlf.problem))
         assert convergence_rate(fam, by_solver).beta > 5.0 * rep.rate.beta
+
+    def test_recorded_margins_are_the_ones_that_accepted_beta(self):
+        # the benchmark's cqlf-scaling operation 9 at seed 1, "analyze dt
+        # n=13 m=2 k=1": block 2 decays at beta with a margin at rounding
+        # level, where the symmetrized e^(-2 beta) form of the predicate
+        # reads +1.06e-16, so the report must record the accepting margins
+        gen = _bench_generators()
+        g = gen.cqlf_family(np.random.default_rng([20240814, 1, 9]),
+                            13, 2, 1, "dt")
+        q = gen.orthogonal(np.random.default_rng([1, 1, 9]), 13)
+        fam = MatrixFamily("dt", [q.T @ a @ q for a in g["matrices"]])
+        rep = analyze(fam)
+        cert = rep.strong_certificate
+        margins = report_to_dict(rep)["rate"]["checks"]["block_margins"]
+        assert max(margins) <= 0.0
+        assert margins == inclusion.decay_margins(
+            cert.cqlf.result.values["P"], cert.decomposition.a_as,
+            rep.rate.beta, "dt")
 
 
 def _bench_generators():

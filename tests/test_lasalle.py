@@ -152,6 +152,19 @@ class TestTrivialityScan:
         with pytest.raises(InputError):
             weak_kernel_triviality_scan(PM_ONE)
 
+    @pytest.mark.parametrize("fam", [
+        DIAG_KERNELS,
+        MatrixFamily("ct", [[[-1.0]], [[-2.0]], [[-3.0]]])])
+    def test_negative_sample_count_is_an_input_error(self, fam):
+        # the count sets the grid size through a fractional power (three
+        # vertices) and the number of random samples (two)
+        with pytest.raises(InputError, match="samples"):
+            weak_kernel_triviality_scan(fam, samples=-3)
+
+    def test_negative_seed_is_an_input_error(self):
+        with pytest.raises(InputError, match="seed"):
+            weak_kernel_triviality_scan(DIAG_KERNELS, samples=5, seed=-1)
+
 
 class TestLaSalleSetQuadratic:
     def test_diag_kernels_axes_union(self):

@@ -7,6 +7,7 @@ of block forms) so the expected verdict is known by construction.
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -275,6 +276,17 @@ class TestDtLmiE:
 
     def test_jordan_block_infeasible(self):
         assert not lti_lmi_dt_e([[1.0, 1.0], [0.0, 1.0]]).feasible
+
+    def test_slack_blocks_with_a_forced_diagonal_stay_semidefinite(self):
+        # the fixed vector pins a row and column of each damped slack block
+        # (facial reduction); the solver must still keep the rest of the
+        # block semidefinite, or it stalls at the feasible grid etas below
+        # 0.99
+        q = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))[0]
+        a = q @ scipy.linalg.block_diag(1.0, [[0.5, 6.0], [0.0, 0.5]]) @ q.T
+        out = lti_lmi_dt_e(a)
+        assert out.feasible and out.parameter == ETA_GRID[0]
+        assert out.result.iterations <= 100
 
     def test_scan_reports_iterations_of_every_probe(self, monkeypatch):
         # scalar threshold is eta >= (1 - a) / 2 = 0.9975: only the top

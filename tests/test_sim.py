@@ -67,6 +67,10 @@ class TestSignals:
         with pytest.raises(InputError):
             s.schedule(2, 4)
 
+    def test_iid_random_negative_seed_is_an_input_error(self):
+        with pytest.raises(InputError, match="seed"):
+            SwitchingSignal.iid_random(-4)
+
     def test_iid_random_is_reproducible(self):
         s = SwitchingSignal.iid_random(seed=5, sampling="dirichlet")
         w = _dt_weights(IDENTITY_TRIPLE, s, 8)

@@ -672,52 +672,43 @@ def lp_simplex_membership(m, tol: Tolerances = DEFAULT_TOL):
     a[nrow, :ncol] = 1.0
     a[:, ncol:ncol + rows] = np.eye(rows)
     a[nrow, cols] = 1.0
-    basis = list(range(ncol, ncol + rows))
+    basis = np.arange(ncol, ncol + rows)
+    # objective coefficients: 1 on the artificials
+    cost = (np.arange(cols) >= ncol).astype(float)
 
     piv_tol = 1e-11
     max_pivots = 200 * (cols + 1)
     for _ in range(max_pivots):
-        # reduced costs for objective sum(artificials): c_j - z_j where
-        # z_j = sum over basic artificial rows of a[i, j]
-        art_rows = [i for i, bv in enumerate(basis) if bv >= ncol]
-        red = np.zeros(cols)
-        for j in range(cols):
-            zj = sum(a[i, j] for i in art_rows)
-            cj = 1.0 if j >= ncol else 0.0
-            red[j] = cj - zj
-        entering = -1
-        for j in range(cols):
-            if j in basis:
-                continue
-            if red[j] < -1e-9:
-                entering = j  # Bland: smallest eligible index
-                break
-        if entering < 0:
+        # reduced costs c_j - z_j, z_j summing a[i, j] over the rows whose
+        # basic variable is artificial
+        red = cost - a[basis >= ncol, :cols].sum(axis=0)
+        eligible = red < -1e-9
+        eligible[basis] = False
+        candidates = np.flatnonzero(eligible)
+        if not candidates.size:
             break
-        ratios = []
-        for i in range(rows):
-            if a[i, entering] > piv_tol:
-                ratios.append((a[i, cols] / a[i, entering], basis[i], i))
-        if not ratios:
+        entering = candidates[0]  # Bland: smallest eligible index
+        col = a[:, entering]
+        rows_ok = np.flatnonzero(col > piv_tol)
+        if not rows_ok.size:
             raise NumericalError("phase-1 LP unbounded (should not happen)")
-        best = min(ratios, key=lambda t: (t[0], t[1]))
-        r = best[2]
-        # pivot
+        # smallest ratio, ties to the smallest basic index
+        ratios = a[rows_ok, cols] / col[rows_ok]
+        r = rows_ok[np.lexsort((basis[rows_ok], ratios))[0]]
         a[r] /= a[r, entering]
-        for i in range(rows):
-            if i != r and abs(a[i, entering]) > 0:
-                a[i] -= a[i, entering] * a[r]
+        f = a[:, entering].copy()
+        f[r] = 0.0
+        a -= np.outer(f, a[r])
         basis[r] = entering
     else:
         raise NumericalError("simplex pivot cap exceeded")
 
-    objective = sum(a[i, cols] for i, bv in enumerate(basis) if bv >= ncol)
+    artificial = basis >= ncol
+    objective = sum(a[artificial, cols].tolist())
     if objective > 1e-9:
         return None
     w = np.zeros(ncol)
-    for i, bv in enumerate(basis):
-        if bv < ncol:
-            w[bv] = a[i, cols]
+    w[basis[~artificial]] = a[~artificial, cols]
     w = np.maximum(w, 0.0)
     s = w.sum()
     if s <= 0:

@@ -143,27 +143,27 @@ def _singular_weight_candidates(family: MatrixFamily, per_edge: int):
     for w, d in zip(grid, dets):
         if abs(d) <= cutoff:
             yield w
-    # refine sign changes along straight segments between grid neighbours
-    for i in range(len(grid)):
-        for j in range(i + 1, len(grid)):
-            if np.sum(np.abs(grid[i] - grid[j])) > 2.0 / per_edge + 1e-12:
-                continue
-            da, db = dets[i], dets[j]
-            if da == 0.0 or db == 0.0 or np.sign(da) == np.sign(db):
-                continue
-            lo, hi = grid[i], grid[j]
-            flo = da
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                fm = det_at(mid)
-                if fm == 0.0:
-                    lo = mid
-                    break
-                if np.sign(fm) == np.sign(flo):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            yield 0.5 * (lo + hi)
+    # refine sign changes along straight segments between grid neighbours:
+    # the pairs (i < j) one lattice move apart, L1 distance 2 / per_edge
+    comp = np.rint(np.array(grid) * per_edge).astype(np.int64)
+    dist = np.zeros((len(grid), len(grid)), dtype=np.int64)
+    for c in comp.T:
+        dist += np.abs(c[:, None] - c[None, :])
+    sign = np.sign(dets)
+    mask = (dist <= 2) & (sign[:, None] * sign[None, :] < 0)
+    for i, j in zip(*np.nonzero(np.triu(mask, 1))):
+        lo, hi, flo = grid[i], grid[j], dets[i]
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            fm = det_at(mid)
+            if fm == 0.0:
+                lo = mid
+                break
+            if np.sign(fm) == np.sign(flo):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        yield 0.5 * (lo + hi)
 
 
 def weak_kernel_triviality_scan(family: MatrixFamily, samples: int = 200,

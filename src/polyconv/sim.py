@@ -1,10 +1,13 @@
 """Trajectory generation for matrix families under switching signals.
 
 DT trajectories follow the exact recursion x(k+1) = A(w(k)) x(k).  CT
-signals are piecewise constant, so propagation is exact: one matrix
-exponential per segment, and every sample inside a segment is computed
-from the segment's start state (sampling density therefore never changes
-the sampled values).
+signals are piecewise constant, so propagation is exact: each segment's
+start state is e^(A dur) applied to the previous one's, so errors never
+carry across segments.  Inside a segment the first sample is computed
+from the segment start and the next ones by one step exponential
+e^(A sample_dt) each (Al-Mohy & Higham, "Computing the action of the
+matrix exponential", 2011): sampling density changes the sampled values
+at rounding level only.  A state that overflows is a NumericalError.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .family import MatrixFamily, simplex_weights
 from .linalg import DEFAULT_TOL, Tolerances, kernel, matrix_exponential
 from .lti import lti_convergent_dt
@@ -46,7 +49,9 @@ WITNESS_PERIOD_MAX = 4
 WITNESS_DWELLS = {"dt": (1, 2, 3), "ct": (0.5, 1.0, 2.0)}
 
 
-# the most pieces one schedule holds, so that a tiny dwell fails fast
+# the most pieces one schedule holds, and the most steps one trajectory
+# samples (k_steps in DT, t_end / sample_dt in CT), so that a tiny dwell or
+# sample step fails fast instead of allocating without bound
 SCHEDULE_PIECES_MAX = 10**6
 
 
@@ -175,6 +180,17 @@ def _validate_x0(family: MatrixFamily, x0) -> np.ndarray:
     return x0
 
 
+def _check_steps(count: float, what: str) -> None:
+    if count > SCHEDULE_PIECES_MAX:
+        raise InputError(f"{what} = {count:g} asks for more than "
+                         f"{SCHEDULE_PIECES_MAX} samples")
+
+
+def _check_finite(states: np.ndarray) -> None:
+    if not np.all(np.isfinite(states)):
+        raise NumericalError("a simulated state overflowed")
+
+
 def simulate_dt(family: MatrixFamily, signal: SwitchingSignal, x0,
                 k_steps: int, tol: Tolerances = DEFAULT_TOL) -> Trajectory:
     if family.mode != "dt":
@@ -183,6 +199,7 @@ def simulate_dt(family: MatrixFamily, signal: SwitchingSignal, x0,
         raise InputError(f"k_steps must be an integer, got {k_steps!r}")
     if k_steps < 1:
         raise InputError("k_steps must be at least 1")
+    _check_steps(k_steps, "k_steps")
     x0 = _validate_x0(family, x0)
     pieces = signal.schedule(family.m_count, k_steps)
     durations = np.array([d for d, _ in pieces], dtype=float)
@@ -194,14 +211,16 @@ def simulate_dt(family: MatrixFamily, signal: SwitchingSignal, x0,
     states[0] = x = x0
     mats = family.matrices
     k = 0
-    for count, w in zip(steps.tolist(), rows):
-        a = mats[0] * w[0]
-        for i in range(1, len(mats)):
-            if w[i]:
-                a = a + mats[i] * w[i]
-        for _ in range(count):
-            k += 1
-            states[k] = x = a @ x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for count, w in zip(steps.tolist(), rows):
+            a = mats[0] * w[0]
+            for i in range(1, len(mats)):
+                if w[i]:
+                    a = a + mats[i] * w[i]
+            for _ in range(count):
+                k += 1
+                states[k] = x = a @ x
+    _check_finite(states)
     # one weight row per sample: the weight applied on the step starting
     # there; the final sample repeats the last applied weight
     weights = np.repeat(rows, steps, axis=0)
@@ -215,38 +234,62 @@ def simulate_dt(family: MatrixFamily, signal: SwitchingSignal, x0,
 def simulate_ct(family: MatrixFamily, signal: SwitchingSignal, x0,
                 t_end: float, sample_dt: float,
                 tol: Tolerances = DEFAULT_TOL) -> Trajectory:
+    """Samples at 0, sample_dt, 2 sample_dt, ... up to t_end, plus t_end
+    when it is off that grid.
+
+    Every segment of the signal's schedule starts from the exact state
+    e^(A dur) x_seg of the segment before.  Inside a segment the first
+    sample is e^(A (t - t_seg)) x_seg, each next grid sample is one step
+    exponential e^(A sample_dt) after the one before, and an off-grid t_end
+    is computed from the segment start again: at most three exponentials
+    per segment, and sampling density changes the values at rounding level
+    only.  More than SCHEDULE_PIECES_MAX grid steps is an InputError, a
+    state that overflows a NumericalError.
+    """
     if family.mode != "ct":
         raise InputError("simulate_ct needs a CT family")
     if not 0 < t_end < np.inf:
         raise InputError(f"t_end must be positive and finite, got {t_end}")
     if not 0 < sample_dt <= t_end:
         raise InputError(f"sample_dt must be in (0, t_end], got {sample_dt}")
+    _check_steps(t_end / sample_dt, "t_end / sample_dt")
     x0 = _validate_x0(family, x0)
     segs = signal.schedule(family.m_count, t_end)
     n_grid = int(np.floor(t_end / sample_dt + 1e-9))
     times = np.arange(n_grid + 1) * sample_dt
     if times[-1] < t_end - 1e-12 * max(1.0, t_end):
         times = np.append(times, t_end)
-    states = np.empty((times.shape[0], family.n))
-    weights = np.empty((times.shape[0], family.m_count))
+    count = times.shape[0]
+    states = np.empty((count, family.n))
+    weights = np.empty((count, family.m_count))
     x_seg = x0
     t_seg = 0.0
     j = 0
-    for idx, (dur, w) in enumerate(segs):
-        a = family.a_of(w)
-        t_next = t_seg + dur
-        last = idx == len(segs) - 1
-        # samples inside [t_seg, t_next), plus the final time on the last
-        # segment; each computed from the segment start, so refining the
-        # grid never changes values at shared sample times
-        while j < times.shape[0] and (
-                times[j] < t_next - 1e-12 * max(1.0, t_next)
-                or (last and j < times.shape[0])):
-            states[j] = matrix_exponential(a * (times[j] - t_seg)) @ x_seg
-            weights[j] = w
-            j += 1
-        x_seg = matrix_exponential(a * dur) @ x_seg
-        t_seg = t_next
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, (dur, w) in enumerate(segs):
+            a = family.a_of(w)
+            t_next = t_seg + dur
+            last = idx == len(segs) - 1
+            # the samples inside [t_seg, t_next), and all the rest on the
+            # last segment; stepped ones end before an off-grid t_end
+            stop = count if last else j + int(np.searchsorted(
+                times[j:], t_next - 1e-12 * max(1.0, t_next)))
+            stepped = min(stop, n_grid + 1)
+            weights[j:stop] = w
+            if j < stop:
+                states[j] = matrix_exponential(a * (times[j] - t_seg)) @ x_seg
+            if j + 1 < stepped:
+                step = matrix_exponential(a * sample_dt)
+                for k in range(j + 1, stepped):
+                    states[k] = step @ states[k - 1]
+            if j < stepped < stop:
+                states[stepped] = matrix_exponential(
+                    a * (times[stepped] - t_seg)) @ x_seg
+            if not last:
+                x_seg = matrix_exponential(a * dur) @ x_seg
+            t_seg = t_next
+            j = stop
+    _check_finite(states)
     traj = Trajectory("ct", times, states, weights, signal)
     _attach_limit(traj, tol)
     return traj
@@ -292,15 +335,17 @@ def residual_diagnostics(family: MatrixFamily, traj: Trajectory) -> dict:
     if traj.limit is None:
         raise InputError("residual diagnostics need a detected limit")
     xbar = traj.limit
-    if traj.mode == "dt":
-        pointwise = np.array([
-            np.linalg.norm(family.a_of(w) @ xbar - xbar)
-            for w in traj.weights[:-1]])
-        return {"pointwise": pointwise}
     segs = traj.signal.schedule(family.m_count, float(traj.times[-1]))
+    if traj.mode == "dt":
+        steps = np.rint([d for d, _ in segs]).astype(int)
+        return {"pointwise": np.repeat([
+            np.linalg.norm(family.a_of(w) @ xbar - xbar) for _, w in segs],
+            steps)}
     images = [family.a_of(w) @ xbar for _, w in segs]
     seg_pointwise = np.array([np.linalg.norm(v) for v in images])
-    # exact accumulation of int A(w(t)) xbar dt and int w(t) dt
+    # exact accumulation of int A(w(t)) xbar dt and int w(t) dt; each
+    # sample's pointwise residual is its segment's
+    pointwise = np.empty(traj.times.shape[0])
     running = np.zeros(traj.times.shape[0])
     acc = np.zeros_like(xbar)
     acc_w = np.zeros(family.m_count)
@@ -313,14 +358,13 @@ def residual_diagnostics(family: MatrixFamily, traj: Trajectory) -> dict:
         while j < traj.times.shape[0] and (
                 traj.times[j] < t_next - eps or last):
             t = traj.times[j]
+            pointwise[j] = seg_pointwise[idx]
             part = acc + images[idx] * (t - t_seg)
             running[j] = np.linalg.norm(part) / t if t > 0 else 0.0
             j += 1
         acc += images[idx] * dur
         acc_w += np.asarray(w) * dur
         t_seg = t_next
-    pointwise = np.array([
-        np.linalg.norm(family.a_of(w) @ xbar) for w in traj.weights])
     wbar = acc_w / t_seg
     return {
         "pointwise": pointwise,

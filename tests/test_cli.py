@@ -685,6 +685,24 @@ class TestSimulateCommand:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "input"
 
+    def test_sample_count_over_the_cap_is_an_input_error(self, cli):
+        # 1.001e6 samples, just over SCHEDULE_PIECES_MAX
+        code, _, err = cli("simulate", "-", "--signal",
+                           '{"kind":"constant","weights":[0.5,0.5]}',
+                           "--x0", "1,-1", "--horizon", "1",
+                           "--sample-dt", "9.99e-7",
+                           stdin=family_json("path-consensus"))
+        assert code == 1
+        assert json.loads(err)["error"]["type"] == "input"
+
+    def test_overflowing_state_is_a_numerical_error(self, cli):
+        code, _, err = cli("simulate", "-", "--signal",
+                           '{"kind":"constant","weights":[1]}',
+                           "--x0", "1e300", "--horizon", "30",
+                           stdin='{"mode": "ct", "matrices": [[[1.0]]]}')
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "numerical"
+
 
 class TestWeakKernelCommand:
     def test_membership(self, cli):

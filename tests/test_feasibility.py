@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from scipy.linalg import solve_continuous_lyapunov, solve_discrete_lyapunov
+from scipy.optimize import linprog
 
 from polyconv.errors import InputError
 from polyconv.feasibility import (
@@ -385,3 +386,103 @@ def test_lp_finds_planted_solutions(nrow, ncol, seed):
     assert np.linalg.norm(m @ w) <= TOL.residual_tol * (1 + np.abs(m).max())
     assert abs(w.sum() - 1.0) < 1e-9
     assert np.all(w >= -1e-12)
+
+
+def _linprog_feasible(m) -> bool:
+    """The oracle: is {w in the simplex : M w = 0} nonempty, by HiGHS."""
+    nrow, ncol = m.shape
+    res = linprog(np.zeros(ncol), A_eq=np.vstack([m, np.ones((1, ncol))]),
+                  b_eq=np.r_[np.zeros(nrow), 1.0], bounds=(0, None),
+                  method="highs")
+    assert res.status in (0, 2)
+    return res.status == 0
+
+
+def _loop_simplex(m):
+    """The phase-1 Bland simplex of lp_simplex_membership written with
+    scalar loops, the reference its array version must match bit for bit
+    (it returns the unnormalized w, or None when the optimum is positive)."""
+    nrow, ncol = m.shape
+    scale = float(np.abs(m).max())
+    rows, cols = nrow + 1, ncol + nrow + 1
+    a = np.zeros((rows, cols + 1))
+    a[:nrow, :ncol] = m / scale if scale > 0 else m
+    a[nrow, :ncol] = 1.0
+    a[:, ncol:ncol + rows] = np.eye(rows)
+    a[nrow, cols] = 1.0
+    basis = list(range(ncol, ncol + rows))
+    while True:
+        art_rows = [i for i, bv in enumerate(basis) if bv >= ncol]
+        red = [(1.0 if j >= ncol else 0.0) - sum(a[i, j] for i in art_rows)
+               for j in range(cols)]
+        entering = next((j for j in range(cols)
+                         if j not in basis and red[j] < -1e-9), -1)
+        if entering < 0:
+            break
+        r = min((a[i, cols] / a[i, entering], basis[i], i)
+                for i in range(rows) if a[i, entering] > 1e-11)[2]
+        a[r] /= a[r, entering]
+        for i in range(rows):
+            if i != r and abs(a[i, entering]) > 0:
+                a[i] -= a[i, entering] * a[r]
+        basis[r] = entering
+    if sum(a[i, cols] for i, bv in enumerate(basis) if bv >= ncol) > 1e-9:
+        return None
+    w = np.zeros(ncol)
+    for i, bv in enumerate(basis):
+        if bv < ncol:
+            w[bv] = a[i, cols]
+    return np.maximum(w, 0.0)
+
+
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_lp_matches_the_loop_simplex(nrow, ncol, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((nrow, ncol))
+    if seed % 2:
+        # a planted simplex point, so that the LP pivots to feasibility
+        wstar = rng.random(ncol) + 0.1
+        m[:, -1] = -(m[:, :-1] @ wstar[:-1]) / wstar[-1]
+    want = _loop_simplex(m)
+    if want is not None and want.sum() > 0:
+        want = want / want.sum()
+        if np.linalg.norm(m @ want) > TOL.residual_tol * (
+                1.0 + np.abs(m).max()):
+            want = None
+    else:
+        want = None
+    w = lp_simplex_membership(m)
+    assert (w is None) == (want is None)
+    assert w is None or np.array_equal(w, want)
+
+
+@given(st.data(), st.integers(1, 5), st.integers(2, 6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_lp_agrees_with_highs(data, nrow, ncol, planted):
+    # entries on a coarse grid keep M well conditioned, where HiGHS's own
+    # tolerances decide reliably (at entries near 1e-9 it can call a
+    # planted-feasible M infeasible)
+    entries = st.integers(-4, 4).map(lambda k: k / 4.0)
+    m = np.array(data.draw(st.lists(entries, min_size=nrow * ncol,
+                                    max_size=nrow * ncol))).reshape(nrow, ncol)
+    if planted:
+        # a planted simplex point w* with M w* = 0
+        wstar = np.array(data.draw(st.lists(
+            st.integers(1, 8), min_size=ncol, max_size=ncol)), dtype=float)
+        wstar /= wstar.sum()
+        m[:, -1] = -(m[:, :-1] @ wstar[:-1]) / wstar[-1]
+    else:
+        # a planted separating direction c: c'M_j >= 0.1 for every column
+        c = np.array(data.draw(st.lists(
+            entries, min_size=nrow, max_size=nrow)))
+        c[0] = 1.0 if abs(c[0]) < 0.5 else c[0]
+        s = c @ m
+        m += np.outer(c, (0.1 + np.maximum(-s, 0.0)) / (c @ c))
+    w = lp_simplex_membership(m)
+    assert (w is not None) == _linprog_feasible(m) == planted
+    if planted:
+        assert np.linalg.norm(m @ w) <= TOL.residual_tol * (
+            1 + np.abs(m).max())
+        assert abs(w.sum() - 1.0) < 1e-9 and np.all(w >= 0.0)
+

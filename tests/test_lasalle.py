@@ -15,6 +15,8 @@ from polyconv.examples import kolmogorov_family
 from polyconv.family import MatrixFamily
 from polyconv.inclusion import kernel_facts, weak_lmi
 from polyconv.lasalle import (
+    _simplex_grid,
+    _singular_weight_candidates,
     euler_gap,
     lasalle_gap_dt,
     lasalle_set_quadratic,
@@ -164,6 +166,60 @@ class TestTrivialityScan:
     def test_negative_seed_is_an_input_error(self):
         with pytest.raises(InputError, match="seed"):
             weak_kernel_triviality_scan(DIAG_KERNELS, samples=5, seed=-1)
+
+
+def _pair_loop_candidates(family, per_edge):
+    """The determinant sign scan written as a plain loop over every pair
+    of grid points, the reference for _singular_weight_candidates."""
+    scale = 1.0 + max(float(np.linalg.norm(a, 2)) for a in family.matrices)
+    grid = list(_simplex_grid(family.m_count, per_edge))
+    dets = [float(np.linalg.det(family.a_of(w))) for w in grid]
+    out = [w for w, d in zip(grid, dets)
+           if abs(d) <= 1e-10 * scale ** family.n]
+    for i in range(len(grid)):
+        for j in range(i + 1, len(grid)):
+            if np.sum(np.abs(grid[i] - grid[j])) > 2.0 / per_edge + 1e-12:
+                continue
+            da, db = dets[i], dets[j]
+            if da == 0.0 or db == 0.0 or np.sign(da) == np.sign(db):
+                continue
+            lo, hi, flo = grid[i], grid[j], da
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                fm = float(np.linalg.det(family.a_of(mid)))
+                if fm == 0.0:
+                    lo = mid
+                    break
+                if np.sign(fm) == np.sign(flo):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+            out.append(0.5 * (lo + hi))
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_singular_weights_match_the_pair_loop(m, seed):
+    # odd n and random vertices: det A(w) changes sign inside the simplex
+    rng = np.random.default_rng([seed, m])
+    fam = MatrixFamily("ct", [rng.standard_normal((3, 3)) for _ in range(m)])
+    per_edge = 6 if m < 4 else 4
+    got = list(_singular_weight_candidates(fam, per_edge))
+    want = _pair_loop_candidates(fam, per_edge)
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_singular_weights_include_exact_zero_determinants():
+    # A(w) = diag(1 - 2 w1, 1): det is exactly 0 at the grid point w1 = 1/2,
+    # which is yielded once and never bisected
+    fam = MatrixFamily("ct", [[[-1.0, 0.0], [0.0, 1.0]],
+                              [[1.0, 0.0], [0.0, 1.0]]])
+    got = list(_singular_weight_candidates(fam, 4))
+    want = _pair_loop_candidates(fam, 4)
+    assert [g.tolist() for g in got] == [w.tolist() for w in want] == [
+        [0.5, 0.5]]
 
 
 class TestLaSalleSetQuadratic:

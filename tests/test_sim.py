@@ -10,13 +10,16 @@ import io
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyconv.errors import InputError
+import polyconv.sim as sim_module
+from polyconv.errors import InputError, NumericalError
 from polyconv.family import MatrixFamily
 from polyconv.linalg import Tolerances, matrix_exponential
 from polyconv.sim import (
+    SCHEDULE_PIECES_MAX,
     SwitchingSignal,
     detect_limit,
     find_nonconvergence_witness,
@@ -202,6 +205,19 @@ class TestSimulateDt:
         with pytest.raises(InputError):
             simulate_dt(SPIKE, SwitchingSignal.constant([1.0, 0.0]), [1.0], 5)
 
+    def test_step_count_over_the_cap_rejected(self):
+        with pytest.raises(InputError, match="samples"):
+            simulate_dt(MatrixFamily("dt", ([[0.5]],)),
+                        SwitchingSignal.constant([1.0]), [1.0],
+                        SCHEDULE_PIECES_MAX + 1)
+
+    def test_overflowing_state_is_a_numerical_error(self):
+        # 10^400 overflows; the state used to come back as NaN
+        fam = MatrixFamily("dt", (10.0 * np.eye(2),))
+        with pytest.raises(NumericalError):
+            simulate_dt(fam, SwitchingSignal.constant([1.0]), [1.0, 1.0],
+                        400)
+
 
 class TestSimulateCt:
     def test_zero_matrix_constant(self):
@@ -258,6 +274,84 @@ class TestSimulateCt:
             simulate_ct(SPIKE, SwitchingSignal.constant([1.0, 0.0]), [1.0],
                         t_end=t_end, sample_dt=sample_dt)
 
+    def test_sample_count_over_the_cap_rejected(self):
+        # t_end / sample_dt is just over SCHEDULE_PIECES_MAX
+        with pytest.raises(InputError, match="samples"):
+            simulate_ct(SPIKE, SwitchingSignal.constant([1.0, 0.0]), [1.0],
+                        t_end=1.0, sample_dt=1.0 / (SCHEDULE_PIECES_MAX + 1))
+
+    def test_overflowing_state_is_a_numerical_error(self):
+        # each exponential is finite (e^1 per step), the state is not
+        fam = MatrixFamily("ct", ([[1.0]],))
+        with pytest.raises(NumericalError):
+            simulate_ct(fam, SwitchingSignal.constant([1.0]), [1e300],
+                        t_end=30.0, sample_dt=1.0)
+
+    def test_off_grid_final_sample_is_exact(self):
+        # t_end = 1 is not on the 0.3 grid, so the last sample is 0.1
+        # after the one before: stepping it by e^(0.3 A) would give
+        # (1.2917, 0.5488) instead of e^A x0 = (1.3225, 0.6065)
+        a = np.array([[-1.0, 2.0], [0.0, -0.5]])
+        x0 = np.array([1.0, 1.0])
+        traj = simulate_ct(MatrixFamily("ct", (a,)),
+                           SwitchingSignal.constant([1.0]), x0,
+                           t_end=1.0, sample_dt=0.3)
+        assert traj.times.tolist() == pytest.approx([0.0, 0.3, 0.6, 0.9,
+                                                     1.0])
+        assert np.allclose(traj.states[-1], scipy.linalg.expm(a) @ x0,
+                           rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_states_match_a_per_sample_expm_chain(self, seed):
+        # non-normal vertices: stable upper-triangular blocks with large
+        # off-diagonal entries, presented in a random orthogonal basis
+        rng = np.random.default_rng(seed)
+        n, m = 3 + seed % 2, 2 + seed % 3
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        mats = []
+        for _ in range(m):
+            t = np.triu(3.0 * rng.standard_normal((n, n)), 1)
+            t += np.diag(-rng.uniform(0.1, 1.5, n))
+            mats.append(q @ t @ q.T)
+        fam = MatrixFamily("ct", tuple(mats))
+        sig = SwitchingSignal.iid_random(seed, "dirichlet", dwell=0.7)
+        x0 = rng.standard_normal(n)
+        t_end, sample_dt = 6.1, 0.05
+        traj = simulate_ct(fam, sig, x0, t_end, sample_dt)
+        # the reference: every sample from its segment start, by scipy
+        want = np.empty_like(traj.states)
+        x_seg, t_seg, j = x0, 0.0, 0
+        segs = sig.schedule(m, t_end)
+        for idx, (dur, w) in enumerate(segs):
+            a = fam.a_of(w)
+            t_next = t_seg + dur
+            while j < traj.times.shape[0] and (
+                    idx == len(segs) - 1
+                    or traj.times[j] < t_next - 1e-12 * max(1.0, t_next)):
+                want[j] = scipy.linalg.expm(
+                    a * (traj.times[j] - t_seg)) @ x_seg
+                j += 1
+            x_seg = scipy.linalg.expm(a * dur) @ x_seg
+            t_seg = t_next
+        assert j == traj.times.shape[0]
+        err = np.abs(traj.states - want).max()
+        assert err <= 1e-12 * (1.0 + np.abs(want).max())
+
+    def test_at_most_three_exponentials_per_segment(self, monkeypatch):
+        calls = []
+
+        def spy(a):
+            calls.append(a)
+            return matrix_exponential(a)
+
+        monkeypatch.setattr(sim_module, "matrix_exponential", spy)
+        sig = SwitchingSignal.iid_random(seed=5, sampling="dirichlet",
+                                         dwell=0.7)
+        traj = simulate_ct(PATH_CONSENSUS, sig, [1.0, 0.0], 8.05, 0.01)
+        segments = len(sig.schedule(2, 8.05))
+        assert traj.times.shape[0] == 806
+        assert len(calls) <= 3 * segments
+
 
 class TestDetectLimit:
     def test_geometric_decay(self):
@@ -307,6 +401,26 @@ class TestResidualDiagnostics:
         assert diag["running_average"][-1] == pytest.approx(expect, rel=1e-10)
         assert diag["averaged_weight"][1] == pytest.approx(np.log(2.0) / 10.0)
         assert diag["witness_residual"] == pytest.approx(expect, rel=1e-10)
+
+    @pytest.mark.parametrize("signal", [
+        SwitchingSignal.iid_random(seed=2, sampling="dirichlet", dwell=0.7),
+        SwitchingSignal.vertex_cycle([0, 1, 1], dwell=0.45),
+        SwitchingSignal.explicit([(0.3, [0.2, 0.8]), (1.1, [1.0, 0.0])])])
+    def test_ct_pointwise_is_the_per_sample_residual(self, signal):
+        traj = simulate_ct(PATH_CONSENSUS, signal, [1.0, 0.0], 40.0, 0.1)
+        diag = residual_diagnostics(PATH_CONSENSUS, traj)
+        want = np.array([np.linalg.norm(PATH_CONSENSUS.a_of(w) @ traj.limit)
+                         for w in traj.weights])
+        assert np.array_equal(diag["pointwise"], want)
+
+    def test_dt_pointwise_is_the_per_step_residual(self):
+        sig = SwitchingSignal.iid_random(seed=4, dwell=3)
+        traj = simulate_dt(A11_SWITCHING, sig, [1.0, 0.0], 200)
+        diag = residual_diagnostics(A11_SWITCHING, traj)
+        xbar = traj.limit
+        want = np.array([np.linalg.norm(A11_SWITCHING.a_of(w) @ xbar - xbar)
+                         for w in traj.weights[:-1]])
+        assert np.array_equal(diag["pointwise"], want)
 
     def test_requires_limit(self):
         fam = MatrixFamily("dt", ([[-1.0]],))

@@ -327,11 +327,9 @@ def _verify_ksp(doc, family, facts, checks):
 def _verify_vertices(doc, family, facts, checks):
     """Rebuilds every vertex verdict; returns the rebuilt ones."""
     import numpy as np
-    from .lti import lti_convergent_ct, lti_convergent_dt
+    from .inclusion import spectral_verdicts
     name = "vertex_verdicts"
-    vertex_check = (lti_convergent_dt if family.mode == "dt"
-                    else lti_convergent_ct)
-    rebuilt = tuple(vertex_check(a, facts.tol) for a in family.matrices)
+    rebuilt = spectral_verdicts(family, facts.tol)
     recs = doc["vertex_verdicts"]
     if not checks.add(name, isinstance(recs, list)
                       and len(recs) == len(rebuilt),
@@ -589,8 +587,17 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    from .inclusion import (StrongCertificate, cqlf_stability, strong_lmi,
-                            verify_polyhedral_strong, weak_lmi)
+    """One certificate stage.  An LMI certificate is judged by the verdict
+    rule (inclusion.verdicts_from_evidence) together with the vertex
+    verdicts, as analyze judges it: the status is Proven only when the
+    rule proves the stage's verdict (strong for cqlf and strong-lmi, weak
+    for weak-lmi), so a vertex disproof or a vertex in the spectral
+    tolerance band overrules a certificate that passes only at
+    tolerance."""
+    from .inclusion import (StrongCertificate, cqlf_stability,
+                            spectral_verdicts, strong_lmi,
+                            verdicts_from_evidence, verify_polyhedral_strong,
+                            weak_lmi)
     from .lti import kernel_facts
     family = _load_family(args.family)
     tol = _tolerances_from(args.tol)
@@ -598,6 +605,7 @@ def _cmd_certify(args) -> int:
     if args.method == "polyhedral" and args.candidate is None:
         raise InputError("--method polyhedral needs --candidate X.json")
     facts = kernel_facts(family.matrices, family.mode, tol)
+    strong_kind = weak_parameter = None
     if args.method == "polyhedral":
         rep = verify_polyhedral_strong(
             facts, _read_json_arg(args.candidate, "candidate file"))
@@ -606,7 +614,7 @@ def _cmd_certify(args) -> int:
     elif args.method == "weak-lmi":
         out = weak_lmi(facts, parameter=args.parameter)
         if out is not None:
-            doc["status"] = "Proven"
+            weak_parameter = out.parameter
             doc["certificate"] = _weak_certificate_doc(out)
     elif not facts.holds:
         doc["reason"] = ("per-vertex fixed spaces differ from the common "
@@ -620,8 +628,18 @@ def _cmd_certify(args) -> int:
             out = strong_lmi(facts)
             cert = StrongCertificate(dec, lmi=out)
         if out.feasible:
-            doc["status"] = "Proven"
+            strong_kind = cert.kind
             doc["certificate"] = _strong_certificate_doc(cert)
+    if strong_kind is not None or weak_parameter is not None:
+        strong, weak = verdicts_from_evidence(
+            spectral_verdicts(family, tol), facts, strong_kind,
+            facts.common_dim, weak_parameter, None)
+        verdict = weak if args.method == "weak-lmi" else strong
+        if verdict.proven:
+            doc["status"] = "Proven"
+        else:
+            doc["reason"] = (f"the verdict rule gives {verdict.status} "
+                             f"({verdict.method}) beside this certificate")
     _emit(doc, args.out)
     return 0
 

@@ -18,8 +18,11 @@ positive multiple of a solution is a solution, so verify_lmi measures
 residuals relative to the candidate's own scale and to its weakest
 eigenvalue (an absolute threshold would accept a shrunken
 non-certificate), and verify_dual's theorem of alternatives bounds the
-pairing by that same scale.  The solver normalizes the scale with a
-trace constraint.
+pairing by that same scale, summed over every factor (the trace bracket)
+or for one two-column factor on its own (the pair bound, which decides
+weakly infeasible problems such as the damped LMI of a Jordan block, after
+the facial reduction argument of Liu & Pataki, Math. Program. 2018).  The
+solver normalizes the scale with a trace constraint.
 
 The problems are small (a handful of variable blocks, dimensions in the
 tens), so Douglas-Rachford splitting between an affine lift and a product
@@ -574,6 +577,47 @@ def dual_ratios(tol: Tolerances) -> tuple:
     return a, b
 
 
+def _adjoint(problem: LmiProblem, con: Constraint, f: np.ndarray,
+             g: np.ndarray) -> tuple:
+    """(W, tr Z, rounding) for Z = sym(f g') on constraint con: the adjoint
+    image W (variable name -> matrix), so that <C(X), Z> = sum_v <X_v, W_v>
+    for symmetric X, and the magnitude of the pairing's terms before
+    cancellation, sum |coeff| ||L f|| ||R g|| (averaged with f and g
+    swapped) plus |cf| dim_v ||f|| ||g|| per trace term."""
+    w = {}
+    tz = float(np.sum(f * g))
+    mag = tz if g is f else float(np.linalg.norm(f) * np.linalg.norm(g))
+    rounding = 0.0
+    for t in con.terms:
+        lf, rg = t.left @ f, t.right @ g
+        img = lf @ rg.T
+        size = np.linalg.norm(lf) * np.linalg.norm(rg)
+        if g is not f:
+            lg, rf = t.left @ g, t.right @ f
+            img = 0.5 * (img + lg @ rf.T)
+            size = 0.5 * (size + np.linalg.norm(lg) * np.linalg.norm(rf))
+        w[t.var] = w.get(t.var, 0.0) + t.coeff * _sym(img)
+        rounding += abs(t.coeff) * size
+    for vn, cf in con.trace_terms:
+        dim = problem.variable(vn).dim
+        w[vn] = w.get(vn, 0.0) + cf * tz * np.eye(dim)
+        rounding += abs(cf) * dim * mag
+    return w, tz, rounding
+
+
+def _pairing_bounds(w: dict, b: float) -> tuple:
+    """(tr W+ - b tr W-, tr W- - b tr W+), summed over the variables: per
+    unit of the weakest eigenvalue, lower bounds on <X, W> and <X, -W>
+    for every X that verify_lmi passes (see verify_dual)."""
+    pos = neg = 0.0
+    for x in w.values():
+        if np.size(x):
+            e = np.linalg.eigvalsh(x)
+            pos += float(e[e > 0.0].sum())
+            neg -= float(e[e < 0.0].sum())
+    return pos - b * neg, neg - b * pos
+
+
 def verify_dual(problem: LmiProblem, factors: dict) -> dict:
     """Independent check of a certificate of infeasibility at problem.tol:
     it passes only when no values can pass verify_lmi on the problem.
@@ -581,67 +625,103 @@ def verify_dual(problem: LmiProblem, factors: dict) -> dict:
 
     factors maps constraint names to F_c (dim_c x r_c), so that
     Z_c = F_c F_c' >= 0 by construction; a constraint without an entry has
-    Z_c = 0.  The adjoint image of the Z_c on variable v is
+    Z_c = 0.  The adjoint image of a symmetric Z on constraint c and
+    variable v is
 
-        W_v = sum_c sum_{t on v} coeff_t sym((L_t F_c)(R_t F_c)')
-              + sum_c sum_{(v, cf) in trace_terms} cf tr(Z_c) I,
+        W_v(Z) = sum_{t on v} coeff_t sym(L_t Z R_t')
+                 + sum_{(v, cf) in trace_terms} cf tr(Z) I,
 
-    so sum_c <C_c(X), Z_c> = sum_v <X_v, W_v> for symmetric X (verify_lmi
+    so <C_c(X), Z> = sum_v <X_v, W_v(Z)> for symmetric X (verify_lmi
     evaluates sym(X)).  Take X that passes verify_lmi; weakest is its
     smallest variable eigenvalue and scale its largest variable norm.
+    Every variable eigenvalue clears STRICT_SEP residual_tol scale, so
+    scale <= b * weakest with b = 1/(STRICT_SEP residual_tol), and
+    lambda_max(C_c(X)) <= accept <= a * weakest with
+    a = max(REL_SLACK, NOISE_FLOOR b); dual_ratios(tol) gives (a, b),
+    widened by verify_lmi's jitter factors.  Then for every W
 
-      upper: sum_c <C_c(X), Z_c> <= accept sum_c tr Z_c, because Z_c >= 0
-             and lambda_max(C_c(X)) <= accept, where
-             accept <= max(REL_SLACK, NOISE_FLOOR/(STRICT_SEP residual_tol))
-                       * weakest;
-      lower: sum_v <X_v, W_v> >= weakest sum_v tr W_v+ - scale sum_v tr W_v-,
-             where scale <= weakest / (STRICT_SEP residual_tol), because
-             every variable eigenvalue clears STRICT_SEP residual_tol scale.
+      <X, W> >= weakest tr W+ - scale tr W- >= weakest * l(W),
+      l(W) = tr W+ - b tr W-   (summed over the variables).
 
-    With (a, b) = dual_ratios(tol), both bounds together give
-    weakest * (sum tr W+ - b sum tr W- - a sum tr Z) <= 0, and weakest > 0;
-    so a positive bracket rules out every X.  The bracket must also clear
-    a rounding allowance, b * DUAL_ROUNDING * sum |coeff| ||L F|| ||R F||
-    (plus |cf| dim_v tr Z_c per trace term): the floating-point error of
+    Trace bracket.  With W = sum_c W(Z_c): sum_c <C_c(X), Z_c> <= accept
+    sum_c tr Z_c, because Z_c >= 0.  Together, weakest * (l(W) - a sum
+    tr Z_c) <= 0 and weakest > 0, so a positive bracket rules out every
+    X.
+
+    Pair bound.  When the bracket fails, a constraint whose factor has
+    exactly two columns f1, f2 is tried on its own.  With V = [f1 f2],
+    H = accept V'V - V'C(X)V >= 0, so H12^2 <= H11 H22.  Each
+    g_ij = f_i'C(X)f_j = <X, W_ij>, W_ij = W(sym(f_i f_j')), is at least
+    weakest * l_ij with l_ij = l(W_ij); so H_ii <= weakest (a|f_i|^2 -
+    l_ii), and |H12| >= weakest * d with
+    d = max(l(W_12), l(-W_12)) - a |f1'f2|.  Hence d > 0 and
+    d^2 > (a|f1|^2 - l_11)(a|f2|^2 - l_22) rule out every X (a negative
+    factor on the right is the 1x1 case: then H_ii < 0 already).  The
+    trace bracket is this bound's 1x1 case.  It decides the damped LMI of
+    a Jordan block at the critical value (lti.vertex_duals' chain pairs),
+    which is only weakly infeasible: every Z whose image is >= 0 pairs to
+    zero, so no trace bracket passes, but a chain's cross term g_12 is
+    bounded away from zero where its g_22 can stay small.
+
+    Rounding.  Every l above must clear b * DUAL_ROUNDING times the
+    magnitude of its pairing's terms, sum |coeff| ||L f|| ||R g|| (plus
+    |cf| dim_v ||f|| ||g|| per trace term): the floating-point error of
     the pairing, whose terms can cancel.  All-zero factors are rejected.
+
+    The report's margin is the bracket per unit sum tr Z_c, or, when a
+    pair passes, (d^2 - rhs) / (|f1|^2 |f2|^2) with the passing
+    constraint named under "pair".
     """
     names = {c.name for c in problem.constraints}
     for name in factors:
         if name not in names:
             raise InputError(f"factor for unknown constraint {name!r}")
     report = {"pass": False, "margin": float("nan"), "reason": ""}
-    w = {v.name: np.zeros((v.dim, v.dim)) for v in problem.variables}
+    a, b = dual_ratios(problem.tol)
+    allowance = b * DUAL_ROUNDING
+    w = {}
     trace_z = 0.0
     rounding = 0.0
+    pairs = []
     for c in problem.constraints:
         if c.name not in factors:
             continue
         f = as_matrix(factors[c.name], square=False, name=f"factor {c.name}")
         if f.shape[0] != c.dim:
             raise InputError(f"factor for {c.name!r} needs {c.dim} rows")
-        tz = float(np.sum(f * f))
+        wc, tz, rc = _adjoint(problem, c, f, f)
+        for vn, x in wc.items():
+            w[vn] = w.get(vn, 0.0) + x
         trace_z += tz
-        for t in c.terms:
-            lf, rf = t.left @ f, t.right @ f
-            w[t.var] += t.coeff * _sym(lf @ rf.T)
-            rounding += abs(t.coeff) * np.linalg.norm(lf) * np.linalg.norm(rf)
-        for vn, cf in c.trace_terms:
-            dim = problem.variable(vn).dim
-            w[vn] += cf * tz * np.eye(dim)
-            rounding += abs(cf) * dim * tz
+        rounding += rc
+        if f.shape[1] == 2:
+            pairs.append((c, f[:, :1], f[:, 1:]))
     if trace_z == 0.0:
         report["reason"] = "every factor is zero"
         return report
-    w_pos = w_neg = 0.0
-    for x in w.values():
-        if x.size:
-            e = np.linalg.eigvalsh(x)
-            w_pos += float(e[e > 0.0].sum())
-            w_neg -= float(e[e < 0.0].sum())
-    a, b = dual_ratios(problem.tol)
-    bracket = w_pos - b * w_neg - a * trace_z - b * DUAL_ROUNDING * rounding
+    bracket = (_pairing_bounds(w, b)[0] - a * trace_z
+               - allowance * rounding)
     report["margin"] = bracket / trace_z
     report["pass"] = bool(bracket > 0.0)
+
+    def bounds(c, f, g):
+        """(l(W), l(-W), tr Z) for Z = sym(f g') on c, each l less its
+        rounding allowance."""
+        wz, tz, rz = _adjoint(problem, c, f, g)
+        lo, lo_neg = _pairing_bounds(wz, b)
+        return lo - allowance * rz, lo_neg - allowance * rz, tz
+
+    for c, f1, f2 in pairs:
+        if report["pass"]:
+            break
+        l11, _, n11 = bounds(c, f1, f1)
+        l22, _, n22 = bounds(c, f2, f2)
+        l12, l21, n12 = bounds(c, f1, f2)
+        d = max(l12, l21) - a * abs(n12)
+        rhs = (a * n11 - l11) * (a * n22 - l22)
+        if d > 0.0 and d * d > rhs:
+            report["pass"] = True
+            report.update(margin=(d * d - rhs) / (n11 * n22), pair=c.name)
     if not report["pass"]:
         report["reason"] = "the pairing does not exclude every candidate"
     return report

@@ -63,6 +63,7 @@ __all__ = [
     "decay_margins",
     "convergence_rate",
     "dual_family",
+    "spectral_verdicts",
     "verdicts_from_evidence",
     "analyze",
 ]
@@ -309,6 +310,14 @@ def dual_family(family: MatrixFamily) -> MatrixFamily:
                         family.labels)
 
 
+def spectral_verdicts(family: MatrixFamily,
+                       tol: Tolerances = DEFAULT_TOL) -> tuple:
+    """The spectral convergence verdict of each vertex, the necessary
+    condition that verdicts_from_evidence reads first."""
+    check = lti_convergent_dt if family.mode == "dt" else lti_convergent_ct
+    return tuple(check(a, tol) for a in family.matrices)
+
+
 def verdicts_from_evidence(vertex_verdicts, facts: KernelFacts, strong_kind,
                            m, weak_parameter, orbit) -> tuple:
     """The (strong, weak) verdict pair that the evidence gives: the one
@@ -402,9 +411,7 @@ def analyze(family: MatrixFamily,
     leave the band and read as divergent, where the solver's at-tolerance
     certificate caps the verdict to Unknown/vertex-band.
     """
-    vertex_check = (lti_convergent_dt if family.mode == "dt"
-                    else lti_convergent_ct)
-    vertex_verdicts = tuple(vertex_check(a, tol) for a in family.matrices)
+    vertex_verdicts = spectral_verdicts(family, tol)
     facts = kernel_facts(family.matrices, family.mode, tol)
     report = AnalysisReport(family, None, None, facts,
                             vertex_verdicts=vertex_verdicts)

@@ -16,7 +16,8 @@ solver's facial reduction) and adjudicate purely through the two
 solver-free checks: verify_lmi for a certificate (found by sdp_feasible,
 or for the common-Lyapunov LMI first tried as a Lyapunov-equation
 solution, see lyapunov_candidates) and verify_dual for a certificate of
-infeasibility.  Eigenvectors enter only as candidates for the latter (see
+infeasibility.  Eigenvectors, and on the damped form the Jordan chains at
+the critical value, enter only as candidates for the latter (see
 vertex_duals).  A candidate that its check rejects costs the solver run it
 was meant to save, never a verdict.
 
@@ -281,11 +282,13 @@ def block_form(mats, mode: str, wc: np.ndarray, wk: np.ndarray):
 class KernelFacts:
     """The fixed spaces ker(A_i - lam0 I) of vertices A_1..A_m, lam0 = 1
     (dt) or 0 (ct), their intersection (the common kernel), and the
-    matrices, mode and tolerances they were computed with.
+    matrices, mode, tolerances and rank-cutoff scale they were computed
+    with.
 
     Everything else that rests on the kernels is read from here, built on
     first use: the kernel-sharing facts (holds, kernel_dims, common_dim),
-    the family-wide decomposition and the per-vertex aligned bases.
+    the family-wide decomposition, the per-vertex aligned bases and the
+    per-vertex Jordan chains.
     """
 
     mats: tuple
@@ -293,6 +296,7 @@ class KernelFacts:
     tol: Tolerances
     kernels: tuple
     common: Subspace
+    scale: float
 
     @cached_property
     def holds(self) -> bool:
@@ -332,6 +336,27 @@ class KernelFacts:
         return tuple(np.hstack([orthogonal_complement(k, self.tol).basis,
                                 k.basis]) for k in self.kernels)
 
+    @cached_property
+    def chains(self) -> tuple:
+        """Per vertex, a Jordan chain [S v, v] at lam0 (n x 2), S = A_i -
+        lam0 I, with v a unit vector of ker S^2 orthogonal to ker S; None
+        where ker S is trivial or equals ker S^2.  ker S^2 is cut at the
+        squared scale, as in linalg.nested_kernel_dims."""
+        n = self.mats[0].shape[0]
+        out = []
+        for a, k in zip(self.mats, self.kernels):
+            s = a - _critical(self.mode) * np.eye(n)
+            k2 = (kernel(s @ s, self.tol, scale=self.scale ** 2)
+                  if k.dim else k)
+            if k2.dim <= k.dim:
+                out.append(None)
+                continue
+            # the part of ker S^2 orthogonal to ker S
+            v = k2.basis @ kernel(k.basis.T @ k2.basis, self.tol,
+                                  scale=1.0).basis[:, 0]
+            out.append(np.column_stack([s @ v, v]))
+        return tuple(out)
+
 
 def kernel_facts(mats, mode: str,
                  tol: Tolerances = DEFAULT_TOL) -> KernelFacts:
@@ -350,7 +375,7 @@ def kernel_facts(mats, mode: str,
     kernels = tuple(kernel(a - lam0 * np.eye(n), tol, scale=scale)
                     for a in mats)
     return KernelFacts(mats, mode, tol, kernels,
-                       subspace_intersection(kernels, tol))
+                       subspace_intersection(kernels, tol), scale)
 
 
 def lti_decompose_dt(a, tol: Tolerances = DEFAULT_TOL) -> Decomposition:
@@ -463,8 +488,17 @@ def vertex_duals(facts: KernelFacts, parameter: float | None = None,
     An eigenpair is kept when its closed-form pairing passes verify_dual's
     bound on its own (see dual_ratios), so a stable vertex pays one eig and
     yields nothing.  The kept pairs of vertex i are stacked into the factor
-    of its constraint.  The filter carries no trust: verify_dual checks
-    the result.
+    of its constraint.
+
+    Chain pairs.  When the damped form keeps no eigenpair, each vertex
+    with a Jordan chain at the critical value (KernelFacts.chains) gives
+    F = T_i'[S v, v], S = A_i - lam0 I, for verify_dual's pair bound.  On
+    a Jordan block every eigenpair pairs to exactly 0 (s = 0 at lam0), but
+    the chain's cross pairing is k <P S v, S v> (dt) resp.
+    <P S v, S v>/eps (ct) in the original coordinates, bounded away from 0
+    by the weakest eigenvalue of P, while the pairing of v alone can stay
+    small.  The filters carry no trust: verify_dual checks the result, and
+    a chain it rejects costs the solver run it was meant to save.
     """
     mode = facts.mode
     a_ratio, b_ratio = dual_ratios(facts.tol)
@@ -491,6 +525,11 @@ def vertex_duals(facts: KernelFacts, parameter: float | None = None,
         if np.any(keep):
             factors[f"vertex{i + 1}"] = lift @ np.hstack(
                 [vec[:, keep].real, vec[:, keep].imag])
+    if wc is None and not factors:
+        factors = {f"vertex{i + 1}": t.T @ chain
+                   for i, (t, chain) in enumerate(zip(facts.bases,
+                                                      facts.chains))
+                   if chain is not None}
     return factors
 
 
@@ -579,8 +618,11 @@ def damped_lmi(facts: KernelFacts,
                parameter: float | None = None) -> LmiOutcome:
     """The damped vertex LMI at one parameter, or over its grid when
     parameter is None.  Each problem first tries a certified infeasibility
-    from vertex eigenpairs (vertex_duals, verify_dual); sdp_feasible runs
-    only when that fails.
+    from vertex eigenpairs or, failing those, Jordan chains (vertex_duals,
+    verify_dual); sdp_feasible runs only when that fails.  A Jordan block
+    at the critical value is certified too: its chain passes verify_dual's
+    pair bound at the grid points probed first, EPS_GRID[-1] (ct) and
+    ETA_GRID[-1] (dt), so no solve runs for it.
 
     DT feasibility is monotone increasing in eta, so the scan first probes
     the largest grid eta (infeasible there means infeasible on the whole

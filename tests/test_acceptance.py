@@ -270,10 +270,10 @@ def test_single_matrix_routes_agree_on_a_seeded_sweep():
         for route, out in (("damped", damped), ("reduced", reduced)):
             assert out.feasible == convergent, (i, archetype, route)
             # unstable and rotation matrices have eigenvector duals on both
-            # forms, a Jordan block only on the reduced one: their answers
-            # must be certified, not the solver's stall
-            if (archetype in (1, 4) and not out.feasible) or (
-                    archetype == 3 and route == "reduced"):
+            # forms, a Jordan block eigenvector duals on the reduced one and
+            # a chain pair on the damped one: their answers must be
+            # certified, not the solver's stall
+            if (archetype in (1, 4) and not out.feasible) or archetype == 3:
                 assert out.result.status == CERTIFIED_INFEASIBLE, (
                     i, archetype, route, out.result.status)
             if out.result.status == CERTIFIED_INFEASIBLE:

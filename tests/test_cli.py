@@ -517,6 +517,30 @@ class TestCertifyCommand:
         assert doc["status"] == "Unknown"
         assert doc["certificate"] is None
 
+    # families that do not converge, with every vertex in the spectral
+    # tolerance band: strong-lmi finds a certificate that passes verify_lmi
+    # at tolerance, and the verdict rule caps it to Unknown/vertex-band
+    @pytest.mark.parametrize("family", [
+        {"mode": "dt", "matrices": [[[1.000000005]]]},
+        {"mode": "ct", "matrices": [[[5e-9]]]},
+        {"mode": "dt", "matrices": [[[1.000000005, 0.0], [0.0, 0.5]],
+                                    [[1.000000005, 0.0], [0.0, 0.25]]]}])
+    @pytest.mark.parametrize("method", ["cqlf", "strong-lmi", "weak-lmi"])
+    def test_no_proven_past_the_verdict_rule(self, cli, family, method):
+        code, out, _ = cli("certify", "-", "--method", method,
+                           stdin=json.dumps(family))
+        assert code == 0
+        assert json.loads(out)["status"] == "Unknown"
+
+    @pytest.mark.parametrize("method", ["cqlf", "strong-lmi", "weak-lmi"])
+    def test_every_method_proves_a_shared_kernel_family(self, cli, method):
+        family = {"mode": "dt", "matrices": [[[0.5, 0.0], [0.0, 1.0]],
+                                             [[0.25, 0.0], [0.0, 1.0]]]}
+        code, out, _ = cli("certify", "-", "--method", method,
+                           stdin=json.dumps(family))
+        assert code == 0
+        assert json.loads(out)["status"] == "Proven"
+
     def test_polyhedral_identity_candidate(self, cli):
         code, out, _ = cli("certify", "-", "--method", "polyhedral",
                            "--candidate", "[[1,0],[0,1]]",

@@ -8,13 +8,12 @@ of block forms) so the expected verdict is known by construction.
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyconv.errors import InputError
 from polyconv.feasibility import (
     CERTIFIED_INFEASIBLE,
-    INFEASIBLE,
     sdp_feasible,
     verify_dual,
     verify_lmi,
@@ -28,6 +27,7 @@ from polyconv.lti import (
     UNKNOWN,
     ct_aux,
     damped_lmi,
+    damped_problem,
     dt_aux,
     eas,
     kernel_facts,
@@ -442,18 +442,45 @@ class TestCertifiedInfeasibility:
     @pytest.mark.parametrize("route,mode", [(lti_lmi_dt_e, "dt"),
                                             (lti_lmi_ct_f, "ct")])
     def test_jordan_block_is_only_weakly_infeasible_on_the_damped_form(
-            self, route, mode):
-        # known limit: every eigenvector pairs to exactly zero (s = 0 at
-        # lam = 1 resp. 0), and for the 2x2 block no Z >= 0 has an adjoint
-        # image that is >= 0 and nonzero, so no dual exists and the answer
-        # stays the solver's heuristic
+            self, route, mode, monkeypatch):
+        # every eigenvector pairs to exactly zero (s = 0 at lam = 1 resp.
+        # 0), and for the 2x2 block no Z >= 0 has an adjoint image that is
+        # >= 0 and nonzero, so no single column passes the trace bracket;
+        # the Jordan chain [S v, v] passes the pair bound at the grid point
+        # that decides the scan, and no solve runs
+        import polyconv.lti as lti
         a = np.asarray(JORDAN[mode])
         facts = kernel_facts((a,), mode)
-        for par in (ETA_GRID if mode == "dt" else EPS_GRID):
-            assert vertex_duals(facts, parameter=par) == {}
+        par = ETA_GRID[-1] if mode == "dt" else EPS_GRID[-1]
+        prob = damped_problem(facts, par)
+        factors = vertex_duals(facts, parameter=par)
+        assert factors["vertex1"].shape == (2, 2)
+        report = verify_dual(prob, factors)
+        assert report["pass"] and report["pair"] == "vertex1"
+        for col in factors["vertex1"].T:
+            assert not verify_dual(prob, {"vertex1": col[:, None]})["pass"]
+        calls = []
+        monkeypatch.setattr(lti, "sdp_feasible",
+                            lambda problem: calls.append(problem))
         out = route(a)
-        assert not out.feasible
-        assert out.result.status == INFEASIBLE
+        assert out.result.status == CERTIFIED_INFEASIBLE
+        assert out.result.iterations == 0
+        assert verify_dual(out.problem, out.result.factors)["pass"]
+        assert calls == []
+
+    def test_chain_fails_where_an_at_tolerance_certificate_passes(self):
+        # the non-convergent block [[1, 0.1], [0, 1]] at the smallest grid
+        # eta: P = [[eps, c], [c, 1]] passes verify_lmi within its
+        # tolerance, so no certificate of infeasibility may pass
+        a = np.array([[1.0, 0.1], [0.0, 1.0]])
+        facts = kernel_facts((a,), "dt")
+        prob = damped_problem(facts, ETA_GRID[0])
+        eps = 1.26e-6
+        c = -0.07 * np.sqrt(eps)
+        assert verify_lmi(prob, {"P": np.array([[eps, c], [c, 1.0]])})["pass"]
+        factors = vertex_duals(facts, parameter=ETA_GRID[0])
+        assert factors["vertex1"].shape == (2, 2)
+        assert not verify_dual(prob, factors)["pass"]
 
     def test_ct_grid_dual_skips_every_solve(self, monkeypatch):
         import polyconv.lti as lti
@@ -477,6 +504,44 @@ class TestCertifiedInfeasibility:
         assert vertex_duals(kernel_facts((a,), "dt"),
                             parameter=ETA_GRID[-1]) == {}
         assert lti_lmi_dt_e(a).feasible
+
+
+# P = [[eps, t sqrt(eps)], [t sqrt(eps), 1]] in a Jordan block's basis: the
+# candidates that come closest to the damped LMI of a block at its
+# critical value, small on the eigenvector and coupled to the chain vector
+JORDAN_EPS = 10.0 ** np.arange(-9.0, 0.5, 0.5)
+JORDAN_T = (-0.5, -0.1, -0.07, -0.03, 0.0, 0.07)
+
+
+@given(st.floats(-3.0, 1.0), st.sampled_from(["dt", "ct"]),
+       st.integers(0, 3), st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+# a grid P passes verify_lmi (s = 0.1 at the smallest grid eta), and the
+# chain passes verify_dual (s = 1 at the largest)
+@example(log_s=-1.0, mode="dt", k=0, seed=0)
+@example(log_s=0.0, mode="dt", k=3, seed=0)
+def test_no_jordan_problem_passes_both_checks(log_s, mode, k, seed):
+    # the pair bound's soundness on damped problems of planted 2 x 2
+    # Jordan blocks with coupling s, at the grid parameters: no problem
+    # has both a grid P that verify_lmi passes and a chain or random
+    # two-column factor that verify_dual passes
+    rng = np.random.default_rng(seed)
+    q = random_orthogonal(rng, 2)
+    lam0 = 1.0 if mode == "dt" else 0.0
+    a = q @ np.array([[lam0, 10.0 ** log_s], [0.0, lam0]]) @ q.T
+    facts = kernel_facts((a,), mode)
+    par = (ETA_GRID if mode == "dt" else EPS_GRID)[k]
+    prob = damped_problem(facts, par)
+    certified = [
+        verify_lmi(prob, {"P": q @ np.array([[e, t * np.sqrt(e)],
+                                             [t * np.sqrt(e), 1.0]]) @ q.T}
+                   )["pass"]
+        for e in JORDAN_EPS for t in JORDAN_T]
+    chain = vertex_duals(facts, parameter=par)
+    assert chain["vertex1"].shape == (2, 2)
+    duals = [verify_dual(prob, {"vertex1": f})["pass"]
+             for f in (chain["vertex1"], rng.standard_normal((2, 2)))]
+    assert not (any(certified) and any(duals))
 
 
 # ---------------------------------------------------------------- limits

@@ -9,6 +9,8 @@ functions below measure the best achievable one-step decay of V.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +84,63 @@ def _state_vector(x, n: int) -> np.ndarray:
     return x
 
 
+def _row_norms(xs: np.ndarray) -> np.ndarray:
+    """||x|| of each row by one dot product, as np.linalg.norm(x) takes
+    it, so that batched and single answers agree bit for bit."""
+    return np.sqrt(np.matmul(xs[:, None, :], xs[:, :, None])[:, 0, 0])
+
+
+def _membership_matrices(family: MatrixFamily, xs: np.ndarray,
+                         tol: Tolerances):
+    """For each row x of xs: M = [A_1 x ... A_m x], the LP's matrix M~
+    (M with its noise columns zeroed, see weak_kernel_membership), ||x||,
+    and whether the separating-direction screen settles x as infeasible.
+
+    The screen (Farkas, with x itself as the separating direction): let
+    q_i = x'M~e_i.  The LP returns w only if ||M~w|| <= tau =
+    residual_tol (1 + max|M~|).  If every q_i has one strict sign with
+    |q_i| >= delta, then |x'M~w| >= delta for every simplex w, so
+    ||M~w|| >= delta / ||x|| and no w passes once delta > tau ||x||.
+
+    Rounding.  Let u be the unit roundoff, a = max_i ||A_i||_F and
+    g_k = k u / (1 - k u).  A computed column (these, or the LP's own,
+    summed in another order) is within g_n a ||x|| of the exact A_i x and
+    has norm at most (1 + g_n) a ||x||; a computed q_i is within g_n ||x||
+    times that norm of the exact x'(A_i x).  So each column c_i the LP
+    gets has x'c_i of the sign of q_i, with |x'c_i| >= delta -
+    3.1 g_n a ||x||^2, and for the LP's w >= 0 with sum s >= 1 - g_m,
+    ||M~w|| >= s (delta - 3.1 g_n a ||x||^2) / ||x||.  The LP's computed
+    final norm is at least (1 - g_n) (||M~w|| - 1.01 g_m s a ||x||).  So
+    where
+        delta > 2 ||x|| (tau + f) + 4 (n + m) u a ||x||^2,
+    f = rank_rel n a ||x|| the largest noise floor, that norm is above
+    (1 - g_n) (1 - g_m) 2 tau > tau: the factor 2 covers the relative
+    rounding of ||x||, tau, s and the norm, all below (n + m) u.  The f
+    term keeps every column of a screened x above its noise floor in any
+    summation order, so the LP gets no zeroed column for it.  A noise
+    column of M~ has q_i = 0, so an x with one is never screened.
+    """
+    mats = np.stack(family.matrices)
+    n, m_count = family.n, family.m_count
+    fro = np.array([float(np.linalg.norm(a)) for a in family.matrices])
+    # matrix-vector products, the ones a @ x makes for one state, so that
+    # batched and single answers agree bit for bit
+    m = np.ascontiguousarray(np.matmul(mats, xs[:, None, :, None])[..., 0]
+                             .transpose(0, 2, 1))
+    xnorm = _row_norms(xs)
+    floors = tol.rank_rel * n * fro[None, :] * xnorm[:, None]
+    noise = np.linalg.norm(m, axis=1) <= floors
+    mt = np.where(noise[:, None, :], 0.0, m)
+    q = np.matmul(xs[:, None, :], mt)[:, 0, :]
+    tau = tol.residual_tol * (1.0 + np.abs(mt).max(axis=(1, 2)))
+    bound = (2.0 * xnorm * (tau + tol.rank_rel * n * fro.max() * xnorm)
+             + 2.0 * (n + m_count) * np.finfo(float).eps * fro.max()
+             * xnorm ** 2)
+    one_sign = np.all(q > 0.0, axis=1) | np.all(q < 0.0, axis=1)
+    settled = one_sign & (np.abs(q).min(axis=1) > bound)
+    return m, mt, xnorm, settled
+
+
 def weak_kernel_membership(family: MatrixFamily, x,
                            tol: Tolerances = DEFAULT_TOL) -> WeakKernelResult:
     """Decide whether some simplex weight freezes x: A(w) x = 0.
@@ -91,67 +150,104 @@ def weak_kernel_membership(family: MatrixFamily, x,
     normalizes M by its largest entry, which would turn an all-noise M into
     O(1) transverse columns.  The cutoff is relative to A_i and x, so
     scaling either leaves the answer unchanged.
+
+    Before the LP, x itself is tried as a separating direction: if every
+    x'A_i x (noise columns zeroed) has one strict sign and clears the
+    LP's own acceptance threshold with a rounding allowance (derived in
+    _membership_matrices), no simplex w can pass the LP's final residual
+    check, and the answer is the LP's infeasible one without solving it.
+    Every other x is decided by lp_simplex_membership.
     """
     _require_ct(family, "weak_kernel_membership")
     x = _state_vector(x, family.n)
-    m_count = family.m_count
-    xnorm = float(np.linalg.norm(x))
-    if xnorm == 0.0:
-        w = np.zeros(m_count)
+    if float(np.linalg.norm(x)) == 0.0:
+        w = np.zeros(family.m_count)
         w[0] = 1.0
         return WeakKernelResult(x, True, w, 0.0)
-    m = np.column_stack([a @ x for a in family.matrices])
-    floors = [tol.rank_rel * family.n * float(np.linalg.norm(a)) * xnorm
-              for a in family.matrices]
-    noise = np.linalg.norm(m, axis=0) <= np.asarray(floors)
-    w = lp_simplex_membership(np.where(noise, 0.0, m), tol)
+    m, mt, _, settled = _membership_matrices(family, x[None, :], tol)
+    if settled[0]:
+        return WeakKernelResult(x, False, None, float("inf"))
+    w = lp_simplex_membership(mt[0], tol)
     if w is None:
         return WeakKernelResult(x, False, None, float("inf"))
-    return WeakKernelResult(x, True, w, float(np.linalg.norm(m @ w)))
+    return WeakKernelResult(x, True, w, float(np.linalg.norm(m[0] @ w)))
 
 
-def _simplex_grid(m_count: int, per_edge: int):
-    """Integer-composition grid on the simplex, per_edge cells per edge."""
-    if m_count == 1:
-        yield np.array([1.0])
-        return
+def _compositions(m_count: int, per_edge: int) -> np.ndarray:
+    """The integer compositions of per_edge into m_count parts, one per
+    row in lexicographic order: the simplex grid with per_edge cells per
+    edge, times per_edge."""
+    comp = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([per_edge])
+    for _ in range(m_count - 1):
+        reps = rest + 1
+        row = np.repeat(np.arange(rest.size), reps)
+        first = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps,
+                                                  reps)
+        comp = np.column_stack([comp[row], first])
+        rest = rest[row] - first
+    return np.column_stack([comp, rest])
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            yield prefix + [remaining]
-            return
-        for k in range(remaining + 1):
-            yield from rec(prefix + [k], remaining - k, slots - 1)
 
-    for comp in rec([], per_edge, m_count):
-        yield np.asarray(comp, dtype=float) / per_edge
+def _lex_rank(comp: np.ndarray, per_edge: int) -> np.ndarray:
+    """Row index of each composition in _compositions order: the
+    compositions before c that agree with it before slot j and are smaller
+    there number C(R_j + s_j, s_j) - C(R_j - c_j + s_j, s_j), with R_j what
+    is left for slot j and the s_j = m - 1 - j slots after it."""
+    m_count = comp.shape[1]
+    table = np.array([[math.comb(r + s, s) for s in range(m_count)]
+                      for r in range(per_edge + 1)], dtype=np.int64)
+    left = per_edge - np.cumsum(comp, axis=1) + comp
+    slots = np.arange(m_count - 1, -1, -1)
+    return (table[left, slots] - table[left - comp, slots]).sum(axis=1)
+
+
+# grid points whose A(w) are stacked for one determinant call
+DET_CHUNK = 256
 
 
 def _singular_weight_candidates(family: MatrixFamily, per_edge: int):
     """Weights where A(w) is (nearly) singular, found by a determinant
     sign scan over edge segments of the simplex grid; a generator, so the
-    pair scan runs only as far as the caller reads."""
+    bisections run only as far as the caller reads.  Memory is linear in
+    the number of grid points: determinants are taken DET_CHUNK stacked
+    A(w) at a time, and the segments are the grid's lattice neighbours
+    c + e_a - e_b, looked up by rank."""
     n = family.n
     scale = 1.0 + max(float(np.linalg.norm(a, 2)) for a in family.matrices)
 
     def det_at(w):
         return float(np.linalg.det(family.a_of(w)))
 
-    grid = list(_simplex_grid(family.m_count, per_edge))
-    dets = [det_at(w) for w in grid]
+    comp = _compositions(family.m_count, per_edge)
+    grid = comp / per_edge
+    dets = np.empty(len(grid))
+    for lo in range(0, len(grid), DET_CHUNK):
+        chunk = grid[lo:lo + DET_CHUNK]
+        a = np.zeros((len(chunk), n, n))
+        for wi, ai in zip(chunk.T, family.matrices):
+            a += wi[:, None, None] * ai
+        dets[lo:lo + len(chunk)] = np.linalg.det(a)
     cutoff = 1e-10 * scale ** n
     for w, d in zip(grid, dets):
         if abs(d) <= cutoff:
             yield w
-    # refine sign changes along straight segments between grid neighbours:
-    # the pairs (i < j) one lattice move apart, L1 distance 2 / per_edge
-    comp = np.rint(np.array(grid) * per_edge).astype(np.int64)
-    dist = np.zeros((len(grid), len(grid)), dtype=np.int64)
-    for c in comp.T:
-        dist += np.abs(c[:, None] - c[None, :])
+    # refine sign changes along straight segments between grid neighbours,
+    # the pairs i < j one lattice move c_j = c_i + e_a - e_b apart (a < b,
+    # so that c_j follows c_i), in the order of i, then j
     sign = np.sign(dets)
-    mask = (dist <= 2) & (sign[:, None] * sign[None, :] < 0)
-    for i, j in zip(*np.nonzero(np.triu(mask, 1))):
+    lower, upper = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for a, b in itertools.combinations(range(family.m_count), 2):
+        i = np.flatnonzero(comp[:, b] > 0)
+        move = np.zeros(family.m_count, dtype=np.int64)
+        move[[a, b]] = 1, -1
+        j = _lex_rank(comp[i] + move, per_edge)
+        change = sign[i] * sign[j] < 0
+        lower.append(i[change])
+        upper.append(j[change])
+    lower, upper = np.concatenate(lower), np.concatenate(upper)
+    order = np.lexsort((upper, lower))
+    for i, j in zip(lower[order], upper[order]):
         lo, hi, flo = grid[i], grid[j], dets[i]
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -174,11 +270,15 @@ def weak_kernel_triviality_scan(family: MatrixFamily, samples: int = 200,
 
     Candidates, in this order: per-vertex kernel basis vectors, kernel
     vectors of A(w) at nearly singular grid weights (determinant sign
-    scan), and random unit samples.  They are built one at a time, so the
-    scan stops paying at its first witness.  Any feasible membership at
-    x != 0 is returned as a witness; otherwise the result is
-    likely-trivial, explicitly non-certified.  A negative samples or seed
-    is an InputError.
+    scan), and random unit samples, all drawn at once.  They are built a
+    batch at a time (one kernel basis, or all samples), so the scan stops
+    paying at its first witness.  Each batch goes through
+    weak_kernel_membership's separating-direction screen in one call;
+    weak_kernel_membership runs, in order, only on the candidates the
+    screen leaves, and checked counts every candidate, screened or not.
+    Any feasible membership at x != 0 is returned as a witness; otherwise
+    the result is likely-trivial, explicitly non-certified.  A negative
+    samples or seed is an InputError.
     """
     _require_ct(family, "weak_kernel_triviality_scan")
     if samples < 0 or seed < 0:
@@ -190,25 +290,29 @@ def weak_kernel_triviality_scan(family: MatrixFamily, samples: int = 200,
     per_edge = max(4, min(24, int(round(samples ** (1.0 / max(
         1, family.m_count - 1))))))
 
-    def candidates():
+    def batches():
         for a in family.matrices:
-            yield from kernel(a, tol, scale=scale).basis.T
+            yield kernel(a, tol, scale=scale).basis.T
         for w in _singular_weight_candidates(family, per_edge):
-            yield from kernel(family.a_of(w), tol, scale=scale).basis.T
-        for _ in range(samples):
-            v = rng.normal(size=n)
-            nv = float(np.linalg.norm(v))
-            if nv > 0:
-                yield v / nv
+            yield kernel(family.a_of(w), tol, scale=scale).basis.T
+        v = rng.normal(size=(samples, n))
+        nv = _row_norms(v)
+        yield v[nv > 0] / nv[nv > 0, None]
 
     checked = 0
-    for x in candidates():
-        if float(np.linalg.norm(x)) < 1e-12:
+    for xs in batches():
+        if not len(xs):
             continue
-        checked += 1
-        res = weak_kernel_membership(family, x, tol)
-        if res.feasible:
-            return TrivialityScan(False, res, checked)
+        _, _, xnorm, settled = _membership_matrices(family, xs, tol)
+        for x, x_norm, skip in zip(xs, xnorm, settled):
+            if x_norm < 1e-12:
+                continue
+            checked += 1
+            if skip:
+                continue
+            res = weak_kernel_membership(family, x, tol)
+            if res.feasible:
+                return TrivialityScan(False, res, checked)
     return TrivialityScan(True, None, checked)
 
 

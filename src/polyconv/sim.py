@@ -4,10 +4,11 @@ DT trajectories follow the exact recursion x(k+1) = A(w(k)) x(k).  CT
 signals are piecewise constant, so propagation is exact: each segment's
 start state is e^(A dur) applied to the previous one's, so errors never
 carry across segments.  Inside a segment the first sample is computed
-from the segment start and the next ones by one step exponential
-e^(A sample_dt) each (Al-Mohy & Higham, "Computing the action of the
-matrix exponential", 2011): sampling density changes the sampled values
-at rounding level only.  A state that overflows is a NumericalError.
+from the segment start and the next ones from the step exponential
+e^(A sample_dt), squared as the filled block doubles (Al-Mohy & Higham,
+"Computing the action of the matrix exponential", 2011): sampling density
+changes the sampled values at rounding level only.  A state that
+overflows is a NumericalError.
 """
 
 from __future__ import annotations
@@ -239,10 +240,12 @@ def simulate_ct(family: MatrixFamily, signal: SwitchingSignal, x0,
 
     Every segment of the signal's schedule starts from the exact state
     e^(A dur) x_seg of the segment before.  Inside a segment the first
-    sample is e^(A (t - t_seg)) x_seg, each next grid sample is one step
-    exponential e^(A sample_dt) after the one before, and an off-grid t_end
-    is computed from the segment start again: at most three exponentials
-    per segment, and sampling density changes the values at rounding level
+    sample is e^(A (t - t_seg)) x_seg, and the next grid samples are filled
+    by doubling: the first d samples of the segment, times P = e^(A d
+    sample_dt), give the next d, and P is squared as d doubles, so k
+    samples take about log2(k) matrix products.  An off-grid t_end is
+    computed from the segment start again: at most three exponentials per
+    segment, and sampling density changes the values at rounding level
     only.  More than SCHEDULE_PIECES_MAX grid steps is an InputError, a
     state that overflows a NumericalError.
     """
@@ -279,9 +282,17 @@ def simulate_ct(family: MatrixFamily, signal: SwitchingSignal, x0,
             if j < stop:
                 states[j] = matrix_exponential(a * (times[j] - t_seg)) @ x_seg
             if j + 1 < stepped:
+                # the d samples after a block of d are that block times
+                # P = e^(A d sample_dt); P is squared as d doubles
                 step = matrix_exponential(a * sample_dt)
-                for k in range(j + 1, stepped):
-                    states[k] = step @ states[k - 1]
+                k, d = j + 1, 1
+                while True:
+                    block = min(d, stepped - k)
+                    states[k:k + block] = states[k - d:k - d + block] @ step.T
+                    k += block
+                    if k == stepped:
+                        break
+                    step, d = step @ step, 2 * d
             if j < stepped < stop:
                 states[stepped] = matrix_exponential(
                     a * (times[stepped] - t_seg)) @ x_seg

@@ -6,16 +6,21 @@ preserve V, yet the averaged matrix is zero and V can drop to zero in one
 step, so the full-simplex minimum is -1, not 0.
 """
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polyconv.lasalle as lasalle_module
 from polyconv.errors import InputError
-from polyconv.examples import kolmogorov_family
+from polyconv.examples import kolmogorov_family, opinion_family
 from polyconv.family import MatrixFamily
+from polyconv.feasibility import lp_simplex_membership
 from polyconv.inclusion import kernel_facts, weak_lmi
 from polyconv.lasalle import (
-    _simplex_grid,
+    _membership_matrices,
     _singular_weight_candidates,
     euler_gap,
     lasalle_gap_dt,
@@ -24,6 +29,7 @@ from polyconv.lasalle import (
     weak_kernel_membership,
     weak_kernel_triviality_scan,
 )
+from polyconv.linalg import DEFAULT_TOL
 from polyconv.sim import SwitchingSignal, simulate_ct
 
 DIAG_KERNELS = MatrixFamily("ct", [[[-1, 0], [0, 0]], [[0, 0], [0, -1]]])
@@ -172,7 +178,10 @@ def _pair_loop_candidates(family, per_edge):
     """The determinant sign scan written as a plain loop over every pair
     of grid points, the reference for _singular_weight_candidates."""
     scale = 1.0 + max(float(np.linalg.norm(a, 2)) for a in family.matrices)
-    grid = list(_simplex_grid(family.m_count, per_edge))
+    grid = [np.array(c, dtype=float) / per_edge
+            for c in itertools.product(range(per_edge + 1),
+                                       repeat=family.m_count)
+            if sum(c) == per_edge]
     dets = [float(np.linalg.det(family.a_of(w))) for w in grid]
     out = [w for w, d in zip(grid, dets)
            if abs(d) <= 1e-10 * scale ** family.n]
@@ -198,7 +207,7 @@ def _pair_loop_candidates(family, per_edge):
     return out
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
 @pytest.mark.parametrize("seed", range(3))
 def test_singular_weights_match_the_pair_loop(m, seed):
     # odd n and random vertices: det A(w) changes sign inside the simplex
@@ -220,6 +229,146 @@ def test_singular_weights_include_exact_zero_determinants():
     want = _pair_loop_candidates(fam, 4)
     assert [g.tolist() for g in got] == [w.tolist() for w in want] == [
         [0.5, 0.5]]
+
+
+def test_singular_weight_scan_memory_is_linear_in_the_grid():
+    # 14 vertices at 4 cells per edge make 2380 grid points: a table over
+    # all pairs of them would take 43 MiB
+    rng = np.random.default_rng(14)
+    fam = MatrixFamily("ct", [rng.standard_normal((3, 3)) for _ in range(14)])
+    tracemalloc.start()
+    try:
+        first = next(_singular_weight_candidates(fam, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a bisected segment point, not a grid point: the pair scan has run
+    assert np.abs(4 * first - np.rint(4 * first)).max() > 1e-6
+    assert peak < 16 * 2**20
+
+
+def _dissipative(rng, n, m):
+    """m vertices with A_i + A_i' <= -I: x'A_i x < 0 for every x != 0."""
+    mats = []
+    for _ in range(m):
+        s = rng.standard_normal((n, n))
+        h = rng.standard_normal((n, n))
+        mats.append(0.5 * (s - s.T) - h @ h.T / n - 0.5 * np.eye(n))
+    return MatrixFamily("ct", mats)
+
+
+def _ring_opinion(rng, n):
+    lap = np.zeros((n, n))
+    for i in range(n):
+        j = (i + 1) % n
+        lap[[i, j], [j, i]] -= rng.uniform(0.5, 2.0)
+    return opinion_family(lap - np.diag(lap.sum(axis=1)))
+
+
+def _shifted_gaussian(rng):
+    return MatrixFamily("ct", [rng.standard_normal((3, 3)) - np.eye(3)
+                               for _ in range(3)])
+
+
+def _planted_family(rng, x, q, m):
+    """m vertices with A_i x = p_i + q_i x / |x|^2, the p_i of size |x|,
+    orthogonal to x and summing to zero under a drawn weight w*: so
+    x'A_i x = q_i, and A(w*) x = (w*'q) x / |x|^2 vanishes with w*'q."""
+    n = x.size
+    w_star = rng.dirichlet(np.ones(m))
+    xx = float(x @ x)
+    p = rng.standard_normal((n, m)) * np.sqrt(xx)
+    p -= np.outer(x, x @ p) / xx
+    p -= (p @ w_star)[:, None]
+    cols = p + np.outer(x, q) / xx
+    mats = []
+    for i in range(m):
+        b = rng.standard_normal((n, n))
+        mats.append(b + np.outer(cols[:, i] - b @ x, x) / xx)
+    return MatrixFamily("ct", mats)
+
+
+# multiples of tau |x|, tau the LP's acceptance threshold: the screen's
+# threshold sits just above 2; far below 1 the LP finds a weight
+SCREEN_FACTORS = (0.0, 1e-6, 1e-4, 1e-3, 1e-2, 0.5, 1.0, 1.9, 1.99, 2.0,
+                  2.01, 2.1, 4.0, 1e3)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5),
+       st.sampled_from(SCREEN_FACTORS), st.sampled_from([-1.0, 1.0]),
+       st.sampled_from(["planted", "random", "dissipative"]))
+@settings(max_examples=150, deadline=None)
+def test_screen_never_settles_a_member(seed, n, m, factor, sign, kind):
+    # planted members x in ker A(w*) (q = 0), states whose smallest
+    # |x'A_i x| sits on either side of the screen's threshold, random
+    # states, and dissipative families that the screen settles
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    if kind == "random":
+        fam = MatrixFamily("ct", [rng.standard_normal((n, n))
+                                  for _ in range(m)])
+    elif kind == "dissipative":
+        fam = _dissipative(rng, n, m)
+    else:
+        spread = np.concatenate([[1.0], 1.0 + rng.uniform(0, 1, m - 1)])
+        # place min |q_i| by the tau of the family built with q = 0
+        base = _planted_family(np.random.default_rng(seed), x,
+                               np.zeros(m), m)
+        _, mt, _, _ = _membership_matrices(base, x[None, :], DEFAULT_TOL)
+        tau = DEFAULT_TOL.residual_tol * (1.0 + np.abs(mt).max())
+        q = sign * factor * tau * float(np.linalg.norm(x)) * spread
+        fam = _planted_family(np.random.default_rng(seed), x, q, m)
+    _, mt, _, settled = _membership_matrices(fam, x[None, :], DEFAULT_TOL)
+    if settled[0]:
+        assert lp_simplex_membership(mt[0], DEFAULT_TOL) is None
+        assert not weak_kernel_membership(fam, x).feasible
+    if kind == "dissipative":
+        assert settled[0]
+    if kind == "planted" and factor >= 4.0 and min(n, m) > 1:
+        assert settled[0]
+
+
+def _scan_fields(scan):
+    w = scan.witness
+    return (scan.likely_trivial, scan.checked) + (() if w is None else (
+        w.x.tolist(), w.feasible, w.w.tolist(), w.residual))
+
+
+@pytest.mark.parametrize("kind", ["dissipative", "opinion", "diag", "mixed"])
+@pytest.mark.parametrize("seed", range(3))
+def test_screened_scan_is_the_unscreened_one(monkeypatch, kind, seed):
+    rng = np.random.default_rng(seed)
+    n = 4 + 2 * seed
+    fam = {"dissipative": lambda: _dissipative(rng, n, 2 + seed),
+           "opinion": lambda: _ring_opinion(rng, n),
+           "diag": lambda: DIAG_KERNELS,
+           # Hurwitz-leaning vertices: the screen settles some samples
+           # and leaves the rest to the LP
+           "mixed": lambda: _shifted_gaussian(np.random.default_rng(1))
+           }[kind]()
+    calls = []
+
+    def spy(m, tol=DEFAULT_TOL):
+        calls.append(m)
+        return lp_simplex_membership(m, tol)
+
+    monkeypatch.setattr(lasalle_module, "lp_simplex_membership", spy)
+    screened = weak_kernel_triviality_scan(fam, seed=seed)
+    lp_calls = len(calls)
+    real = lasalle_module._membership_matrices
+
+    def none_settled(family, xs, tol):
+        m, mt, xnorm, settled = real(family, xs, tol)
+        return m, mt, xnorm, np.zeros_like(settled)
+
+    monkeypatch.setattr(lasalle_module, "_membership_matrices", none_settled)
+    plain = weak_kernel_triviality_scan(fam, seed=seed)
+    assert _scan_fields(screened) == _scan_fields(plain)
+    if kind == "dissipative":
+        assert screened.likely_trivial and screened.checked == 200
+        assert lp_calls == 0
+    if kind == "mixed":
+        assert 0 < lp_calls < len(calls) - lp_calls == screened.checked
 
 
 class TestLaSalleSetQuadratic:

@@ -337,6 +337,31 @@ class TestSimulateCt:
         err = np.abs(traj.states - want).max()
         assert err <= 1e-12 * (1.0 + np.abs(want).max())
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_long_segment_matches_expm_at_a_stride(self, seed):
+        # one constant segment of 4001 samples, so the last block is
+        # filled from P = e^(2048 A sample_dt): slowly decaying non-normal
+        # vertices, held at one weight, in a random orthogonal basis
+        rng = np.random.default_rng(seed)
+        n, m = 3 + seed % 3, 1 + seed % 2
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        mats = []
+        for _ in range(m):
+            t = np.triu(rng.standard_normal((n, n)), 1)
+            t += np.diag(-rng.uniform(0.05, 0.5, n))
+            mats.append(q @ t @ q.T)
+        fam = MatrixFamily("ct", tuple(mats))
+        w = rng.dirichlet(np.ones(m))
+        x0 = rng.standard_normal(n)
+        traj = simulate_ct(fam, SwitchingSignal.constant(w), x0, 40.0, 0.01)
+        assert traj.times.shape[0] == 4001
+        picks = list(range(0, 4001, 97)) + [4000]
+        a = fam.a_of(w)
+        want = np.array([scipy.linalg.expm(a * traj.times[k]) @ x0
+                         for k in picks])
+        err = np.abs(traj.states[picks] - want).max()
+        assert err <= 1e-12 * (1.0 + np.abs(want).max())
+
     def test_at_most_three_exponentials_per_segment(self, monkeypatch):
         calls = []
 

@@ -414,15 +414,14 @@ def _verify_strong_certificate(doc, family, facts, checks):
 def _verify_weak_certificate(doc, family, facts, checks):
     """Returns the certificate's grid parameter."""
     import numpy as np
-    from .lti import EPS_GRID, ETA_GRID, damped_problem
+    from .lti import check_grid_parameter, damped_problem
     name = "certificates/weak"
     sec = doc["certificates"]["weak"]
     parameter = sec["parameter"]
-    # the margin can sit at exactly zero independent of the damping, so an
-    # edited parameter may still recompute; pin it to the search grid
-    grid = ETA_GRID if family.mode == "dt" else EPS_GRID
-    if not checks.add(name, parameter in grid,
-                      "parameter is not on the search grid"):
+    try:
+        check_grid_parameter(family.mode, parameter)
+    except InputError as exc:
+        checks.add(name, False, str(exc))
         return None
     _check_lmi(name, damped_problem(facts, parameter),
                {"P": np.asarray(sec["p"], dtype=float)}, sec["checks"],
@@ -587,60 +586,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    """One certificate stage.  An LMI certificate is judged by the verdict
-    rule (inclusion.verdicts_from_evidence) together with the vertex
-    verdicts, as analyze judges it: the status is Proven only when the
-    rule proves the stage's verdict (strong for cqlf and strong-lmi, weak
-    for weak-lmi), so a vertex disproof or a vertex in the spectral
-    tolerance band overrules a certificate that passes only at
-    tolerance."""
-    from .inclusion import (StrongCertificate, cqlf_stability,
-                            spectral_verdicts, strong_lmi,
-                            verdicts_from_evidence, verify_polyhedral_strong,
-                            weak_lmi)
-    from .lti import kernel_facts
+    """inclusion.certify at the stage --method names: analyze's report
+    document, with the stage in diagnostics["stage"]."""
+    from .inclusion import certify
     family = _load_family(args.family)
-    tol = _tolerances_from(args.tol)
-    doc = {"method": args.method, "status": "Unknown", "certificate": None}
-    if args.method == "polyhedral" and args.candidate is None:
-        raise InputError("--method polyhedral needs --candidate X.json")
-    facts = kernel_facts(family.matrices, family.mode, tol)
-    strong_kind = weak_parameter = None
-    if args.method == "polyhedral":
-        rep = verify_polyhedral_strong(
-            facts, _read_json_arg(args.candidate, "candidate file"))
-        doc["status"] = "Proven" if rep["pass"] else "Unknown"
-        doc["certificate"] = _jsonable(rep)
-    elif args.method == "weak-lmi":
-        out = weak_lmi(facts, parameter=args.parameter)
-        if out is not None:
-            weak_parameter = out.parameter
-            doc["certificate"] = _weak_certificate_doc(out)
-    elif not facts.holds:
-        doc["reason"] = ("per-vertex fixed spaces differ from the common "
-                         "one; no strong certificate can exist")
-    else:
-        dec = facts.decomposition
-        if args.method == "cqlf":
-            out = cqlf_stability(dec.a_as, family.mode, tol)
-            cert = StrongCertificate(dec, cqlf=out)
-        else:
-            out = strong_lmi(facts)
-            cert = StrongCertificate(dec, lmi=out)
-        if out.feasible:
-            strong_kind = cert.kind
-            doc["certificate"] = _strong_certificate_doc(cert)
-    if strong_kind is not None or weak_parameter is not None:
-        strong, weak = verdicts_from_evidence(
-            spectral_verdicts(family, tol), facts, strong_kind,
-            facts.common_dim, weak_parameter, None)
-        verdict = weak if args.method == "weak-lmi" else strong
-        if verdict.proven:
-            doc["status"] = "Proven"
-        else:
-            doc["reason"] = (f"the verdict rule gives {verdict.status} "
-                             f"({verdict.method}) beside this certificate")
-    _emit(doc, args.out)
+    stage = {"cqlf": "cqlf_stability", "strong-lmi": "strong_lmi",
+             "weak-lmi": "weak_lmi"}[args.method]
+    _emit(report_to_dict(certify(family, stage, args.parameter,
+                                 _tolerances_from(args.tol))), args.out)
     return 0
 
 
@@ -867,15 +820,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=_cmd_analyze)
 
-    sp = sub.add_parser("certify", help="run one certificate search")
+    sp = sub.add_parser("certify", help="the report of one certificate "
+                        "stage (diagnostics.stage), which verify re-checks")
     sp.add_argument("family")
     sp.add_argument("--method", required=True,
-                    choices=("strong-lmi", "weak-lmi", "cqlf", "polyhedral"))
-    sp.add_argument("--candidate", default=None,
-                    help="candidate X matrix (JSON file or inline) for "
-                         "--method polyhedral")
+                    choices=("strong-lmi", "weak-lmi", "cqlf"))
     sp.add_argument("--parameter", type=_finite_float, default=None,
-                    help="fix the weak-lmi grid parameter")
+                    help="fix the weak-lmi damping to one point of its "
+                         "search grid (eta in dt, eps in ct)")
     _add_common(sp)
     sp.set_defaults(func=_cmd_certify)
 

@@ -69,10 +69,16 @@ class MatrixFamily:
         return len(self.matrices)
 
     def a_of(self, w) -> np.ndarray:
-        w = simplex_weights(w, self.m_count)
+        return self.combine(simplex_weights(w, self.m_count))
+
+    def combine(self, w) -> np.ndarray:
+        """A(w) = sum_i w_i A_i for weights that simplex_weights has
+        already validated (as SwitchingSignal.schedule does); a zero
+        weight adds nothing, so its term is skipped."""
         out = np.zeros((self.n, self.n))
         for wi, a in zip(w, self.matrices):
-            out += wi * a
+            if wi:
+                out += wi * a
         return out
 
 

@@ -18,13 +18,7 @@ import scipy.linalg
 from .errors import InputError
 from .family import MatrixFamily, family_from_dict, family_to_dict
 from .feasibility import sdp_feasible
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
-    as_matrix,
-    induced_norm_1,
-    lozinski_measure_1,
-)
+from .linalg import DEFAULT_TOL, Tolerances, as_matrix
 from .lti import (
     DISPROVEN,
     PROVEN,
@@ -34,6 +28,7 @@ from .lti import (
     LmiOutcome,
     Verdict,
     certified_feasible,
+    check_grid_parameter,
     cqlf_problem,
     damped_lmi,
     eas,
@@ -57,7 +52,6 @@ __all__ = [
     "cqlf_stability",
     "strong_lmi",
     "weak_lmi",
-    "verify_polyhedral_strong",
     "euler_family",
     "rate_constants",
     "decay_margins",
@@ -66,6 +60,7 @@ __all__ = [
     "spectral_verdicts",
     "verdicts_from_evidence",
     "analyze",
+    "certify",
 ]
 
 # largest decay rate convergence_rate reports (a zero DT block, or a CT
@@ -162,68 +157,6 @@ def weak_lmi(facts: KernelFacts,
     """
     out = damped_lmi(facts, parameter)
     return out if out.feasible else None
-
-
-def verify_polyhedral_strong(facts: KernelFacts, x) -> dict:
-    """Check a polyhedral-function candidate X: per vertex solve
-    A_i X = X P_i, require the kernel-aligned columns of P_i to be exact
-    unit/zero columns, and the off-kernel block to contract in the 1-norm
-    (dt) or have negative Lozinski measure (ct).
-
-    Verification only: with more columns than rows P_i is not unique and
-    the least-squares representative is the one checked.
-    """
-    x = as_matrix(x, square=False, name="candidate X")
-    n, r = x.shape
-    tol, ker = facts.tol, facts.common
-    if n != ker.ambient_dim:
-        raise InputError("candidate X row count must match the family")
-    if np.linalg.matrix_rank(x, tol=tol.rank_rel * max(1.0, float(
-            np.linalg.norm(x, 2))) * max(n, r)) < n:
-        raise InputError("candidate X must have full row rank")
-    xnorm = float(np.linalg.norm(x, 2))
-    in_kernel = np.array([
-        ker.dim > 0 and np.linalg.norm(x[:, j]) > 0
-        and ker.distance(x[:, j]) <= 1e-8 * np.linalg.norm(x[:, j])
-        for j in range(r)])
-    nonk = np.where(~in_kernel)[0]
-    kcols = np.where(in_kernel)[0]
-    report = {"pass": True, "p_blocks": [], "residuals": [],
-              "as_norms": [], "reasons": []}
-    xp = np.linalg.pinv(x)
-    for i, a in enumerate(facts.mats):
-        p = xp @ a @ x
-        resid = float(np.linalg.norm(a @ x - x @ p, 2))
-        report["residuals"].append(resid)
-        if resid > tol.residual_tol * max(1.0, xnorm):
-            report["pass"] = False
-            report["reasons"].append(
-                f"vertex {i + 1}: A X = X P unsolvable (residual {resid:.2e})")
-        target = np.eye(r) if facts.mode == "dt" else np.zeros((r, r))
-        col_err = max((float(np.linalg.norm(p[:, j] - target[:, j]))
-                       for j in kcols), default=0.0)
-        if col_err > tol.residual_tol:
-            report["pass"] = False
-            report["reasons"].append(
-                f"vertex {i + 1}: kernel-aligned columns deviate "
-                f"({col_err:.2e})")
-        p_as = p[np.ix_(nonk, nonk)]
-        report["p_blocks"].append(p)
-        if facts.mode == "dt":
-            norm = induced_norm_1(p_as) if p_as.size else 0.0
-            report["as_norms"].append(norm)
-            if norm >= 1.0:
-                report["pass"] = False
-                report["reasons"].append(
-                    f"vertex {i + 1}: off-kernel 1-norm {norm:.6f} >= 1")
-        else:
-            mu = lozinski_measure_1(p_as) if p_as.size else -1.0
-            report["as_norms"].append(mu)
-            if mu >= 0.0:
-                report["pass"] = False
-                report["reasons"].append(
-                    f"vertex {i + 1}: off-kernel measure {mu:.6f} >= 0")
-    return report
 
 
 def euler_family(family: MatrixFamily, tau: float) -> MatrixFamily:
@@ -439,29 +372,68 @@ def analyze(family: MatrixFamily,
             if res is not None:
                 report.strong_certificate = StrongCertificate(
                     dec, cqlf=LmiOutcome(None, res, problem))
+        # cqlf_stability tries the candidates again before its solve, a
+        # millisecond against the solve
         if report.strong_certificate is None and (band or not screen()):
-            if facts.holds:
-                # cqlf_stability tries the candidates again before its
-                # solve, a millisecond against the solve
-                cqlf = cqlf_stability(dec.a_as, family.mode, tol)
-                if cqlf.feasible:
-                    report.strong_certificate = StrongCertificate(dec,
-                                                                  cqlf=cqlf)
-                else:
-                    joint = strong_lmi(facts)
-                    if joint.feasible:
-                        report.strong_certificate = StrongCertificate(
-                            dec, lmi=joint)
-            if report.strong_certificate is None:
-                report.weak_certificate = weak_lmi(facts)
-                if report.weak_certificate is None and band:
-                    screen()
+            found = any(_run_stage(report, stage) for stage in (
+                "cqlf_stability", "strong_lmi", "weak_lmi"))
+            if not found and band:
+                screen()
+    return _conclude(report)
+
+
+def certify(family: MatrixFamily, stage: str, parameter: float | None = None,
+            tol: Tolerances = DEFAULT_TOL) -> AnalysisReport:
+    """analyze limited to one certificate stage, 'cqlf_stability',
+    'strong_lmi' or 'weak_lmi' (at the grid point parameter, if given),
+    recorded in diagnostics["stage"].  No cycle screen runs, and the
+    verdicts and rate come from analyze's ending, so verify_report
+    re-checks the report."""
+    if stage not in ("cqlf_stability", "strong_lmi", "weak_lmi"):
+        raise InputError(f"unknown certificate stage {stage!r}")
+    if parameter is not None:
+        check_grid_parameter(family.mode, parameter)
+    vertex_verdicts = spectral_verdicts(family, tol)
+    report = AnalysisReport(
+        family, None, None, kernel_facts(family.matrices, family.mode, tol),
+        vertex_verdicts=vertex_verdicts, diagnostics={"stage": stage})
+    if not any(v.disproven for v in vertex_verdicts):
+        _run_stage(report, stage, parameter)
+    return _conclude(report)
+
+
+def _run_stage(report: AnalysisReport, stage: str,
+               parameter: float | None = None) -> bool:
+    """Run one certificate stage and keep the certificate it finds; whether
+    it found one.  The strong stages need the vertex kernels shared."""
+    facts = report.facts
+    if stage == "weak_lmi":
+        report.weak_certificate = weak_lmi(facts, parameter)
+        return report.weak_certificate is not None
+    if not facts.holds:
+        return False
+    dec = facts.decomposition
+    if stage == "cqlf_stability":
+        out = cqlf_stability(dec.a_as, facts.mode, facts.tol)
+        cert = StrongCertificate(dec, cqlf=out)
+    else:
+        out = strong_lmi(facts)
+        cert = StrongCertificate(dec, lmi=out)
+    if out.feasible:
+        report.strong_certificate = cert
+    return out.feasible
+
+
+def _conclude(report: AnalysisReport) -> AnalysisReport:
+    """The ending of analyze and certify: verdicts_from_evidence on the
+    report's evidence, and the rate exactly when verify_report needs one."""
+    facts = report.facts
     cert, weak_cert = report.strong_certificate, report.weak_certificate
     report.strong, report.weak = verdicts_from_evidence(
-        vertex_verdicts, facts, None if cert is None else cert.kind,
+        report.vertex_verdicts, facts, None if cert is None else cert.kind,
         facts.common_dim,
         None if weak_cert is None else weak_cert.parameter, report.witness)
     if (report.strong.method == "decomposition-cqlf"
-            and family.n > facts.common_dim):
-        report.rate = convergence_rate(family, cert)
+            and report.family.n > facts.common_dim):
+        report.rate = convergence_rate(report.family, cert)
     return report

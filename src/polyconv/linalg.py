@@ -31,8 +31,6 @@ __all__ = [
     "spectrum",
     "is_semisimple_at",
     "matrix_exponential",
-    "lozinski_measure_1",
-    "induced_norm_1",
 ]
 
 
@@ -254,21 +252,3 @@ def matrix_exponential(a) -> np.ndarray:
     if not np.all(np.isfinite(e)):
         raise NumericalError("matrix exponential overflowed")
     return e
-
-
-def lozinski_measure_1(a) -> float:
-    """Logarithmic norm induced by the 1-norm:
-    max_j (a_jj + sum_{i != j} |a_ij|)."""
-    m = as_matrix(a)
-    if m.shape[0] == 0:
-        return 0.0
-    col = np.abs(m).sum(axis=0) - np.abs(np.diag(m)) + np.diag(m)
-    return float(col.max())
-
-
-def induced_norm_1(a) -> float:
-    """Matrix norm induced by the vector 1-norm (max column sum)."""
-    m = as_matrix(a, square=False)
-    if m.size == 0:
-        return 0.0
-    return float(np.abs(m).sum(axis=0).max())

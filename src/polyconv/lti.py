@@ -77,6 +77,7 @@ __all__ = [
     "KernelFacts",
     "LmiOutcome",
     "kernel_facts",
+    "check_grid_parameter",
     "dt_aux",
     "ct_aux",
     "eas",
@@ -171,6 +172,16 @@ def _check_damping(mode: str, parameter: float) -> None:
         raise InputError(f"eta must be in (0, 1), got {parameter}")
     if mode == "ct":
         _check_positive("eps", parameter)
+
+
+def check_grid_parameter(mode: str, parameter) -> None:
+    """InputError unless parameter is a point of the damping grid that the
+    weak scan searches and verify_report accepts: ETA_GRID (dt), EPS_GRID
+    (ct).  Off the grid a margin can recompute at an edited parameter."""
+    grid = ETA_GRID if mode == "dt" else EPS_GRID
+    if parameter not in grid:
+        name = "eta" if mode == "dt" else "eps"
+        raise InputError(f"{name} must be on its grid {grid}, got {parameter}")
 
 
 def dt_aux(a, eta: float) -> np.ndarray:

@@ -210,14 +210,10 @@ def simulate_dt(family: MatrixFamily, signal: SwitchingSignal, x0,
     rows = np.array([w for _, w in pieces])
     states = np.empty((k_steps + 1, family.n))
     states[0] = x = x0
-    mats = family.matrices
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for count, w in zip(steps.tolist(), rows):
-            a = mats[0] * w[0]
-            for i in range(1, len(mats)):
-                if w[i]:
-                    a = a + mats[i] * w[i]
+            a = family.combine(w)
             for _ in range(count):
                 k += 1
                 states[k] = x = a @ x
@@ -270,7 +266,7 @@ def simulate_ct(family: MatrixFamily, signal: SwitchingSignal, x0,
     j = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for idx, (dur, w) in enumerate(segs):
-            a = family.a_of(w)
+            a = family.combine(w)
             t_next = t_seg + dur
             last = idx == len(segs) - 1
             # the samples inside [t_seg, t_next), and all the rest on the
@@ -350,9 +346,9 @@ def residual_diagnostics(family: MatrixFamily, traj: Trajectory) -> dict:
     if traj.mode == "dt":
         steps = np.rint([d for d, _ in segs]).astype(int)
         return {"pointwise": np.repeat([
-            np.linalg.norm(family.a_of(w) @ xbar - xbar) for _, w in segs],
-            steps)}
-    images = [family.a_of(w) @ xbar for _, w in segs]
+            np.linalg.norm(family.combine(w) @ xbar - xbar)
+            for _, w in segs], steps)}
+    images = [family.combine(w) @ xbar for _, w in segs]
     seg_pointwise = np.array([np.linalg.norm(v) for v in images])
     # exact accumulation of int A(w(t)) xbar dt and int w(t) dt; each
     # sample's pointwise residual is its segment's

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from polyconv.cli import main, report_to_dict, verify_report
-from polyconv.examples import catalogue
+from polyconv.examples import catalogue, catalogue_names
 from polyconv.family import MatrixFamily, family_from_dict
 from polyconv.inclusion import (StrongCertificate, analyze, kernel_facts,
                                 strong_lmi, weak_lmi)
@@ -472,103 +472,103 @@ def test_each_entry_point_computes_the_vertex_kernels_once(cli,
     for method in ("cqlf", "strong-lmi", "weak-lmi"):
         calls.clear()
         code, out, _ = cli("certify", "-", "--method", method, stdin=family)
-        assert code == 0 and json.loads(out)["status"] == "Unknown"
+        side = "weak" if method == "weak-lmi" else "strong"
+        assert code == 0
+        assert json.loads(out)["verdicts"][side]["status"] == "Unknown"
         assert calls.count("kernel_facts") == 1, method
+
+
+def certify_doc(cli, family: str, method: str, *args) -> dict:
+    """The report document certify prints for a family JSON text."""
+    code, out, _ = cli("certify", "-", "--method", method, *args,
+                       stdin=family)
+    assert code == 0
+    return json.loads(out)
+
+
+# the family whose vertex kernels agree (both fix e2), which every
+# certificate search proves
+SHARED_KERNEL_DT = {"mode": "dt", "matrices": [[[0.5, 0.0], [0.0, 1.0]],
+                                               [[0.25, 0.0], [0.0, 1.0]]]}
+
+# families that do not converge, with every vertex in the spectral
+# tolerance band: strong-lmi finds a certificate that passes verify_lmi at
+# tolerance, and the verdict rule caps it to Unknown/vertex-band
+BAND_FAMILIES = [
+    {"mode": "dt", "matrices": [[[1.000000005]]]},
+    {"mode": "ct", "matrices": [[[5e-9]]]},
+    {"mode": "dt", "matrices": [[[1.000000005, 0.0], [0.0, 0.5]],
+                                [[1.000000005, 0.0], [0.0, 0.25]]]}]
+
+CERTIFY_METHODS = ["cqlf", "strong-lmi", "weak-lmi"]
 
 
 class TestCertifyCommand:
     def test_cqlf_proven_on_consensus(self, cli):
-        code, out, _ = cli("certify", "-", "--method", "cqlf",
-                           stdin=family_json("path-consensus"))
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["status"] == "Proven"
-        assert doc["certificate"]["kind"] == "decomposition-cqlf"
+        doc = certify_doc(cli, family_json("path-consensus"), "cqlf")
+        assert doc["verdicts"]["strong"]["status"] == "Proven"
+        assert doc["certificates"]["strong"]["kind"] == "decomposition-cqlf"
+        assert doc["rate"] is not None
+        assert doc["diagnostics"] == {"stage": "cqlf_stability"}
 
     def test_strong_lmi_proven_on_consensus(self, cli):
-        code, out, _ = cli("certify", "-", "--method", "strong-lmi",
-                           stdin=family_json("path-consensus"))
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["status"] == "Proven"
-        assert doc["certificate"]["kind"] == "strong-lmi"
+        doc = certify_doc(cli, family_json("path-consensus"), "strong-lmi")
+        assert doc["verdicts"]["strong"]["status"] == "Proven"
+        assert doc["certificates"]["strong"]["kind"] == "strong-lmi"
+        assert doc["rate"] is None
+        assert doc["diagnostics"] == {"stage": "strong_lmi"}
 
     def test_weak_lmi_parameter_comes_from_the_grid(self, cli):
-        code, out, _ = cli("certify", "-", "--method", "weak-lmi",
-                           stdin=family_json("scalar-half-one"))
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["status"] == "Proven"
-        assert doc["certificate"]["parameter"] in ETA_GRID
+        doc = certify_doc(cli, family_json("scalar-half-one"), "weak-lmi")
+        assert doc["verdicts"]["weak"]["status"] == "Proven"
+        assert doc["certificates"]["weak"]["parameter"] in ETA_GRID
+        assert doc["diagnostics"] == {"stage": "weak_lmi"}
+
+    def test_weak_lmi_at_a_fixed_grid_point(self, cli):
+        doc = certify_doc(cli, family_json("scalar-half-one"), "weak-lmi",
+                          "--parameter", repr(ETA_GRID[-1]))
+        assert doc["verdicts"]["weak"]["details"] == {
+            "parameter": ETA_GRID[-1]}
 
     def test_strong_methods_unknown_when_kernels_differ(self, cli):
-        code, out, _ = cli("certify", "-", "--method", "cqlf",
-                           stdin=family_json("scalar-half-one"))
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["status"] == "Unknown"
-        assert "fixed spaces differ" in doc["reason"]
+        # no strong stage runs, and the kernels that differ disprove
+        # strong convergence, as analyze says
+        for method in ("cqlf", "strong-lmi"):
+            doc = certify_doc(cli, family_json("scalar-half-one"), method)
+            assert doc["certificates"] == {}
+            assert doc["verdicts"]["strong"]["status"] == "Disproven"
+            assert doc["verdicts"]["strong"]["method"] == "kernel-mismatch"
+            assert doc["verdicts"]["weak"]["status"] == "Unknown"
 
     def test_weak_lmi_unknown_on_rotation(self, cli):
-        code, out, _ = cli("certify", "-", "--method", "weak-lmi",
-                           stdin=family_json("rotation-dt"))
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["status"] == "Unknown"
-        assert doc["certificate"] is None
+        # the rotation's unit-modulus eigenvalues disprove the vertex, so
+        # no damped LMI runs and weak is the vertex disproof
+        doc = certify_doc(cli, family_json("rotation-dt"), "weak-lmi")
+        assert doc["certificates"] == {}
+        assert doc["verdicts"]["weak"]["status"] == "Disproven"
+        assert doc["verdicts"]["weak"]["method"] == "vertex"
 
-    # families that do not converge, with every vertex in the spectral
-    # tolerance band: strong-lmi finds a certificate that passes verify_lmi
-    # at tolerance, and the verdict rule caps it to Unknown/vertex-band
-    @pytest.mark.parametrize("family", [
-        {"mode": "dt", "matrices": [[[1.000000005]]]},
-        {"mode": "ct", "matrices": [[[5e-9]]]},
-        {"mode": "dt", "matrices": [[[1.000000005, 0.0], [0.0, 0.5]],
-                                    [[1.000000005, 0.0], [0.0, 0.25]]]}])
-    @pytest.mark.parametrize("method", ["cqlf", "strong-lmi", "weak-lmi"])
+    @pytest.mark.parametrize("family", BAND_FAMILIES)
+    @pytest.mark.parametrize("method", CERTIFY_METHODS)
     def test_no_proven_past_the_verdict_rule(self, cli, family, method):
-        code, out, _ = cli("certify", "-", "--method", method,
-                           stdin=json.dumps(family))
-        assert code == 0
-        assert json.loads(out)["status"] == "Unknown"
+        doc = certify_doc(cli, json.dumps(family), method)
+        assert [v["status"] for v in doc["verdicts"].values()] == [
+            "Unknown", "Unknown"]
 
-    @pytest.mark.parametrize("method", ["cqlf", "strong-lmi", "weak-lmi"])
+    @pytest.mark.parametrize("method", CERTIFY_METHODS)
     def test_every_method_proves_a_shared_kernel_family(self, cli, method):
-        family = {"mode": "dt", "matrices": [[[0.5, 0.0], [0.0, 1.0]],
-                                             [[0.25, 0.0], [0.0, 1.0]]]}
-        code, out, _ = cli("certify", "-", "--method", method,
-                           stdin=json.dumps(family))
-        assert code == 0
-        assert json.loads(out)["status"] == "Proven"
-
-    def test_polyhedral_identity_candidate(self, cli):
-        code, out, _ = cli("certify", "-", "--method", "polyhedral",
-                           "--candidate", "[[1,0],[0,1]]",
-                           stdin=family_json("a11-switching"))
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["status"] == "Proven"
-        assert doc["certificate"]["as_norms"] == [0.5, 0.75]
-
-    def test_polyhedral_requires_candidate(self, cli):
-        code, _, err = cli("certify", "-", "--method", "polyhedral",
-                           stdin=family_json("a11-switching"))
-        assert code == 1
-        assert "--candidate" in json.loads(err)["error"]["message"]
-
-    def test_polyhedral_wrong_shape_rejected(self, cli):
-        code, _, err = cli("certify", "-", "--method", "polyhedral",
-                           "--candidate", "[[1,0],[0,1],[1,1]]",
-                           stdin=family_json("a11-switching"))
-        assert code == 1
-        assert json.loads(err)["error"]["type"] == "input"
+        doc = certify_doc(cli, json.dumps(SHARED_KERNEL_DT), method)
+        assert [v["status"] for v in doc["verdicts"].values()] == [
+            "Proven", "Proven"]
 
     # unstable families whose damped LMI is feasible at a damping parameter
-    # outside its range: eta in (0, 1) (dt), eps > 0 (ct)
+    # outside its range: eta in (0, 1) (dt), eps > 0 (ct); and in-range
+    # values off the search grid, whose certificate verify would refuse
     @pytest.mark.parametrize("mode,diag,parameter", [
         ("ct", [1.0, 0.5], "-0.1"), ("ct", [1.0, 0.5], "0"),
         ("dt", [2.0, 1.5], "1.5"), ("dt", [2.0, 1.5], "-0.5"),
-        ("dt", [2.0, 1.5], "1")])
+        ("dt", [2.0, 1.5], "1"), ("dt", [0.5, 1.0], "0.5"),
+        ("ct", [-1.0, 0.0], "0.05")])
     def test_weak_lmi_parameter_out_of_range_is_an_input_error(
             self, cli, mode, diag, parameter):
         fam = json.dumps({"mode": mode, "matrices": [np.diag(diag).tolist()]})
@@ -579,6 +579,36 @@ class TestCertifyCommand:
         error = json.loads(err)["error"]
         assert error["type"] == "input"
         assert ("eta" if mode == "dt" else "eps") in error["message"]
+
+
+def _certify_families() -> dict:
+    """The catalogue, the shared-kernel DT pair and the band families, as
+    family JSON texts by name."""
+    fams = {name: family_json(name) for name in catalogue_names()}
+    fams["shared-kernel-dt"] = json.dumps(SHARED_KERNEL_DT)
+    for i, fam in enumerate(BAND_FAMILIES):
+        fams[f"band-{i + 1}"] = json.dumps(fam)
+    return fams
+
+
+CERTIFY_FAMILIES = _certify_families()
+
+
+@pytest.mark.parametrize("method", CERTIFY_METHODS)
+@pytest.mark.parametrize("name", sorted(CERTIFY_FAMILIES))
+def test_certify_document_verifies_and_agrees_with_analyze(cli, name,
+                                                           method):
+    text = CERTIFY_FAMILIES[name]
+    fam = family_from_dict(json.loads(text))
+    doc = certify_doc(cli, text, method)
+    verified, checks = verify_report(doc, fam)
+    assert verified, [c for c in checks if not c["pass"]]
+    full = analyze(fam)
+    for side in ("strong", "weak"):
+        pair = {doc["verdicts"][side]["status"], getattr(full, side).status}
+        assert pair != {"Proven", "Disproven"}, side
+    if name.startswith("band-"):
+        assert "Proven" not in [v["status"] for v in doc["verdicts"].values()]
 
 
 # numeric options outside their range: (family, arguments)

@@ -32,7 +32,6 @@ from polyconv.inclusion import (
     euler_family,
     kernel_facts,
     strong_lmi,
-    verify_polyhedral_strong,
     weak_lmi,
 )
 from polyconv.lti import (
@@ -328,49 +327,6 @@ class TestWeakLmi:
     def test_explicit_parameter(self):
         assert weak_lmi(facts(DIAG_KERNELS), parameter=1e-2) is not None
         assert weak_lmi(facts(PM_ONE), parameter=0.9) is None
-
-
-class TestVerifyPolyhedralStrong:
-    def test_a11_identity_candidate(self):
-        # kernel column e2 maps to itself; off-kernel entries are the
-        # contraction factors 0.5 and 0.75
-        rep = verify_polyhedral_strong(facts(A11), np.eye(2))
-        assert rep["pass"]
-        assert rep["as_norms"] == pytest.approx([0.5, 0.75])
-
-    def test_path_consensus_candidate(self):
-        # columns: agreement direction (1,1), disagreement (1,-1);
-        # A_i X = X P_i with P_i = [[0, -1], [0, -1]] or [[0, 1], [0, -1]]
-        x = np.array([[1.0, 1.0], [1.0, -1.0]])
-        rep = verify_polyhedral_strong(facts(PATH_CONSENSUS), x)
-        assert rep["pass"]
-        assert rep["as_norms"] == pytest.approx([-1.0, -1.0])
-        assert max(rep["residuals"]) < 1e-12
-
-    def test_neutral_vertex_fails_norm(self):
-        rep = verify_polyhedral_strong(facts(HALF_ONE), np.array([[1.0]]))
-        assert not rep["pass"]
-        assert any("1-norm" in r for r in rep["reasons"])
-
-    def test_rotation_fails_norm(self):
-        c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
-        fam = MatrixFamily("dt", [[[c, -s], [s, c]]])
-        rep = verify_polyhedral_strong(facts(fam), np.eye(2))
-        assert not rep["pass"]
-
-    def test_scaled_kernel_column_accepted(self):
-        rep = verify_polyhedral_strong(facts(A11), np.array([[1.0, 0.0],
-                                                      [0.0, 5.0]]))
-        assert rep["pass"]
-
-    def test_rank_deficient_candidate_rejected(self):
-        with pytest.raises(InputError, match="full row rank"):
-            verify_polyhedral_strong(facts(A11), np.array([[1.0, 2.0],
-                                                    [2.0, 4.0]]))
-
-    def test_row_count_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            verify_polyhedral_strong(facts(A11), np.eye(3))
 
 
 class TestEulerAndDual:
@@ -738,6 +694,44 @@ class TestAnalyzeProperties:
         if not rep.facts.holds:
             assert rep.strong.status == DISPROVEN
         assert verify_report(_json_round_trip(report_to_dict(rep)), fam)[0]
+
+
+def _planted_family(seed: int, mode: str, kind: str) -> MatrixFamily:
+    """1-3 random vertices that converge, n = 2-3, one of them replaced by
+    a rotated vertex that does not: a Jordan block at the critical value
+    (1 in dt, 0 in ct) with coupling in [1e-8, 2] (kind 'jordan'), or an
+    eigenvalue past it by 0.05-0.5 (kind 'unstable')."""
+    rng = np.random.default_rng([seed, mode == "ct", kind == "jordan"])
+    n, m = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+    crit = 1.0 if mode == "dt" else 0.0
+    mats = []
+    for _ in range(m):
+        g = rng.standard_normal((n, n))
+        g *= 0.6 / np.abs(np.linalg.eigvals(g)).max()
+        mats.append(g + (crit - 1.0) * np.eye(n))
+    core = np.diag(rng.uniform(-0.5, 0.5, n) + crit - 1.0)
+    if kind == "jordan":
+        core[:2, :2] = [[crit, 10.0 ** rng.uniform(-8.0, 0.3)], [0.0, crit]]
+    elif mode == "dt":
+        core[0, 0] = rng.choice([-1.0, 1.0]) * (1.0 + rng.uniform(0.05, 0.5))
+    else:
+        core[0, 0] = rng.uniform(0.05, 0.5)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    mats[int(rng.integers(m))] = q @ core @ q.T
+    return MatrixFamily(mode, mats)
+
+
+@pytest.mark.parametrize("kind", ["jordan", "unstable"])
+@pytest.mark.parametrize("mode", ["dt", "ct"])
+def test_no_entry_point_proves_a_planted_nonconvergent_vertex(mode, kind):
+    for seed in range(12):
+        fam = _planted_family(seed, mode, kind)
+        reports = [analyze(fam)] + [
+            inclusion.certify(fam, stage)
+            for stage in ("cqlf_stability", "strong_lmi", "weak_lmi")]
+        for rep in reports:
+            assert PROVEN not in (rep.strong.status, rep.weak.status), (
+                seed, rep.diagnostics)
 
 
 def _json_round_trip(doc):

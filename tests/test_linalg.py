@@ -6,10 +6,8 @@ from polyconv.errors import InputError
 from polyconv.linalg import (
     Subspace,
     Tolerances,
-    induced_norm_1,
     is_semisimple_at,
     kernel,
-    lozinski_measure_1,
     matrix_exponential,
     orthogonal_complement,
     rank_and_kernel,
@@ -248,35 +246,3 @@ def test_expm_group_inverse(n, seed):
     e = matrix_exponential(m) @ matrix_exponential(-m)
     assert np.linalg.norm(e - np.eye(n)) < 1e-10 * np.exp(
         2 * np.linalg.norm(m, 2))
-
-
-# ---------------------------------------------------------------- norms
-
-def test_lozinski_examples():
-    assert lozinski_measure_1([[-2.0, 1.0], [1.0, -2.0]]) == pytest.approx(-1.0)
-    assert lozinski_measure_1(np.zeros((2, 2))) == 0.0
-
-
-def test_induced_norm_examples():
-    assert induced_norm_1(np.zeros((2, 2))) == 0.0
-    assert induced_norm_1([[0.5, 0.0], [1.0, 1.0]]) == pytest.approx(1.5)
-
-
-@given(st.integers(1, 6), st.integers(0, 500))
-@settings(max_examples=40, deadline=None)
-def test_lozinski_below_norm(n, seed):
-    rng = np.random.default_rng(seed)
-    m = random_matrix(rng, n)
-    assert lozinski_measure_1(m) <= induced_norm_1(m) + 1e-12
-
-
-@given(st.integers(1, 5), st.integers(0, 300), st.floats(1e-4, 0.1))
-@settings(max_examples=30, deadline=None)
-def test_lozinski_bounds_semigroup_growth(n, seed, h):
-    # ||exp(hA)||_1 <= 1 + h mu_1(A) + O(h^2)
-    rng = np.random.default_rng(seed)
-    m = random_matrix(rng, n)
-    lhs = induced_norm_1(matrix_exponential(h * m))
-    rhs = 1.0 + h * lozinski_measure_1(m) + 10.0 * h * h * np.exp(
-        h * np.linalg.norm(m, 1)) * np.linalg.norm(m, 1) ** 2
-    assert lhs <= rhs + 1e-12

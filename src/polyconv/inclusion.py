@@ -315,7 +315,10 @@ def analyze(family: MatrixFamily,
     4. the cycle screen: the periodic-orbit search
        (sim.find_nonconvergence_witness), then the first vertex cycle
        whose period map the DT spectral test disproves
-       (sim.divergent_cycle);
+       (sim.divergent_cycle); each walk builds the period maps in stacks
+       and settles most of them with one stacked SVD (and, for the
+       spectral test, eigvals) pass per stack, so that only the maps that
+       might hold a fixed vector or a disproof get the exact tests;
     5. the solver stages, only when the screen finds neither: the
        common-Lyapunov solve on the off-kernel blocks (cqlf_stability)
        or the joint rank-reduced certificate (strong sufficient), then

@@ -13,6 +13,7 @@ overflows is a NumericalError.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .family import MatrixFamily, simplex_weights
 from .linalg import DEFAULT_TOL, Tolerances, kernel, matrix_exponential
-from .lti import lti_convergent_dt
+from .lti import EXACT_BAND, UNKNOWN_BAND, lti_convergent_dt
 
 __all__ = [
     "SwitchingSignal",
@@ -48,6 +49,9 @@ WITNESS_PERIODS = 10
 # held for every dwell of the family's mode
 WITNESS_PERIOD_MAX = 4
 WITNESS_DWELLS = {"dt": (1, 2, 3), "ct": (0.5, 1.0, 2.0)}
+# period maps stacked for one matmul, SVD or eigvals call, so that the
+# screen's memory stays bounded whatever the vertex count
+_MAP_CHUNK = 256
 
 
 # the most pieces one schedule holds, and the most steps one trajectory
@@ -398,6 +402,20 @@ def _cycle_candidates(m_count: int, period_max: int):
             yield key
 
 
+@functools.lru_cache(maxsize=16)
+def _cycle_groups(m_count: int, period_max: int) -> tuple:
+    """_cycle_candidates as one read-only (count, p) array of vertex
+    indices per cycle length p, in order; cached, as it depends on the
+    two ints alone."""
+    groups = {}
+    for cycle in _cycle_candidates(m_count, period_max):
+        groups.setdefault(len(cycle), []).append(cycle)
+    stacked = tuple(np.array(cycles) for cycles in groups.values())
+    for seqs in stacked:
+        seqs.flags.writeable = False
+    return stacked
+
+
 def _vertex_exponentials(family: MatrixFamily):
     """A function giving e^(A_v t) for vertex v and time t, each computed
     once per returned function: one search shares them across its cycles
@@ -411,11 +429,10 @@ def _vertex_exponentials(family: MatrixFamily):
     return expm
 
 
-def _period_map_and_states(family: MatrixFamily, cycle, dwell, expm,
-                           stages: bool = True):
-    """The one-period propagator and, when stages is set, the
-    within-period propagators from the period start (a few interior points
-    per segment in CT); expm is a _vertex_exponentials function."""
+def _period_map_and_states(family: MatrixFamily, cycle, dwell, expm):
+    """The one-period propagator and the within-period propagators from
+    the period start (a few interior points per segment in CT); expm is a
+    _vertex_exponentials function."""
     prop = np.eye(family.n)
     passed = [prop]
     for v in cycle:
@@ -425,23 +442,82 @@ def _period_map_and_states(family: MatrixFamily, cycle, dwell, expm,
                 prop = a @ prop
                 passed.append(prop)
         else:
-            if stages:
-                passed += [expm(v, dwell * frac) @ prop
-                           for frac in (0.25, 0.5, 0.75)]
+            passed += [expm(v, dwell * frac) @ prop
+                       for frac in (0.25, 0.5, 0.75)]
             prop = expm(v, dwell) @ prop
             passed.append(prop)
     return prop, passed
 
 
 def _period_maps(family: MatrixFamily, expm):
-    """(cycle, dwell, period map) of every searched signal, in search
-    order: vertex cycles up to WITNESS_PERIOD_MAX vertices, each held for
-    every dwell of WITNESS_DWELLS; expm is a _vertex_exponentials
-    function."""
-    for cycle in _cycle_candidates(family.m_count, WITNESS_PERIOD_MAX):
-        for dwell in WITNESS_DWELLS[family.mode]:
-            yield cycle, dwell, _period_map_and_states(
-                family, cycle, dwell, expm, stages=False)[0]
+    """The searched signals and their period maps, in stacked groups.
+
+    Yields (signals, maps) in search order.  signals lists (cycle, dwell)
+    pairs: the vertex cycles of one length from _cycle_candidates, each
+    held for every dwell of WITNESS_DWELLS in turn.  maps stacks their
+    period maps as (k, n, n), at most _MAP_CHUNK of them, so memory does
+    not grow with the cycle count.
+
+    Each map is the product _period_map_and_states forms, in the same
+    association order: from I, the vertex matrix applied once per DT step
+    (d times for a dwell of d), or e^(A_v dwell) from expm (a
+    _vertex_exponentials function) once per CT segment.  A stacked matmul
+    forms each slice as the single product would, so every map is
+    bit-identical to the one a per-signal walk builds.
+    """
+    n, dwells = family.n, WITNESS_DWELLS[family.mode]
+    if family.mode == "dt":
+        mats = np.array(family.matrices)
+        steps = [(mats, int(dwell)) for dwell in dwells]
+    else:
+        steps = [(np.array([expm(v, dwell) for v in range(family.m_count)]),
+                  1) for dwell in dwells]
+    per_chunk = max(1, _MAP_CHUNK // len(dwells))
+    for seqs in _cycle_groups(family.m_count, WITNESS_PERIOD_MAX):
+        for lo in range(0, len(seqs), per_chunk):
+            chunk = seqs[lo:lo + per_chunk]
+            maps = np.empty((len(chunk), len(dwells), n, n))
+            for d, (step, count) in enumerate(steps):
+                prop = np.eye(n)
+                for vertices in chunk.T:
+                    for _ in range(count):
+                        prop = step[vertices] @ prop
+                maps[:, d] = prop
+            yield ([(cycle, dwell) for cycle in map(tuple, chunk.tolist())
+                    for dwell in dwells], maps.reshape(-1, n, n))
+
+
+def _fixed_space_gaps(maps: np.ndarray):
+    """||Phi||_2, and the largest and the smallest singular value of
+    Phi - I, of each stacked period map, from two stacked SVDs without
+    vectors; all nan for a stack with a non-finite entry, which no screen
+    then settles.
+
+    The walks use these to skip, without changing a decision, a map whose
+    fixed space the exact rank test (linalg.rank_and_kernel, an SVD with
+    vectors) finds empty.  That test counts a singular value as zero when
+    it is at most c = rank_rel n max(sigma_max, scale).  The values here
+    come from LAPACK's gesdd without vectors, and the two sets differ by
+    at most k n eps sigma_max for a modest k (both are backward stable).
+    So a map whose sigma_min here exceeds 2c keeps
+    sigma_min > 2c - k n eps sigma_max >= (2 - k eps / rank_rel) c > c
+    under the exact test, for any k < rank_rel / eps (4.5e5 at the
+    default rank_rel = 1e-10); c computed from these values moves by the
+    same relative k n eps, inside that margin.  Below rank_rel = 1e-12 the
+    walks take c at rank_rel = 1e-12, which keeps k < 4.5e3 covered.
+    """
+    if not np.isfinite(maps).all():
+        nan = np.full(len(maps), np.nan)
+        return nan, nan, nan
+    norm = np.linalg.svd(maps, compute_uv=False)[:, 0]
+    gaps = np.linalg.svd(maps - np.eye(maps.shape[1]), compute_uv=False)
+    return norm, gaps[:, 0], gaps[:, -1]
+
+
+def _screen_cutoff(rank_rel: float, n: int, top, scale):
+    """Twice the exact rank cutoff rank_rel n max(sigma_max, scale), at
+    rank_rel no smaller than 1e-12 (see _fixed_space_gaps)."""
+    return 2.0 * max(rank_rel, 1e-12) * n * np.maximum(top, scale)
 
 
 def _orbit_numbers(prop, stages, y0):
@@ -493,10 +569,15 @@ def find_nonconvergence_witness(family: MatrixFamily):
     rank cutoff guarded by 1 + ||prop|| so that a map equal to I up to
     rounding keeps its whole fixed space.
 
-    The signals are walked in _period_maps order, and the first orbit
-    found is returned.  Each vertex exponential is computed once per
-    search, and the within-period propagators only for a map whose fixed
-    space is nonempty.
+    The signals are walked in _period_maps order, one stack of maps at a
+    time, and the first orbit found is returned.  One stacked SVD gives
+    each map's ||prop||, and one more the singular values of prop - I.  A
+    map whose smallest one exceeds twice the kernel cutoff has an empty
+    fixed space (the margin is derived in _fixed_space_gaps), so only the
+    other maps go on, in order, to the exact kernel above and to the
+    orbit test.  Each vertex exponential is computed once per search, and
+    the within-period propagators only for a map whose fixed space is
+    nonempty.
 
     inclusion.analyze runs this search, and then divergent_cycle, before
     any solver stage (see its stage order).  An orbit, like a divergent
@@ -506,18 +587,24 @@ def find_nonconvergence_witness(family: MatrixFamily):
     diagnostics only, until verify_report can re-derive an evidence kind
     for it.
     """
-    eye = np.eye(family.n)
+    n = family.n
+    eye = np.eye(n)
     expm = _vertex_exponentials(family)
-    for cycle, dwell, prop in _period_maps(family, expm):
-        fixed = kernel(prop - eye, scale=1.0 + float(np.linalg.norm(prop, 2)))
-        if not fixed.dim:
-            continue
-        _, passed = _period_map_and_states(family, cycle, dwell, expm)
-        for y0 in fixed.basis.T:
-            rec, sep = _orbit_numbers(prop, passed, y0)
-            if rec <= WITNESS_RECURRENCE and sep >= WITNESS_SEPARATION:
-                signal = SwitchingSignal.vertex_cycle(cycle, dwell)
-                return signal, _evidence(family, signal, y0, rec, sep)
+    for signals, maps in _period_maps(family, expm):
+        norm, top, low = _fixed_space_gaps(maps)
+        cutoff = _screen_cutoff(DEFAULT_TOL.rank_rel, n, top, 1.0 + norm)
+        for i in np.flatnonzero(~(low > cutoff)):
+            (cycle, dwell), prop = signals[i], maps[i]
+            fixed = kernel(prop - eye,
+                           scale=1.0 + float(np.linalg.norm(prop, 2)))
+            if not fixed.dim:
+                continue
+            _, passed = _period_map_and_states(family, cycle, dwell, expm)
+            for y0 in fixed.basis.T:
+                rec, sep = _orbit_numbers(prop, passed, y0)
+                if rec <= WITNESS_RECURRENCE and sep >= WITNESS_SEPARATION:
+                    signal = SwitchingSignal.vertex_cycle(cycle, dwell)
+                    return signal, _evidence(family, signal, y0, rec, sep)
     return None
 
 
@@ -531,15 +618,37 @@ def divergent_cycle(family: MatrixFamily,
     system, so such a cycle has a trajectory without a limit, and no
     certificate of convergence can exist for the family.  Returns the
     cycle, its dwell, the spectral method and Phi's spectral radius.
+
+    Each stack of maps gets the two SVDs of find_nonconvergence_witness
+    and one stacked eigvals, which give the same eigenvalues as the
+    spectral test's own call.  A map is skipped only when the test
+    provably cannot disprove it, with a factor-2 margin on each rule:
+    - sigma_min(Phi - I) exceeds twice the cutoff of
+      linalg.nested_kernel_dims (scale 2 + ||Phi||), so ker(Phi - I) = 0,
+      no defect can be found and every eigenvalue is tested;
+    - every |lambda| - 1 is below UNKNOWN_BAND / 2, so none is unstable;
+    - no ||lambda| - 1| is within 2 EXACT_BAND (2 + ||Phi||), so none is
+      critical.
+    The other maps go on, in order, to lti_convergent_dt.
     """
-    for cycle, dwell, prop in _period_maps(family,
-                                           _vertex_exponentials(family)):
-        verdict = lti_convergent_dt(prop, tol)
-        if verdict.disproven:
-            return {"cycle": list(cycle), "dwell": float(dwell),
-                    "method": verdict.method,
-                    "spectral_radius": float(np.abs(
-                        verdict.details["eigenvalues"]).max())}
+    n = family.n
+    for signals, maps in _period_maps(family, _vertex_exponentials(family)):
+        norm, top, low = _fixed_space_gaps(maps)
+        scale = 2.0 + norm
+        quiet = low > _screen_cutoff(tol.rank_rel, n, top, scale)
+        if quiet.any():
+            excess = np.abs(np.linalg.eigvals(maps[quiet])) - 1.0
+            quiet[quiet] = (np.all(excess < UNKNOWN_BAND / 2, axis=1)
+                            & np.all(np.abs(excess) > 2 * EXACT_BAND
+                                     * scale[quiet, None], axis=1))
+        for i in np.flatnonzero(~quiet):
+            verdict = lti_convergent_dt(maps[i], tol)
+            if verdict.disproven:
+                cycle, dwell = signals[i]
+                return {"cycle": list(cycle), "dwell": float(dwell),
+                        "method": verdict.method,
+                        "spectral_radius": float(np.abs(
+                            verdict.details["eigenvalues"]).max())}
     return None
 
 

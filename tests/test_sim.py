@@ -7,6 +7,7 @@ randomized checks use families whose limit structure is known.
 """
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,14 +15,19 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyconv.linalg as linalg_module
 import polyconv.sim as sim_module
 from polyconv.errors import InputError, NumericalError
 from polyconv.family import MatrixFamily
-from polyconv.linalg import Tolerances, matrix_exponential
+from polyconv.examples import catalogue
+from polyconv.inclusion import analyze
+from polyconv.linalg import DEFAULT_TOL, Tolerances, kernel, matrix_exponential
+from polyconv.lti import lti_convergent_dt
 from polyconv.sim import (
     SCHEDULE_PIECES_MAX,
     SwitchingSignal,
     detect_limit,
+    divergent_cycle,
     find_nonconvergence_witness,
     residual_diagnostics,
     simulate_ct,
@@ -29,6 +35,7 @@ from polyconv.sim import (
     trajectory_to_csv,
     verify_witness,
 )
+from test_inclusion import _screen_families
 
 A11_SWITCHING = MatrixFamily("dt", ([[0.5, 0.0], [1.0, 1.0]],
                                     [[0.75, 0.0], [1.0, 1.0]]))
@@ -510,6 +517,189 @@ class TestWitnessSearch:
         # periodic orbit exists
         fam = MatrixFamily("dt", tuple(mats))
         assert find_nonconvergence_witness(fam) is None
+
+
+def _reference_walks(family, tol=DEFAULT_TOL):
+    """What find_nonconvergence_witness and divergent_cycle return, from a
+    walk that builds each period map alone and tests it with
+    linalg.kernel, np.linalg.norm(., 2) and lti_convergent_dt, in
+    _cycle_candidates x WITNESS_DWELLS order."""
+    expm = sim_module._vertex_exponentials(family)
+    eye = np.eye(family.n)
+    witness = divergent = None
+    for cycle in sim_module._cycle_candidates(family.m_count,
+                                              sim_module.WITNESS_PERIOD_MAX):
+        for dwell in sim_module.WITNESS_DWELLS[family.mode]:
+            prop, passed = sim_module._period_map_and_states(
+                family, cycle, dwell, expm)
+            if witness is None:
+                fixed = kernel(prop - eye,
+                               scale=1.0 + float(np.linalg.norm(prop, 2)))
+                for y0 in fixed.basis.T:
+                    rec, sep = sim_module._orbit_numbers(prop, passed, y0)
+                    if (rec <= sim_module.WITNESS_RECURRENCE
+                            and sep >= sim_module.WITNESS_SEPARATION):
+                        signal = SwitchingSignal.vertex_cycle(cycle, dwell)
+                        witness = signal, sim_module._evidence(
+                            family, signal, y0, rec, sep)
+                        break
+            if divergent is None:
+                verdict = lti_convergent_dt(prop, tol)
+                if verdict.disproven:
+                    divergent = {"cycle": list(cycle), "dwell": float(dwell),
+                                 "method": verdict.method,
+                                 "spectral_radius": float(np.abs(
+                                     verdict.details["eigenvalues"]).max())}
+            if witness is not None and divergent is not None:
+                return witness, divergent
+    return witness, divergent
+
+
+def _seeded_families():
+    """DT and CT families with m = 1-5 vertices: every vertex scaled to
+    spectral radius 0.95 or 1 (dt), or shifted to spectral abscissa -0.05
+    or 0 (ct), so that some period maps sit on the unit circle."""
+    families = []
+    for m in range(1, 6):
+        for mode in ("dt", "ct"):
+            for k, edge in enumerate((0.95, 1.0) if mode == "dt"
+                                     else (-0.05, 0.0)):
+                rng = np.random.default_rng([m, k, mode == "ct"])
+                mats = []
+                for _ in range(m):
+                    a = rng.standard_normal((3, 3))
+                    lam = np.linalg.eigvals(a)
+                    mats.append(edge * a / np.abs(lam).max() if mode == "dt"
+                                else a + (edge - lam.real.max()) * np.eye(3))
+                families.append(MatrixFamily(mode, tuple(mats)))
+    return families
+
+
+def _near_identity(shift, seed):
+    """Q diag(1 + shift, 0.5, 0.7) Q' for a random orthogonal Q: one
+    eigenvalue shift away from 1, and sigma_min(A - I) = |shift|."""
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))[0]
+    return q @ np.diag([1.0 + shift, 0.5, 0.7]) @ q.T
+
+
+def _rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)],
+                     [np.sin(theta), np.cos(theta)]])
+
+
+def _boundary_families():
+    """Period maps at the screen's edges: near-identity maps whose
+    sigma_min(Phi - I) runs from a third of the 3 x 3 kernel cutoffs
+    (about 6e-10 and 9e-10) to over 10 times them, and whose eigenvalue
+    near 1 runs into UNKNOWN_BAND along the cycle powers; Jordan blocks
+    at the critical value; and rotations by 2 pi / k, whose maps are
+    spectral-critical, or I up to rounding."""
+    families = []
+    for i, shift in enumerate((2e-10, 6e-10, 1e-9, 1.5e-9, 2e-9, 4e-9,
+                               9e-9)):
+        for sign in (1, -1):
+            near = _near_identity(sign * shift, i)
+            families.append(MatrixFamily("dt", (near,)))
+            families.append(MatrixFamily("dt", (near, 0.5 * np.eye(3))))
+    jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+    families.append(MatrixFamily("dt", (jordan, 0.5 * np.eye(2))))
+    families.append(MatrixFamily("ct", (jordan - np.eye(2), -np.eye(2))))
+    for k in (3, 4, 6):
+        r = _rotation(2 * np.pi / k)
+        families.append(MatrixFamily("dt", (r,)))
+        families.append(MatrixFamily("dt", (r, np.diag([0.5, 1.0]))))
+        families.append(MatrixFamily("ct", ((2 * np.pi / k) * np.array(
+            [[0.0, -1.0], [1.0, 0.0]]), -np.eye(2))))
+    return families
+
+
+def _padded(family, m):
+    """The family with Dirichlet combinations of its vertices added up to
+    m vertices (default_rng(0)): the convex hull, so the inclusion, is
+    unchanged."""
+    rng = np.random.default_rng(0)
+    k = family.m_count
+    extra = tuple(sum(w * a for w, a in zip(rng.dirichlet(np.ones(k)),
+                                             family.matrices))
+                  for _ in range(m - k))
+    return MatrixFamily(family.mode, tuple(family.matrices) + extra)
+
+
+class TestCycleScreenWalks:
+    @pytest.mark.parametrize("families", [
+        lambda: _screen_families(1.0) + _screen_families(1.3),
+        _seeded_families,
+        _boundary_families,
+    ], ids=["screen-families", "seeded", "boundary"])
+    def test_walks_match_a_per_map_reference(self, families):
+        hits = 0
+        for fam in families():
+            witness, divergent = _reference_walks(fam)
+            found = find_nonconvergence_witness(fam)
+            if witness is None:
+                assert found is None
+            else:
+                assert found[0] == witness[0] and found[1] == witness[1]
+            assert divergent_cycle(fam) == divergent
+            hits += (witness is not None) + (divergent is not None)
+        assert hits > 0
+
+    @pytest.mark.parametrize("name", ["diag-kernels", "scalar-half-one",
+                                      "spike-schedule"])
+    def test_padded_family_walk_is_bounded(self, name, monkeypatch):
+        fam = catalogue(name).family
+        big = _padded(fam, 10)
+        want = [(v.status, v.method) for v in (analyze(fam).strong,
+                                                analyze(fam).weak)]
+        rep = analyze(big)
+        assert [(v.status, v.method) for v in (rep.strong, rep.weak)] == want
+        # the orbit walk's kernel, and the nested kernels of the spectral
+        # walk's lti_convergent_dt calls
+        calls = {"orbit": 0, "spectral": 0}
+
+        def counted(walk):
+            def call(*args, **kwargs):
+                calls[walk] += 1
+                return kernel(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(sim_module, "kernel", counted("orbit"))
+        monkeypatch.setattr(linalg_module, "kernel", counted("spectral"))
+        assert find_nonconvergence_witness(big) is None
+        assert divergent_cycle(big) is None
+        # of the 8,805 period maps (2,935 cycles at 3 dwells) only those
+        # equal to I, the 12 or 24 cycles of vertices with a kernel, reach
+        # the exact tests; without the screen each walk tests all 8,805
+        assert calls["orbit"] <= 24
+        assert calls["spectral"] <= 2 * 24
+
+    def test_overflowing_period_map_goes_to_the_exact_test(self):
+        # both vertices are nilpotent, but their product overflows: its
+        # stack is left to the per-map kernel, which rejects it as a
+        # per-map walk does
+        fam = MatrixFamily("dt", ([[0.0, 1e200], [0.0, 0.0]],
+                                  [[0.0, 0.0], [1e200, 0.0]]))
+        with np.errstate(over="ignore"), pytest.raises(InputError,
+                                                       match="non-finite"):
+            find_nonconvergence_witness(fam)
+
+    def test_walk_memory_is_bounded(self):
+        # n = 20, m = 10: 8,805 period maps per walk, 27 MiB if they were
+        # all stacked at once
+        rng = np.random.default_rng(0)
+        mats = []
+        for _ in range(10):
+            a = rng.standard_normal((20, 20))
+            mats.append(0.9 * a / np.abs(np.linalg.eigvals(a)).max())
+        fam = MatrixFamily("dt", tuple(mats))
+        tracemalloc.start()
+        try:
+            find_nonconvergence_witness(fam)
+            divergent_cycle(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestCsvExport:

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 
+from . import __version__
 from .errors import InputError, NumericalError
 
 __all__ = ["main", "report_to_dict", "verify_report"]
@@ -34,14 +35,6 @@ _EVIDENCE_REF = {
     "periodic-orbit": "witness",
     "implied-by-weak": "witness",
 }
-
-
-def _version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("artifact")
-    except Exception:
-        return "0.1.0"
 
 
 # ------------------------------------------------------------ JSON helpers
@@ -96,7 +89,8 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return (obj.tolist() if obj.dtype.kind in "biuf"
+                else [_jsonable(v) for v in obj.tolist()])
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, np.bool_):
@@ -204,7 +198,7 @@ def report_to_dict(report) -> dict:
     """
     fam, facts = report.family, report.facts
     doc = {
-        "version": _version(),
+        "version": __version__,
         "mode": fam.mode,
         "n": fam.n,
         "m_count": fam.m_count,
@@ -214,7 +208,7 @@ def report_to_dict(report) -> dict:
         "kernel": {"basis": facts.common.basis.tolist(),
                    "dim": facts.common_dim},
         "ksp": _ksp_doc(facts),
-        "vertex_verdicts": [_vertex_doc(v) for v in report.vertex_verdicts],
+        "vertex_verdicts": [_vertex_doc(v) for v in facts.vertex_verdicts],
         "certificates": {},
         "witness": _jsonable(report.witness),
         "rate": None,
@@ -304,10 +298,8 @@ def _verify_kernel(doc, family, facts, checks) -> None:
         if not checks.add(name, float(np.abs(gram).max()) <= 1e-7,
                           "kernel basis not orthonormal"):
             return
-    scale = 1.0 + max(float(np.linalg.norm(a, 2)) for a in family.matrices)
-    eye = np.eye(n)
-    for i, a in enumerate(family.matrices):
-        shifted = a - eye if family.mode == "dt" else a
+    scale = 1.0 + float(facts.vertices.norms.max())
+    for i, shifted in enumerate(facts.vertices.shifted):
         resid = float(np.linalg.norm(shifted @ basis)) if basis.size else 0.0
         if not checks.add(name, resid <= facts.tol.residual_tol * scale,
                           f"kernel not fixed by vertex {i + 1}"):
@@ -327,16 +319,15 @@ def _verify_ksp(doc, family, facts, checks):
 def _verify_vertices(doc, family, facts, checks):
     """Rebuilds every vertex verdict; returns the rebuilt ones."""
     import numpy as np
-    from .inclusion import spectral_verdicts
     name = "vertex_verdicts"
-    rebuilt = spectral_verdicts(family, facts.tol)
+    rebuilt = facts.vertex_verdicts
     recs = doc["vertex_verdicts"]
     if not checks.add(name, isinstance(recs, list)
                       and len(recs) == len(rebuilt),
                       "vertex verdict count mismatch"):
         return None
-    for i, (a, rec, verdict) in enumerate(zip(family.matrices, recs, rebuilt)):
-        scale = 1.0 + float(np.linalg.norm(a, 2))
+    for i, (rec, verdict) in enumerate(zip(recs, rebuilt)):
+        scale = 1.0 + float(facts.vertices.norms[i])
         # eigenvalues match as a multiset; every other field as rebuilt
         eigs = rec["details"]["eigenvalues"]
         want = _vertex_doc(verdict)
@@ -385,8 +376,7 @@ def _verify_strong_certificate(doc, family, facts, checks):
     r = n - m
     wc = t[:, :r]
     a_as, a_r, resid = block_form(family.matrices, family.mode, wc, t[:, r:])
-    slack = tol.residual_tol * (
-        1.0 + max(float(np.linalg.norm(a, 2)) for a in family.matrices))
+    slack = tol.residual_tol * (1.0 + float(facts.vertices.norms.max()))
     rebuilt = _jsonable({"kernel_dim": m, "blocks": a_as, "couplings": a_r,
                          "decomposition_residual": resid})
     if not checks.add(name, resid <= slack and _matches(
@@ -483,8 +473,8 @@ def _verify_verdicts(doc, family, found, checks) -> None:
         return
     strong_kind, m = found.get("certificates/strong") or (None, None)
     rebuilt = verdicts_from_evidence(
-        found["vertex_verdicts"], found["ksp"], strong_kind, m,
-        found.get("certificates/weak"), found.get("witness"))
+        found["ksp"], strong_kind, m, found.get("certificates/weak"),
+        found.get("witness"))
     for side, verdict in zip(("strong", "weak"), rebuilt):
         checks.add(name, _matches(doc["verdicts"][side],
                                   _verdict_doc(verdict), 0.0),

@@ -33,8 +33,6 @@ from .lti import (
     damped_lmi,
     eas,
     kernel_facts,
-    lti_convergent_ct,
-    lti_convergent_dt,
     lyapunov_candidates,
     reduced_lmi,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "decay_margins",
     "convergence_rate",
     "dual_family",
-    "spectral_verdicts",
     "verdicts_from_evidence",
     "analyze",
     "certify",
@@ -107,7 +104,6 @@ class AnalysisReport:
     weak_certificate: LmiOutcome | None = None
     witness: dict | None = None
     rate: RateEstimate | None = None
-    vertex_verdicts: tuple = ()
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -243,23 +239,15 @@ def dual_family(family: MatrixFamily) -> MatrixFamily:
                         family.labels)
 
 
-def spectral_verdicts(family: MatrixFamily,
-                       tol: Tolerances = DEFAULT_TOL) -> tuple:
-    """The spectral convergence verdict of each vertex, the necessary
-    condition that verdicts_from_evidence reads first."""
-    check = lti_convergent_dt if family.mode == "dt" else lti_convergent_ct
-    return tuple(check(a, tol) for a in family.matrices)
-
-
-def verdicts_from_evidence(vertex_verdicts, facts: KernelFacts, strong_kind,
-                           m, weak_parameter, orbit) -> tuple:
+def verdicts_from_evidence(facts: KernelFacts, strong_kind, m,
+                           weak_parameter, orbit) -> tuple:
     """The (strong, weak) verdict pair that the evidence gives: the one
     rule from evidence to verdicts, which analyze applies to what it found
     and cli.verify_report to the report sections that check out.
 
-    A non-convergent vertex (vertex_verdicts) disproves weak convergence,
-    and with it strong.  Vertex kernels that differ from the common one
-    (facts) disprove strong.  A strong certificate (strong_kind
+    A non-convergent vertex (facts.vertex_verdicts) disproves weak
+    convergence, and with it strong.  Vertex kernels that differ from the
+    common one (facts) disprove strong.  A strong certificate (strong_kind
     'decomposition-cqlf' or 'strong-lmi', kernel block dimension m)
     proves strong, and strong implies weak.  A weak certificate (its grid
     parameter weak_parameter) proves weak, and with every vertex sharing
@@ -273,7 +261,7 @@ def verdicts_from_evidence(vertex_verdicts, facts: KernelFacts, strong_kind,
     the LMI residual tolerance would absorb, so an at-tolerance
     certificate cannot overrule it.  Disproofs are exact and stand.
     """
-    for i, v in enumerate(vertex_verdicts):
+    for i, v in enumerate(facts.vertex_verdicts):
         if v.disproven:
             detail = {"vertex": i + 1, "vertex_method": v.method}
             return (Verdict(DISPROVEN, "vertex", detail),
@@ -294,7 +282,7 @@ def verdicts_from_evidence(vertex_verdicts, facts: KernelFacts, strong_kind,
         strong = Verdict(DISPROVEN, "kernel-mismatch",
                          {"kernel_dims": list(facts.kernel_dims),
                           "common_dim": facts.common_dim})
-    if any(v.status == UNKNOWN for v in vertex_verdicts):
+    if any(v.status == UNKNOWN for v in facts.vertex_verdicts):
         strong, weak = (Verdict(UNKNOWN, "vertex-band",
                                 {"certificate_method": v.method})
                         if v.proven else v for v in (strong, weak))
@@ -306,9 +294,12 @@ def analyze(family: MatrixFamily,
     """Tri-state strong/weak verdict pipeline.
 
     Collects evidence in order and stops once it settles the verdicts:
-    1. the per-vertex spectra (necessary; a vertex disproof ends here);
-    2. the vertex kernels, computed once (kernel_facts), whose sharing is
-       necessary for strong; every later stage reads them, the
+    1. the one vertex pass (lti.VertexPass, made by kernel_facts): each
+       vertex's norm, SVDs of A_i - lam0 I and of its square, and
+       eigenvalues, one stacked LAPACK call each; the per-vertex spectral
+       verdicts read from it are necessary (a vertex disproof ends here);
+    2. the vertex kernels, cut from the same SVDs (kernel_facts), whose
+       sharing is necessary for strong; every later stage reads them, the
        decomposition and the aligned bases from these facts;
     3. the Lyapunov-equation candidates of the common-Lyapunov stage
        (lti.certified_feasible), which prove strong without the solver;
@@ -347,10 +338,8 @@ def analyze(family: MatrixFamily,
     leave the band and read as divergent, where the solver's at-tolerance
     certificate caps the verdict to Unknown/vertex-band.
     """
-    vertex_verdicts = spectral_verdicts(family, tol)
     facts = kernel_facts(family.matrices, family.mode, tol)
-    report = AnalysisReport(family, None, None, facts,
-                            vertex_verdicts=vertex_verdicts)
+    report = AnalysisReport(family, None, None, facts)
 
     def screen() -> bool:
         found = find_nonconvergence_witness(family)
@@ -362,8 +351,8 @@ def analyze(family: MatrixFamily,
             report.diagnostics["divergent_cycle"] = divergent
         return divergent is not None
 
-    if not any(v.disproven for v in vertex_verdicts):
-        band = [i + 1 for i, v in enumerate(vertex_verdicts)
+    if not any(v.disproven for v in facts.vertex_verdicts):
+        band = [i + 1 for i, v in enumerate(facts.vertex_verdicts)
                 if v.status == UNKNOWN]
         if band:
             report.diagnostics["vertices_in_tolerance_band"] = band
@@ -396,11 +385,10 @@ def certify(family: MatrixFamily, stage: str, parameter: float | None = None,
         raise InputError(f"unknown certificate stage {stage!r}")
     if parameter is not None:
         check_grid_parameter(family.mode, parameter)
-    vertex_verdicts = spectral_verdicts(family, tol)
-    report = AnalysisReport(
-        family, None, None, kernel_facts(family.matrices, family.mode, tol),
-        vertex_verdicts=vertex_verdicts, diagnostics={"stage": stage})
-    if not any(v.disproven for v in vertex_verdicts):
+    facts = kernel_facts(family.matrices, family.mode, tol)
+    report = AnalysisReport(family, None, None, facts,
+                            diagnostics={"stage": stage})
+    if not any(v.disproven for v in facts.vertex_verdicts):
         _run_stage(report, stage, parameter)
     return _conclude(report)
 
@@ -433,8 +421,7 @@ def _conclude(report: AnalysisReport) -> AnalysisReport:
     facts = report.facts
     cert, weak_cert = report.strong_certificate, report.weak_certificate
     report.strong, report.weak = verdicts_from_evidence(
-        report.vertex_verdicts, facts, None if cert is None else cert.kind,
-        facts.common_dim,
+        facts, None if cert is None else cert.kind, facts.common_dim,
         None if weak_cert is None else weak_cert.parameter, report.witness)
     if (report.strong.method == "decomposition-cqlf"
             and report.family.n > facts.common_dim):

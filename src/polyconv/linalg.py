@@ -2,8 +2,10 @@
 
 Everything here operates on small dense real matrices (systems of dimension
 a few dozen at most).  Rank decisions are made through SVD with a relative
-cutoff; eigenvalue multiplicity questions are answered through the nested
-kernel test rather than by trusting eigenvalue clustering.
+cutoff, of one matrix or of each matrix of a stack (svd_stack,
+kernel_from_svd); eigenvalue multiplicity questions are answered through
+the nested kernel test (lti.VertexPass) rather than by trusting eigenvalue
+clustering.
 """
 
 from __future__ import annotations
@@ -20,16 +22,18 @@ from .errors import InputError, NumericalError
 __all__ = [
     "Tolerances",
     "Subspace",
-    "Spectrum",
     "as_matrix",
     "rank_and_kernel",
     "kernel",
+    "kernel_from_svd",
+    "svd_stack",
+    "norms_2",
     "subspace_intersection",
     "subspace_contains",
     "subspace_equal",
+    "subspaces_equal",
     "orthogonal_complement",
-    "spectrum",
-    "is_semisimple_at",
+    "spectra",
     "matrix_exponential",
 ]
 
@@ -97,15 +101,6 @@ class Subspace:
         return float(np.linalg.norm(x - self.project(x)))
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """All n eigenvalues with algebraic multiplicity (complex, sorted by
-    (real, imag)).  Multiplicity questions go through the nested kernel
-    test, not through eigenvalue clustering."""
-
-    eigenvalues: np.ndarray
-
-
 def as_matrix(a, square: bool = True, name: str = "matrix") -> np.ndarray:
     """Validate and convert input to a float ndarray."""
     m = np.asarray(a, dtype=float)
@@ -123,6 +118,32 @@ def _svd_cutoff(s: np.ndarray, shape, rank_rel: float, scale: float) -> float:
     return rank_rel * max(smax, scale) * max(shape)
 
 
+def svd_stack(stack, compute_uv: bool = True):
+    """np.linalg.svd of a stack of finite matrices, one LAPACK call; each
+    slice is bit-identical to the SVD of that matrix alone.
+    NumericalError when the SVD fails."""
+    try:
+        return np.linalg.svd(stack, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as e:
+        raise NumericalError(f"SVD failed: {e}") from None
+
+
+def norms_2(stack) -> np.ndarray:
+    """The spectral norm of each matrix of a nonempty stack, from one SVD
+    without vectors (bit-identical to np.linalg.norm(., 2) of each)."""
+    return svd_stack(np.asarray(stack), compute_uv=False)[..., 0]
+
+
+def kernel_from_svd(s: np.ndarray, vt: np.ndarray, shape,
+                    tol: Tolerances = DEFAULT_TOL, scale: float = 0.0):
+    """Numerical rank and orthonormal kernel basis of a matrix of the given
+    shape from its SVD (singular values s, right factor vt), cut as
+    rank_and_kernel cuts it.  Returns (rank, Subspace)."""
+    cutoff = _svd_cutoff(s, shape, tol.rank_rel, scale)
+    rank = int(np.sum(s > cutoff))
+    return rank, Subspace(vt[rank:].T.copy())
+
+
 def rank_and_kernel(a, tol: Tolerances = DEFAULT_TOL, scale: float = 0.0):
     """Numerical rank and an orthonormal kernel basis via SVD.
 
@@ -134,14 +155,8 @@ def rank_and_kernel(a, tol: Tolerances = DEFAULT_TOL, scale: float = 0.0):
     m = as_matrix(a, square=False)
     if m.shape[1] == 0:
         return 0, Subspace(np.zeros((0, 0)))
-    try:
-        u, s, vt = np.linalg.svd(m)
-    except np.linalg.LinAlgError as e:
-        raise NumericalError(f"SVD failed: {e}") from None
-    cutoff = _svd_cutoff(s, m.shape, tol.rank_rel, scale)
-    rank = int(np.sum(s > cutoff))
-    basis = vt[rank:].T.copy()
-    return rank, Subspace(basis)
+    _, s, vt = svd_stack(m)
+    return kernel_from_svd(s, vt, m.shape, tol, scale)
 
 
 def kernel(a, tol: Tolerances = DEFAULT_TOL, scale: float = 0.0) -> Subspace:
@@ -170,22 +185,36 @@ def subspace_intersection(spaces, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     return kernel(stacked, tol, scale=1.0)
 
 
+def _contained(pairs, tol: Tolerances) -> bool:
+    """Whether inner lies in outer (at tolerance) for every (outer, inner)
+    pair of one shape, with the residual 2-norms from one stacked SVD."""
+    if any(o.ambient_dim != i.ambient_dim for o, i in pairs):
+        raise InputError("ambient dimension mismatch")
+    resid = [i.basis - o.basis @ (o.basis.T @ i.basis) for o, i in pairs]
+    return bool(np.all(norms_2(resid) <= 1e3 * tol.rank_rel * max(
+        1.0, pairs[0][1].ambient_dim)))
+
+
 def subspace_contains(outer: Subspace, inner: Subspace,
                       tol: Tolerances = DEFAULT_TOL) -> bool:
     """True if inner is contained in outer (at tolerance)."""
-    if inner.dim == 0:
-        return True
-    if inner.ambient_dim != outer.ambient_dim:
-        raise InputError("ambient dimension mismatch")
-    resid = inner.basis - outer.basis @ (outer.basis.T @ inner.basis)
-    return float(np.linalg.norm(resid, 2)) <= 1e3 * tol.rank_rel * max(
-        1.0, inner.ambient_dim)
+    return inner.dim == 0 or _contained([(outer, inner)], tol)
+
+
+def subspaces_equal(spaces, common: Subspace,
+                    tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether every subspace of spaces equals common: the same dimension
+    and each inside the other (subspace_contains), all the containments
+    settled by one stacked SVD."""
+    if any(s.dim != common.dim for s in spaces):
+        return False
+    return common.dim == 0 or _contained(
+        [p for s in spaces for p in ((s, common), (common, s))], tol)
 
 
 def subspace_equal(a: Subspace, b: Subspace,
                    tol: Tolerances = DEFAULT_TOL) -> bool:
-    return (a.dim == b.dim and subspace_contains(a, b, tol)
-            and subspace_contains(b, a, tol))
+    return subspaces_equal((a,), b, tol)
 
 
 def orthogonal_complement(s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -204,43 +233,21 @@ def _sorted_eigs(vals: np.ndarray) -> np.ndarray:
     return vals[order]
 
 
-def spectrum(a) -> Spectrum:
-    """Eigenvalues, sorted by (real, imag)."""
-    m = as_matrix(a)
-    if m.shape[0] == 0:
-        return Spectrum(np.zeros(0, dtype=complex))
+def spectra(stack) -> tuple:
+    """The eigenvalues of each matrix of a (m, n, n) stack from one LAPACK
+    call, each sorted by (real, imag).  Each is real when all its
+    imaginary parts are 0, as np.linalg.eigvals returns them for one
+    matrix (for a stack it returns complex throughout once any matrix has
+    a complex eigenvalue), so each is bit-identical to the eigenvalues of
+    its matrix alone.  NumericalError when the eigensolver fails or an
+    eigenvalue is not finite."""
     try:
-        vals = np.linalg.eigvals(m)
+        vals = np.linalg.eigvals(stack)
     except np.linalg.LinAlgError as e:
         raise NumericalError(f"eigenvalue computation failed: {e}") from None
     if not np.all(np.isfinite(vals)):
         raise NumericalError("non-finite eigenvalues")
-    return Spectrum(_sorted_eigs(vals))
-
-
-def nested_kernel_dims(a, lam0: float, tol: Tolerances = DEFAULT_TOL):
-    """dim ker(A - lam0 I) and dim ker((A - lam0 I)^2), with the scale.
-
-    The rank cutoffs are guarded by scale = 1 + ||A|| + |lam0| (squared for
-    the squared matrix), so that e.g. A = I at lam0 = 1 resolves exactly
-    even though A - I vanishes.  Returns (d1, d2, scale).
-    """
-    m = as_matrix(a)
-    n = m.shape[0]
-    scale = 1.0 + float(np.linalg.norm(m, 2)) + abs(lam0) if n else 1.0
-    shifted = m - lam0 * np.eye(n)
-    d1 = kernel(shifted, tol, scale=scale).dim
-    d2 = kernel(shifted @ shifted, tol, scale=scale * scale).dim
-    return d1, d2, scale
-
-
-def is_semisimple_at(a, lam0: float, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Nested kernel test: dim ker(A - lam0 I) == dim ker((A - lam0 I)^2).
-
-    Vacuously true when lam0 is not an eigenvalue (trivial kernel).
-    """
-    d1, d2, _ = nested_kernel_dims(a, float(lam0), tol)
-    return d1 == 0 or d1 == d2
+    return tuple(_sorted_eigs(v if v.imag.any() else v.real) for v in vals)
 
 
 def matrix_exponential(a) -> np.ndarray:

@@ -10,6 +10,13 @@ by the rank cutoff are removed as the semisimple cluster; of the remaining
 ones, a modulus (real part) that is machine-exactly critical is Disproven,
 one strictly inside the (1e-12, 1e-8) band returns Unknown.
 
+Every per-vertex quantity these verdicts and the kernel facts rest on
+comes from one stacked vertex pass (VertexPass): ||A_i||_2, the SVDs of
+A_i - lam0 I and of its square, and eigvals(A_i), one LAPACK call each
+over the (m, n, n) vertex stack.  The vertex verdicts, the vertex
+kernels, the Jordan chains and the report all read it; a single matrix
+is the one-vertex pass (lti_convergent_dt/_ct).
+
 The LMI routes assemble the corresponding feasibility problems in
 kernel-aligned coordinates (which exposes the structurally-zero rows to the
 solver's facial reduction) and adjudicate purely through the two
@@ -22,13 +29,13 @@ vertex_duals).  A candidate that its check rejects costs the solver run it
 was meant to save, never a verdict.
 
 This module owns the one implementation of each object that the family
-routes in `inclusion` pose at every vertex: the vertex fixed spaces and
-their intersection (KernelFacts, built by kernel_facts, the only code that
-computes them), the kernel-aligned decomposition and per-vertex bases read
-from those facts, the damped vertex LMI, the rank-reduced vertex LMI, the
-common quadratic Lyapunov (CQLF) LMI and the DT eta-scan.  Each is written
-over a tuple of vertex matrices A_1..A_m; a single matrix is the one-vertex
-case (a,).
+routes in `inclusion` pose at every vertex: the vertex pass, the vertex
+fixed spaces and their intersection (KernelFacts, built by kernel_facts,
+the only code that computes them), the kernel-aligned decomposition and
+per-vertex bases read from those facts, the damped vertex LMI, the
+rank-reduced vertex LMI, the common quadratic Lyapunov (CQLF) LMI and the
+DT eta-scan.  Each is written over a tuple of vertex matrices A_1..A_m; a
+single matrix is the one-vertex case (a,).
 """
 
 from __future__ import annotations
@@ -59,11 +66,13 @@ from .linalg import (
     Tolerances,
     as_matrix,
     kernel,
-    nested_kernel_dims,
+    kernel_from_svd,
+    norms_2,
     orthogonal_complement,
-    spectrum,
-    subspace_equal,
+    spectra,
     subspace_intersection,
+    subspaces_equal,
+    svd_stack,
 )
 
 __all__ = [
@@ -74,9 +83,11 @@ __all__ = [
     "EPS_GRID",
     "Verdict",
     "Decomposition",
+    "VertexPass",
     "KernelFacts",
     "LmiOutcome",
     "kernel_facts",
+    "is_semisimple_at",
     "check_grid_parameter",
     "dt_aux",
     "ct_aux",
@@ -217,14 +228,74 @@ def _critical(mode: str) -> float:
 
 # ---------------------------------------------------------------- spectral
 
-def _spectral_verdict(a, mode: str, tol: Tolerances) -> Verdict:
-    a = as_matrix(a)
+class VertexPass:
+    """The one vertex pass: the per-vertex facts of vertices A_1..A_m
+    (mats) at lam0 that the vertex verdicts, the kernel facts and the
+    report read, each from one LAPACK call over the (m, n, n) vertex
+    stack: ||A_i||_2 (norms), the full SVD of S_i = A_i - lam0 I (svd)
+    and, built on first use, the full SVD of S_i^2 (squared_svd); the
+    vertex verdicts add eigvals(A_i) (linalg.spectra, once per
+    KernelFacts).  A stacked call gives each vertex the bits of its own
+    call, so every cutoff and verdict read from here is the one a
+    per-vertex computation gives.
+
+    The vertex kernels are cut from these SVDs at the scales the caller
+    chooses (kernels); the nested kernel dimensions of each vertex
+    (nested_dims) are cut at its own scale 1 + ||A_i|| + |lam0| (squared
+    for S_i^2), so that e.g. A = I at lam0 = 1 resolves exactly even
+    though A - I vanishes.
+    """
+
+    def __init__(self, mats, lam0: float, tol: Tolerances = DEFAULT_TOL):
+        self.mats, self.lam0, self.tol = tuple(mats), lam0, tol
+        self.stack = np.array([as_matrix(a) for a in self.mats])
+        n = self.stack.shape[-1]
+        self.shifted = self.stack - lam0 * np.eye(n)
+        self.norms = norms_2(self.stack) if n else np.zeros(len(self.mats))
+        self.svd = svd_stack(self.shifted)
+
+    @cached_property
+    def squared_svd(self) -> tuple:
+        squared = self.shifted @ self.shifted
+        if not np.all(np.isfinite(squared)):
+            raise InputError("matrix contains non-finite entries")
+        return svd_stack(squared)
+
+    def kernels(self, scales, squared: bool = False) -> tuple:
+        """ker S_i (ker S_i^2 when squared) of every vertex, cut at
+        scales[i] as linalg.kernel cuts it."""
+        _, s, vt = self.squared_svd if squared else self.svd
+        return tuple(kernel_from_svd(si, vti, vti.shape, self.tol, scale)[1]
+                     for si, vti, scale in zip(s, vt, scales))
+
+    @cached_property
+    def nested_dims(self) -> tuple:
+        """(dim ker S_i, dim ker S_i^2, scale) of each vertex at its own
+        scale."""
+        scales = [1.0 + float(x) + abs(self.lam0) for x in self.norms]
+        squared = self.kernels([c * c for c in scales], squared=True)
+        return tuple((k.dim, k2.dim, c) for k, k2, c in zip(
+            self.kernels(scales), squared, scales))
+
+
+def is_semisimple_at(a, lam0: float, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Nested kernel test: dim ker(A - lam0 I) == dim ker((A - lam0 I)^2)
+    (VertexPass.nested_dims).  Vacuously true when lam0 is not an
+    eigenvalue (trivial kernel)."""
+    d1, d2, _ = VertexPass((a,), float(lam0), tol).nested_dims[0]
+    return d1 == 0 or d1 == d2
+
+
+def _vertex_verdicts(vp: VertexPass, mode: str) -> tuple:
+    """The spectral convergence verdict of each vertex of a pass made at
+    the critical value of mode."""
+    return tuple(_spectral_verdict(eigs, *dims, mode)
+                 for eigs, dims in zip(spectra(vp.stack), vp.nested_dims))
+
+
+def _spectral_verdict(eigs, g: int, g2: int, scale: float,
+                      mode: str) -> Verdict:
     lam0 = _critical(mode)
-    n = a.shape[0]
-    if n == 0:
-        return Verdict(PROVEN, "spectral", {"eigenvalues": [], "kernel_dim": 0})
-    g, g2, scale = nested_kernel_dims(a, lam0, tol)
-    eigs = spectrum(a).eigenvalues
     details = {
         "eigenvalues": eigs,
         "kernel_dim": g,
@@ -261,11 +332,11 @@ def _spectral_verdict(a, mode: str, tol: Tolerances) -> Verdict:
 
 
 def lti_convergent_dt(a, tol: Tolerances = DEFAULT_TOL) -> Verdict:
-    return _spectral_verdict(a, "dt", tol)
+    return _vertex_verdicts(VertexPass((a,), 1.0, tol), "dt")[0]
 
 
 def lti_convergent_ct(a, tol: Tolerances = DEFAULT_TOL) -> Verdict:
-    return _spectral_verdict(a, "ct", tol)
+    return _vertex_verdicts(VertexPass((a,), 0.0, tol), "ct")[0]
 
 
 # ------------------------------------------------------------- decompose
@@ -274,17 +345,13 @@ def block_form(mats, mode: str, wc: np.ndarray, wk: np.ndarray):
     """Blocks of T' A_i T for T = [wc | wk]: the off-kernel blocks
     wc' A_i wc, the couplings wk' A_i wc, and the largest deviation of the
     other two blocks from 0 and I (dt) resp. 0 (ct), which is zero when
-    span(wk) is fixed (dt) resp. annihilated (ct) by every vertex."""
+    span(wk) is fixed (dt) resp. annihilated (ct) by every vertex.  The
+    deviations' 2-norms come from one stacked SVD per block."""
     target = _critical(mode) * np.eye(wk.shape[1])
-    residual = 0.0
-    for a in mats:
-        upper = wc.T @ a @ wk
-        corner = wk.T @ a @ wk
-        if upper.size:
-            residual = max(residual, float(np.linalg.norm(upper, 2)))
-        if corner.size:
-            residual = max(residual,
-                           float(np.linalg.norm(corner - target, 2)))
+    devs = [[wk.T @ a @ wk - target for a in mats]] if wk.shape[1] else []
+    if wc.shape[1] and wk.shape[1]:
+        devs.append([wc.T @ a @ wk for a in mats])
+    residual = max([0.0] + [float(x) for d in devs for x in norms_2(d)])
     return (tuple(wc.T @ a @ wc for a in mats),
             tuple(wk.T @ a @ wc for a in mats), residual)
 
@@ -292,14 +359,14 @@ def block_form(mats, mode: str, wc: np.ndarray, wk: np.ndarray):
 @dataclass(frozen=True, eq=False)
 class KernelFacts:
     """The fixed spaces ker(A_i - lam0 I) of vertices A_1..A_m, lam0 = 1
-    (dt) or 0 (ct), their intersection (the common kernel), and the
+    (dt) or 0 (ct), their intersection (the common kernel), the
     matrices, mode, tolerances and rank-cutoff scale they were computed
-    with.
+    with, and the vertex pass they were cut from (vertices).
 
-    Everything else that rests on the kernels is read from here, built on
-    first use: the kernel-sharing facts (holds, kernel_dims, common_dim),
-    the family-wide decomposition, the per-vertex aligned bases and the
-    per-vertex Jordan chains.
+    Everything else that rests on the vertices is read from here, built on
+    first use: the vertex verdicts, the kernel-sharing facts (holds,
+    kernel_dims, common_dim), the family-wide decomposition, the
+    per-vertex aligned bases and the per-vertex Jordan chains.
     """
 
     mats: tuple
@@ -308,12 +375,18 @@ class KernelFacts:
     kernels: tuple
     common: Subspace
     scale: float
+    vertices: VertexPass
+
+    @cached_property
+    def vertex_verdicts(self) -> tuple:
+        """The spectral convergence verdict of each vertex: the necessary
+        condition that inclusion.verdicts_from_evidence reads first."""
+        return _vertex_verdicts(self.vertices, self.mode)
 
     @cached_property
     def holds(self) -> bool:
         """Whether every vertex kernel equals the common one."""
-        return all(subspace_equal(k, self.common, self.tol)
-                   for k in self.kernels)
+        return subspaces_equal(self.kernels, self.common, self.tol)
 
     @property
     def kernel_dims(self) -> tuple:
@@ -351,15 +424,15 @@ class KernelFacts:
     def chains(self) -> tuple:
         """Per vertex, a Jordan chain [S v, v] at lam0 (n x 2), S = A_i -
         lam0 I, with v a unit vector of ker S^2 orthogonal to ker S; None
-        where ker S is trivial or equals ker S^2.  ker S^2 is cut at the
-        squared scale, as in linalg.nested_kernel_dims."""
-        n = self.mats[0].shape[0]
+        where ker S is trivial or equals ker S^2.  ker S^2 is cut from the
+        vertex pass at the squared scale, and only when some ker S is
+        nontrivial."""
+        squared = (self.vertices.kernels([self.scale ** 2] * len(self.mats),
+                                         squared=True)
+                   if any(self.kernel_dims) else self.kernels)
         out = []
-        for a, k in zip(self.mats, self.kernels):
-            s = a - _critical(self.mode) * np.eye(n)
-            k2 = (kernel(s @ s, self.tol, scale=self.scale ** 2)
-                  if k.dim else k)
-            if k2.dim <= k.dim:
+        for k, k2, s in zip(self.kernels, squared, self.vertices.shifted):
+            if not k.dim or k2.dim <= k.dim:
                 out.append(None)
                 continue
             # the part of ker S^2 orthogonal to ker S
@@ -371,22 +444,19 @@ class KernelFacts:
 
 def kernel_facts(mats, mode: str,
                  tol: Tolerances = DEFAULT_TOL) -> KernelFacts:
-    """The KernelFacts of vertices mats: the one computation of the vertex
-    fixed spaces.
+    """The KernelFacts of vertices mats: the one vertex pass of an analysis
+    (VertexPass), and the vertex fixed spaces cut from its SVDs.
 
-    The rank cutoffs are guarded by one scale, 1 + max ||A_i|| + |lam0|
-    (the shifted matrix can vanish by cancellation, e.g. A - I with A
-    near I).
+    The rank cutoffs of the fixed spaces are guarded by one scale,
+    1 + max ||A_i|| + |lam0| (the shifted matrix can vanish by
+    cancellation, e.g. A - I with A near I).
     """
     lam0 = _critical(mode)
-    mats = tuple(mats)
-    n = mats[0].shape[0]
-    scale = (1.0 + max(float(np.linalg.norm(a, 2)) for a in mats)
-             + abs(lam0) if n else 1.0)
-    kernels = tuple(kernel(a - lam0 * np.eye(n), tol, scale=scale)
-                    for a in mats)
-    return KernelFacts(mats, mode, tol, kernels,
-                       subspace_intersection(kernels, tol), scale)
+    vp = VertexPass(mats, lam0, tol)
+    scale = 1.0 + float(vp.norms.max()) + abs(lam0)
+    kernels = vp.kernels([scale] * len(vp.mats))
+    return KernelFacts(vp.mats, mode, tol, kernels,
+                       subspace_intersection(kernels, tol), scale, vp)
 
 
 def lti_decompose_dt(a, tol: Tolerances = DEFAULT_TOL) -> Decomposition:
@@ -736,11 +806,12 @@ def lti_limit(a, x0, mode: str, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != a.shape[0]:
         raise InputError("x0 dimension does not match A")
-    verdict = _spectral_verdict(a, mode, tol)
+    facts = kernel_facts((a,), mode, tol)
+    verdict = facts.vertex_verdicts[0]
     if not verdict.proven:
         raise InputError(
             f"limit undefined: convergence verdict is {verdict.status}")
-    dec = kernel_facts((a,), mode, tol).decomposition
+    dec = facts.decomposition
     k = a.shape[0] - dec.m
     z = dec.t.T @ x0
     z1, z2 = z[:k], z[k:]

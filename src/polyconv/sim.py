@@ -623,9 +623,10 @@ def divergent_cycle(family: MatrixFamily,
     and one stacked eigvals, which give the same eigenvalues as the
     spectral test's own call.  A map is skipped only when the test
     provably cannot disprove it, with a factor-2 margin on each rule:
-    - sigma_min(Phi - I) exceeds twice the cutoff of
-      linalg.nested_kernel_dims (scale 2 + ||Phi||), so ker(Phi - I) = 0,
-      no defect can be found and every eigenvalue is tested;
+    - sigma_min(Phi - I) exceeds twice the kernel cutoff of
+      lti_convergent_dt (lti.VertexPass.nested_dims, scale 2 + ||Phi||),
+      so ker(Phi - I) = 0, no defect can be found and every eigenvalue is
+      tested;
     - every |lambda| - 1 is below UNKNOWN_BAND / 2, so none is unstable;
     - no ||lambda| - 1| is within 2 EXACT_BAND (2 + ||Phi||), so none is
       critical.

@@ -442,6 +442,17 @@ def test_each_entry_point_computes_the_vertex_kernels_once(cli,
             return fn(*args, **kwargs)
         return wrapper
 
+    def counted_pass(mats, *args, **kwargs):
+        # every family here has two vertices; a one-matrix pass is the
+        # cycle screen's spectral test of one period map
+        # (lti_convergent_dt), not a pass over the vertices
+        mats = tuple(mats)
+        if len(mats) > 1:
+            calls.append("vertex_pass")
+        return vertex_pass(mats, *args, **kwargs)
+
+    vertex_pass = lti.VertexPass
+    monkeypatch.setattr(lti, "VertexPass", counted_pass)
     wrapped = counted("kernel_facts", lti.kernel_facts)
     monkeypatch.setattr(lti, "kernel_facts", wrapped)
     monkeypatch.setattr(inclusion, "kernel_facts", wrapped)
@@ -450,13 +461,13 @@ def test_each_entry_point_computes_the_vertex_kernels_once(cli,
                             counted(stage, getattr(inclusion, stage)))
     undecided = _screen_undecided_pair()
     report = analyze(undecided)
-    assert calls == ["kernel_facts", "cqlf_stability", "strong_lmi",
-                     "weak_lmi"]
+    assert calls == ["kernel_facts", "vertex_pass", "cqlf_stability",
+                     "strong_lmi", "weak_lmi"]
     # the cycle screen finds the unstable product diag(4, 0, 1) before
     # any solver stage
     calls.clear()
     assert "divergent_cycle" in analyze(_ALL_STAGES).diagnostics
-    assert calls == ["kernel_facts"]
+    assert calls == ["kernel_facts", "vertex_pass"]
     docs = {"all-stages": (undecided, json.loads(json.dumps(
         report_to_dict(report), allow_nan=False)))}
     # reports with a weak certificate, a strong one with a rate, a witness
@@ -465,7 +476,7 @@ def test_each_entry_point_computes_the_vertex_kernels_once(cli,
     for name, (fam, doc) in docs.items():
         calls.clear()
         assert verify_report(doc, fam)[0], name
-        assert calls == ["kernel_facts"], name
+        assert calls == ["kernel_facts", "vertex_pass"], name
     family = json.dumps({"mode": "dt",
                          "matrices": [a.tolist() for a in
                                       _ALL_STAGES.matrices]})
@@ -476,6 +487,7 @@ def test_each_entry_point_computes_the_vertex_kernels_once(cli,
         assert code == 0
         assert json.loads(out)["verdicts"][side]["status"] == "Unknown"
         assert calls.count("kernel_facts") == 1, method
+        assert calls.count("vertex_pass") == 1, method
 
 
 def certify_doc(cli, family: str, method: str, *args) -> dict:

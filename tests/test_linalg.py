@@ -6,16 +6,16 @@ from polyconv.errors import InputError
 from polyconv.linalg import (
     Subspace,
     Tolerances,
-    is_semisimple_at,
     kernel,
     matrix_exponential,
     orthogonal_complement,
     rank_and_kernel,
-    spectrum,
+    spectra,
     subspace_contains,
     subspace_equal,
     subspace_intersection,
 )
+from polyconv.lti import is_semisimple_at
 
 TOL = Tolerances()
 
@@ -155,14 +155,12 @@ def test_intersection_monotone(seed):
 # ---------------------------------------------------------------- spectrum
 
 def test_spectrum_triangular():
-    sp = spectrum([[0.5, 0.0], [1.0, 1.0]])
-    vals = sorted(sp.eigenvalues.real)
+    vals = sorted(spectra([[[0.5, 0.0], [1.0, 1.0]]])[0].real)
     assert np.allclose(vals, [0.5, 1.0], atol=1e-12)
 
 
 def test_spectrum_rotation():
-    sp = spectrum([[0.0, -1.0], [1.0, 0.0]])
-    vals = sp.eigenvalues
+    vals = spectra([[[0.0, -1.0], [1.0, 0.0]]])[0]
     assert np.allclose(sorted(vals.imag), [-1.0, 1.0], atol=1e-12)
     assert np.allclose(vals.real, 0.0, atol=1e-12)
 
@@ -170,8 +168,7 @@ def test_spectrum_rotation():
 def test_spectrum_count_matches_dimension():
     rng = np.random.default_rng(3)
     m = random_matrix(rng, 5)
-    sp = spectrum(m)
-    assert len(sp.eigenvalues) == 5
+    assert len(spectra([m])[0]) == 5
 
 
 @given(st.integers(2, 6), st.integers(0, 500))
@@ -179,8 +176,7 @@ def test_spectrum_count_matches_dimension():
 def test_spectrum_transpose_invariant(n, seed):
     rng = np.random.default_rng(seed)
     m = random_matrix(rng, n)
-    a = np.sort_complex(spectrum(m).eigenvalues)
-    b = np.sort_complex(spectrum(m.T).eigenvalues)
+    a, b = (np.sort_complex(e) for e in spectra([m, m.T]))
     assert np.allclose(a, b, atol=1e-8 * (1 + np.linalg.norm(m)))
 
 
@@ -191,8 +187,8 @@ def test_spectrum_affine_map(n, seed, tau):
     rng = np.random.default_rng(seed)
     m = random_matrix(rng, n)
     shifted = np.eye(n) + tau * m
-    a = np.sort_complex(1.0 + tau * spectrum(m).eigenvalues)
-    b = np.sort_complex(spectrum(shifted).eigenvalues)
+    a = np.sort_complex(1.0 + tau * spectra([m])[0])
+    b = np.sort_complex(spectra([shifted])[0])
     assert np.allclose(a, b, atol=1e-7 * (1 + np.linalg.norm(shifted)))
 
 

@@ -18,18 +18,27 @@ from polyconv.feasibility import (
     verify_dual,
     verify_lmi,
 )
-from polyconv.linalg import matrix_exponential
+from polyconv.linalg import (
+    Tolerances,
+    kernel,
+    matrix_exponential,
+    subspace_contains,
+    subspace_intersection,
+)
 from polyconv.lti import (
     DISPROVEN,
     EPS_GRID,
     ETA_GRID,
     PROVEN,
     UNKNOWN,
+    _spectral_verdict,
+    block_form,
     ct_aux,
     damped_lmi,
     damped_problem,
     dt_aux,
     eas,
+    is_semisimple_at,
     kernel_facts,
     lti_convergent_ct,
     lti_convergent_dt,
@@ -217,6 +226,165 @@ class TestSpectralVerdicts:
         tau = 0.1 / (1.0 + np.linalg.norm(a, 2))
         assert lti_convergent_ct(a).status == PROVEN
         assert lti_convergent_dt(eas(a, tau)).status == PROVEN
+
+
+# ----------------------------------------------------------- vertex pass
+
+def _reference_vertex(a, lam0, tol):
+    """One vertex alone, as the verdicts were computed before the stacked
+    pass: ||A||_2, the nested kernel dimensions at the vertex's own scale
+    (linalg.kernel on S and S^2), and np.linalg.eigvals sorted by
+    (real, imag)."""
+    n = a.shape[0]
+    scale = 1.0 + float(np.linalg.norm(a, 2)) + abs(lam0)
+    s = a - lam0 * np.eye(n)
+    g = kernel(s, tol, scale=scale).dim
+    g2 = kernel(s @ s, tol, scale=scale * scale).dim
+    vals = np.linalg.eigvals(a)
+    return vals[np.lexsort((vals.imag, vals.real))], g, g2, scale
+
+
+def _reference_facts(mats, mode, tol):
+    """Per-vertex kernels at the family scale, their Jordan chains, and
+    whether each kernel equals the common one, one matrix at a time."""
+    lam0 = 1.0 if mode == "dt" else 0.0
+    n = mats[0].shape[0]
+    scale = 1.0 + max(float(np.linalg.norm(a, 2)) for a in mats) + lam0
+    kernels, chains = [], []
+    for a in mats:
+        s = a - lam0 * np.eye(n)
+        k = kernel(s, tol, scale=scale)
+        k2 = kernel(s @ s, tol, scale=scale ** 2) if k.dim else k
+        kernels.append(k)
+        if k2.dim <= k.dim:
+            chains.append(None)
+            continue
+        v = k2.basis @ kernel(k.basis.T @ k2.basis, tol,
+                              scale=1.0).basis[:, 0]
+        chains.append(np.column_stack([s @ v, v]))
+    common = subspace_intersection(kernels, tol)
+    holds = all(k.dim == common.dim and subspace_contains(k, common, tol)
+                and subspace_contains(common, k, tol) for k in kernels)
+    return scale, kernels, chains, holds
+
+
+def _same_bits(x, y) -> bool:
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return (isinstance(x, np.ndarray) and isinstance(y, np.ndarray)
+                and x.dtype == y.dtype and x.shape == y.shape
+                and np.array_equal(x, y))
+    if x is None or y is None:
+        return x is y
+    return type(x) is type(y) and x == y
+
+
+def _pass_families():
+    """Seeded DT and CT families with m = 1-5 vertices of n = 2-5, each
+    vertex Q B Q' for a random orthogonal Q and a block B of one kind:
+    a random matrix (complex pairs), a symmetric one (real spectrum), a
+    Jordan block at the critical value, a rotation (a critical pair off
+    the critical value), an eigenvalue inside the tolerance band, a fixed
+    vector (a kernel at the critical value), or an unstable one.  Most
+    families mix vertices with real and complex spectra."""
+    kinds = ("random", "symmetric", "jordan", "rotation", "band", "kernel",
+             "unstable")
+    families = []
+    for mode in ("dt", "ct"):
+        lam0 = 1.0 if mode == "dt" else 0.0
+        for m in range(1, 6):
+            for seed in range(4):
+                rng = np.random.default_rng([m, seed, mode == "ct"])
+                n = 2 + (m + seed) % 4
+                mats = []
+                for j in range(m):
+                    kind = kinds[(seed + j) % len(kinds)] if j else "random"
+                    b = rng.standard_normal((n, n))
+                    if kind == "symmetric":
+                        b = b + b.T
+                    b *= 0.8 / np.abs(np.linalg.eigvals(b)).max()
+                    if mode == "ct":
+                        b -= np.eye(n)
+                    if kind == "jordan":
+                        b[:2, :2] = [[lam0, 1.0], [0.0, lam0]]
+                        b[2:, :2] = 0.0
+                    elif kind == "rotation":
+                        b[:2, :2] = (rotation(0.7) if mode == "dt" else
+                                     [[0.0, -0.7], [0.7, 0.0]])
+                        b[2:, :2] = 0.0
+                    elif kind in ("band", "kernel", "unstable"):
+                        edge = {"band": 1e-9, "kernel": 0.0,
+                                "unstable": 0.5}[kind]
+                        b[:, 0] = 0.0
+                        b[0, 0] = lam0 + edge
+                    q = random_orthogonal(rng, n)
+                    mats.append(q @ b @ q.T)
+                families.append((mode, tuple(mats)))
+    return families
+
+
+class TestVertexPass:
+    def test_pass_matches_a_per_vertex_reference(self):
+        tol = Tolerances()
+        methods = set()
+        mixed = 0
+        for mode, mats in _pass_families():
+            lam0 = 1.0 if mode == "dt" else 0.0
+            facts = kernel_facts(mats, mode, tol)
+            kinds = set()
+            for a, verdict in zip(mats, facts.vertex_verdicts):
+                eigs, g, g2, scale = _reference_vertex(a, lam0, tol)
+                want = _spectral_verdict(eigs, g, g2, scale, mode)
+                assert (verdict.status, verdict.method) == (
+                    want.status, want.method)
+                assert verdict.details.keys() == want.details.keys()
+                assert all(_same_bits(verdict.details[k], want.details[k])
+                           for k in want.details)
+                single = (lti_convergent_dt if mode == "dt"
+                          else lti_convergent_ct)(a, tol)
+                assert (single.status, single.method) == (
+                    want.status, want.method)
+                assert _same_bits(single.details["eigenvalues"], eigs)
+                methods.add(verdict.method)
+                kinds.add(eigs.dtype.kind)
+            mixed += kinds == {"c", "f"}
+            scale, kernels, chains, holds = _reference_facts(mats, mode,
+                                                             tol)
+            assert facts.scale == scale
+            assert facts.kernel_dims == tuple(k.dim for k in kernels)
+            assert all(_same_bits(k.basis, r.basis)
+                       for k, r in zip(facts.kernels, kernels))
+            assert all(_same_bits(c, r)
+                       for c, r in zip(facts.chains, chains))
+            assert facts.holds == holds
+        # the inputs reach every verdict, and stack real spectra with
+        # complex ones (eigvals of such a stack is complex throughout)
+        assert methods == {"spectral", "spectral-defective",
+                           "spectral-unstable", "spectral-critical",
+                           "spectral-band"}
+        assert mixed > 10
+
+    def test_block_form_residual_matches_per_vertex_norms(self):
+        rng = np.random.default_rng(5)
+        for mode in ("dt", "ct"):
+            for m, n, d in ((1, 3, 1), (3, 4, 2), (5, 3, 3), (2, 4, 0)):
+                q = random_orthogonal(rng, n)
+                mats = [rng.standard_normal((n, n)) for _ in range(m)]
+                wc, wk = q[:, :n - d], q[:, n - d:]
+                target = (1.0 if mode == "dt" else 0.0) * np.eye(d)
+                want = 0.0
+                for a in mats:
+                    for dev in (wc.T @ a @ wk, wk.T @ a @ wk - target):
+                        if dev.size:
+                            want = max(want, float(np.linalg.norm(dev, 2)))
+                assert block_form(mats, mode, wc, wk)[2] == want
+
+    def test_semisimple_test_reads_the_pass(self):
+        for a, lam0 in (([[1.0, 1.0], [0.0, 1.0]], 1.0),
+                        ([[0.0, 1.0], [0.0, 0.0]], 0.0),
+                        ([[0.5, 0.0], [1.0, 1.0]], 1.0)):
+            a = np.asarray(a)
+            _, g, g2, _ = _reference_vertex(a, lam0, Tolerances())
+            assert is_semisimple_at(a, lam0) == (g == 0 or g == g2)
 
 
 # ------------------------------------------------------------- decompose

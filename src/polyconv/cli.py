@@ -28,7 +28,6 @@ _EVIDENCE_REF = {
     "vertex": "vertex_verdicts",
     "kernel-mismatch": "ksp",
     "decomposition-cqlf": "certificates/strong",
-    "strong-lmi": "certificates/strong",
     "implied-by-strong": "certificates/strong",
     "weak-lmi": "certificates/weak",
     "ksp-weak-upgrade": "certificates/weak",
@@ -149,24 +148,17 @@ def _lmi_checks_doc(check) -> dict:
 def _strong_certificate_doc(cert) -> dict:
     from .lti import CQLF_GAMMA
     dec = cert.decomposition
-    doc = {
+    return {
         "t": dec.t.tolist(),
         "kernel_dim": dec.m,
         "blocks": [b.tolist() for b in dec.a_as],
         "couplings": [b.tolist() for b in dec.a_r],
         "decomposition_residual": dec.residual,
         "kind": cert.kind,
+        "gamma": CQLF_GAMMA,
+        "p": _jsonable(cert.cqlf.result.values["P"]),
+        "checks": _lmi_checks_doc(cert.cqlf.result.check),
     }
-    if cert.cqlf is not None:
-        lmi = cert.cqlf
-        doc["gamma"] = CQLF_GAMMA
-        doc["p"] = _jsonable(lmi.result.values["P"])
-    else:
-        lmi = cert.lmi
-        doc["p1"] = _jsonable(lmi.result.values["P1"])
-        doc["q"] = _jsonable(lmi.result.values["Q"])
-    doc["checks"] = _lmi_checks_doc(lmi.result.check)
-    return doc
 
 
 def _weak_certificate_doc(out) -> dict:
@@ -359,9 +351,10 @@ def _square(value, dim: int):
 
 def _verify_strong_certificate(doc, family, facts, checks):
     """Rebuilds the decomposition in the recorded frame T and re-checks
-    the LMI; returns the certificate kind and its kernel block dimension."""
+    the common-Lyapunov LMI of its off-kernel blocks; returns the
+    certificate kind and its kernel block dimension."""
     import numpy as np
-    from .lti import CQLF_GAMMA, block_form, cqlf_problem, reduced_problem
+    from .lti import CQLF_GAMMA, block_form, cqlf_problem
     name = "certificates/strong"
     tol = facts.tol
     sec = doc["certificates"]["strong"]
@@ -374,8 +367,8 @@ def _verify_strong_certificate(doc, family, facts, checks):
     # the kernel block must be the full common kernel, not a slice of it
     m = facts.common_dim
     r = n - m
-    wc = t[:, :r]
-    a_as, a_r, resid = block_form(family.matrices, family.mode, wc, t[:, r:])
+    a_as, a_r, resid = block_form(family.matrices, family.mode, t[:, :r],
+                                  t[:, r:])
     slack = tol.residual_tol * (1.0 + float(facts.vertices.norms.max()))
     rebuilt = _jsonable({"kernel_dim": m, "blocks": a_as, "couplings": a_r,
                          "decomposition_residual": resid})
@@ -385,19 +378,14 @@ def _verify_strong_certificate(doc, family, facts, checks):
             "the common kernel fixed by every vertex"):
         return None
     kind = sec["kind"]
-    if kind == "decomposition-cqlf":
-        if not checks.add(name, sec["gamma"] == CQLF_GAMMA,
-                          "unexpected definiteness offset"):
-            return None
-        problem = cqlf_problem(a_as, family.mode, tol)
-        values = {"P": _square(sec["p"], r)}
-    elif kind == "strong-lmi":
-        problem = reduced_problem(family.matrices, family.mode, wc, tol)
-        values = {"P1": _square(sec["p1"], r), "Q": _square(sec["q"], n)}
-    else:
+    if kind != "decomposition-cqlf":
         checks.add(name, False, f"unknown strong certificate kind {kind!r}")
         return None
-    _check_lmi(name, problem, values, sec["checks"], checks)
+    if not checks.add(name, sec["gamma"] == CQLF_GAMMA,
+                      "unexpected definiteness offset"):
+        return None
+    _check_lmi(name, cqlf_problem(a_as, family.mode, tol),
+               {"P": _square(sec["p"], r)}, sec["checks"], checks)
     return kind, m
 
 
@@ -580,8 +568,7 @@ def _cmd_certify(args) -> int:
     document, with the stage in diagnostics["stage"]."""
     from .inclusion import certify
     family = _load_family(args.family)
-    stage = {"cqlf": "cqlf_stability", "strong-lmi": "strong_lmi",
-             "weak-lmi": "weak_lmi"}[args.method]
+    stage = {"cqlf": "cqlf_stability", "weak-lmi": "weak_lmi"}[args.method]
     _emit(report_to_dict(certify(family, stage, args.parameter,
                                  _tolerances_from(args.tol))), args.out)
     return 0
@@ -814,7 +801,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "stage (diagnostics.stage), which verify re-checks")
     sp.add_argument("family")
     sp.add_argument("--method", required=True,
-                    choices=("strong-lmi", "weak-lmi", "cqlf"))
+                    choices=("weak-lmi", "cqlf"))
     sp.add_argument("--parameter", type=_finite_float, default=None,
                     help="fix the weak-lmi damping to one point of its "
                          "search grid (eta in dt, eps in ct)")

@@ -64,16 +64,18 @@ __all__ = [
 # block far faster than P can resolve, has no finite rate)
 RATE_CAP = 1e12
 
+# the certificate stages, in analyze's order: strong, then weak
+STAGES = ("cqlf_stability", "weak_lmi")
+
 
 @dataclass
 class StrongCertificate:
-    decomposition: Decomposition
-    cqlf: LmiOutcome | None = None
-    lmi: LmiOutcome | None = None
+    """The kernel-aligned decomposition and a common quadratic Lyapunov
+    function of its off-kernel blocks: the one strong certificate kind."""
 
-    @property
-    def kind(self) -> str:
-        return "decomposition-cqlf" if self.cqlf is not None else "strong-lmi"
+    decomposition: Decomposition
+    cqlf: LmiOutcome
+    kind = "decomposition-cqlf"
 
 
 @dataclass
@@ -134,10 +136,12 @@ def cqlf_stability(blocks, mode: str,
 
 
 def strong_lmi(facts: KernelFacts) -> LmiOutcome:
-    """Joint rank-reduced certificate of strong convergence.  Needs the
-    shared-kernel property (the rank condition on P is stated against the
-    common fixed space, see KernelFacts.decomposition), and is sufficient
-    only."""
+    """The paper's joint rank-reduced LMI of strong convergence: sufficient
+    only, and needs the shared-kernel property (KernelFacts.decomposition).
+    Its Q-terms have the full-column-rank factors [a_as - I; a_r] (dt) and
+    [a_as; a_r] (ct) in the kernel-aligned frame, so it is feasible exactly
+    when cqlf_stability is on the off-kernel blocks a_as.  No entry point
+    runs it."""
     return reduced_lmi(facts, facts.decomposition.complement.basis)
 
 
@@ -199,7 +203,7 @@ def convergence_rate(family: MatrixFamily,
     holds, so rounding in the eigensolver never reports a rate that P does
     not support; its margins at that beta are kept as block_margins.
     InputError when P does not decay."""
-    if cert.cqlf is None or not cert.cqlf.feasible:
+    if not cert.cqlf.feasible:
         raise InputError("rate estimation needs a feasible common-Lyapunov "
                          "certificate for the off-kernel blocks")
     dec = cert.decomposition
@@ -248,9 +252,9 @@ def verdicts_from_evidence(facts: KernelFacts, strong_kind, m,
     A non-convergent vertex (facts.vertex_verdicts) disproves weak
     convergence, and with it strong.  Vertex kernels that differ from the
     common one (facts) disprove strong.  A strong certificate (strong_kind
-    'decomposition-cqlf' or 'strong-lmi', kernel block dimension m)
-    proves strong, and strong implies weak.  A weak certificate (its grid
-    parameter weak_parameter) proves weak, and with every vertex sharing
+    'decomposition-cqlf', kernel block dimension m) proves strong, and
+    strong implies weak.  A weak certificate (its grid parameter
+    weak_parameter) proves weak, and with every vertex sharing
     the common fixed space any weak limit already lies in it, so weak
     convergence is strong.  A periodic orbit (the witness evidence dict
     orbit) disproves weak, and with it strong.  Evidence earlier in this
@@ -311,9 +315,10 @@ def analyze(family: MatrixFamily,
        spectral test, eigvals) pass per stack, so that only the maps that
        might hold a fixed vector or a disproof get the exact tests;
     5. the solver stages, only when the screen finds neither: the
-       common-Lyapunov solve on the off-kernel blocks (cqlf_stability)
-       or the joint rank-reduced certificate (strong sufficient), then
-       the damped vertex inequalities (weak sufficient).
+       common-Lyapunov solve on the off-kernel blocks (cqlf_stability,
+       strong sufficient), then the damped vertex inequalities (weak
+       sufficient).  The joint rank-reduced LMI (strong_lmi) is no stage:
+       it proves exactly what cqlf_stability proves.
     verdicts_from_evidence turns the evidence into the verdict pair, and
     the rate is estimated only when that pair rests on the
     common-Lyapunov certificate.  Every stage decides at tol, which the
@@ -335,8 +340,8 @@ def analyze(family: MatrixFamily,
 
     When a vertex verdict sits in the spectral tolerance band, the screen
     runs after the solver stages instead: its powers of a band vertex can
-    leave the band and read as divergent, where the solver's at-tolerance
-    certificate caps the verdict to Unknown/vertex-band.
+    leave the band and read as divergent, where an at-tolerance
+    certificate of the solver stages is capped to Unknown/vertex-band.
     """
     facts = kernel_facts(family.matrices, family.mode, tol)
     report = AnalysisReport(family, None, None, facts)
@@ -367,8 +372,7 @@ def analyze(family: MatrixFamily,
         # cqlf_stability tries the candidates again before its solve, a
         # millisecond against the solve
         if report.strong_certificate is None and (band or not screen()):
-            found = any(_run_stage(report, stage) for stage in (
-                "cqlf_stability", "strong_lmi", "weak_lmi"))
+            found = any(_run_stage(report, stage) for stage in STAGES)
             if not found and band:
                 screen()
     return _conclude(report)
@@ -376,12 +380,12 @@ def analyze(family: MatrixFamily,
 
 def certify(family: MatrixFamily, stage: str, parameter: float | None = None,
             tol: Tolerances = DEFAULT_TOL) -> AnalysisReport:
-    """analyze limited to one certificate stage, 'cqlf_stability',
-    'strong_lmi' or 'weak_lmi' (at the grid point parameter, if given),
-    recorded in diagnostics["stage"].  No cycle screen runs, and the
-    verdicts and rate come from analyze's ending, so verify_report
-    re-checks the report."""
-    if stage not in ("cqlf_stability", "strong_lmi", "weak_lmi"):
+    """analyze limited to one certificate stage, 'cqlf_stability' or
+    'weak_lmi' (at the grid point parameter, if given), recorded in
+    diagnostics["stage"]; any other stage, strong_lmi included, is an
+    InputError.  No cycle screen runs, and the verdicts and rate come from
+    analyze's ending, so verify_report re-checks the report."""
+    if stage not in STAGES:
         raise InputError(f"unknown certificate stage {stage!r}")
     if parameter is not None:
         check_grid_parameter(family.mode, parameter)
@@ -396,7 +400,7 @@ def certify(family: MatrixFamily, stage: str, parameter: float | None = None,
 def _run_stage(report: AnalysisReport, stage: str,
                parameter: float | None = None) -> bool:
     """Run one certificate stage and keep the certificate it finds; whether
-    it found one.  The strong stages need the vertex kernels shared."""
+    it found one.  The strong stage needs the vertex kernels shared."""
     facts = report.facts
     if stage == "weak_lmi":
         report.weak_certificate = weak_lmi(facts, parameter)
@@ -404,14 +408,9 @@ def _run_stage(report: AnalysisReport, stage: str,
     if not facts.holds:
         return False
     dec = facts.decomposition
-    if stage == "cqlf_stability":
-        out = cqlf_stability(dec.a_as, facts.mode, facts.tol)
-        cert = StrongCertificate(dec, cqlf=out)
-    else:
-        out = strong_lmi(facts)
-        cert = StrongCertificate(dec, lmi=out)
+    out = cqlf_stability(dec.a_as, facts.mode, facts.tol)
     if out.feasible:
-        report.strong_certificate = cert
+        report.strong_certificate = StrongCertificate(dec, out)
     return out.feasible
 
 

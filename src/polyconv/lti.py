@@ -366,7 +366,7 @@ class KernelFacts:
     Everything else that rests on the vertices is read from here, built on
     first use: the vertex verdicts, the kernel-sharing facts (holds,
     kernel_dims, common_dim), the family-wide decomposition, the
-    per-vertex aligned bases and the per-vertex Jordan chains.
+    per-vertex aligned bases, eigenpairs and Jordan chains.
     """
 
     mats: tuple
@@ -419,6 +419,12 @@ class KernelFacts:
         vertex kernel."""
         return tuple(np.hstack([orthogonal_complement(k, self.tol).basis,
                                 k.basis]) for k in self.kernels)
+
+    @cached_property
+    def eigenpairs(self) -> tuple:
+        """(eigenvalues, eigenvectors) of each vertex, which vertex_duals
+        reads at every damped problem."""
+        return tuple(np.linalg.eig(a) for a in self.mats)
 
     @cached_property
     def chains(self) -> tuple:
@@ -567,9 +573,9 @@ def vertex_duals(facts: KernelFacts, parameter: float | None = None,
     and Re(ww*) on Q, w = (A_i - I) wc u (dt) resp. A_i wc u (ct).
 
     An eigenpair is kept when its closed-form pairing passes verify_dual's
-    bound on its own (see dual_ratios), so a stable vertex pays one eig and
-    yields nothing.  The kept pairs of vertex i are stacked into the factor
-    of its constraint.
+    bound on its own (see dual_ratios), so a stable vertex pays one eig
+    (KernelFacts.eigenpairs) and yields nothing.  The kept pairs of vertex
+    i are stacked into the factor of its constraint.
 
     Chain pairs.  When the damped form keeps no eigenpair, each vertex
     with a Jordan chain at the critical value (KernelFacts.chains) gives
@@ -586,7 +592,7 @@ def vertex_duals(facts: KernelFacts, parameter: float | None = None,
     factors = {}
     for i, a in enumerate(facts.mats):
         if wc is None:
-            lam, vec = np.linalg.eig(a)
+            lam, vec = facts.eigenpairs[i]
             if mode == "dt":
                 k = parameter / (1.0 - parameter)
                 s = k * (np.abs(lam) ** 2 - 1.0) + np.abs(lam - 1.0) ** 2

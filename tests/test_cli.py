@@ -1,7 +1,6 @@
 """End-to-end command-line tests: JSON I/O, exit codes, every subcommand,
 and solver-independent report verification."""
 
-import copy
 import io
 import itertools
 import json
@@ -13,8 +12,7 @@ import pytest
 from polyconv.cli import main, report_to_dict, verify_report
 from polyconv.examples import catalogue, catalogue_names
 from polyconv.family import MatrixFamily, family_from_dict
-from polyconv.inclusion import (StrongCertificate, analyze, kernel_facts,
-                                strong_lmi, weak_lmi)
+from polyconv.inclusion import analyze, kernel_facts, strong_lmi, weak_lmi
 from polyconv.linalg import Tolerances
 from polyconv.lti import ETA_GRID
 
@@ -237,17 +235,11 @@ class TestVerifyCommand:
             assert ok, (name, [c for c in checks if not c["pass"]])
 
     def test_report_to_dict_only_formats(self, monkeypatch):
-        # reports with a CQLF certificate and a rate, a joint-form strong
-        # certificate, and a weak certificate: their margins are the ones
-        # recorded when the analysis accepted them, not recomputed
+        # reports with a CQLF certificate and a rate, and a weak
+        # certificate: their margins are the ones recorded when the
+        # analysis accepted them, not recomputed
         reports = [analyze(catalogue(name).family)
                    for name in ("path-consensus", "scalar-half-one")]
-        fam = catalogue("path-consensus").family
-        f = kernel_facts(fam.matrices, fam.mode)
-        reports.append(copy.copy(reports[0]))
-        reports[-1].strong_certificate = StrongCertificate(
-            f.decomposition, lmi=strong_lmi(f))
-        reports[-1].rate = None
         assert reports[0].rate is not None
         assert reports[1].weak_certificate is not None
         expected = [report_to_dict(r) for r in reports]
@@ -263,23 +255,26 @@ class TestVerifyCommand:
             monkeypatch.setattr(np.linalg, routine, boom)
         assert [report_to_dict(r) for r in reports] == expected
 
-    def test_joint_form_strong_certificate_verifies(self):
+    def test_joint_form_strong_certificate_is_no_evidence(self):
+        # the joint rank-reduced LMI proves what the CQLF proves, and is no
+        # certificate kind: a feasible one, recorded as the strong section,
+        # fails verification
         fam = catalogue("path-consensus").family
         doc = fresh_report("path-consensus")
-        facts = kernel_facts(fam.matrices, fam.mode)
-        out = strong_lmi(facts)
+        out = strong_lmi(kernel_facts(fam.matrices, fam.mode))
         assert out.feasible
-        cert = StrongCertificate(facts.decomposition, lmi=out)
-        from polyconv.cli import _strong_certificate_doc
-        doc["certificates"]["strong"] = json.loads(json.dumps(
-            _strong_certificate_doc(cert), allow_nan=False))
+        sec = doc["certificates"]["strong"]
+        del sec["gamma"], sec["p"]
+        sec.update(kind="strong-lmi",
+                   p1=out.result.values["P1"].tolist(),
+                   q=out.result.values["Q"].tolist())
         doc["verdicts"]["strong"]["method"] = "strong-lmi"
         doc["rate"] = None
         ok, checks = verify_report(doc, fam)
-        assert ok, [c for c in checks if not c["pass"]]
-        doc["certificates"]["strong"]["q"][0][0] += 1e-3
-        ok, _ = verify_report(doc, fam)
         assert not ok
+        assert {"name": "certificates/strong", "pass": False,
+                "detail": "unknown strong certificate kind 'strong-lmi'"} \
+            in checks
 
     def test_shared_kernel_upgrade_report_verifies(self):
         fam = MatrixFamily("dt", [[[0.5]]])
@@ -321,9 +316,9 @@ def fresh_report_from(fam) -> dict:
                                  allow_nan=False))
 
 
-def _claim_proven_by_strong_lmi(doc):
+def _claim_proven_by_cqlf(doc):
     doc["verdicts"] = {
-        "strong": {"status": "Proven", "method": "strong-lmi",
+        "strong": {"status": "Proven", "method": "decomposition-cqlf",
                    "details": {"m": 0}, "evidence": "certificates/strong"},
         "weak": {"status": "Proven", "method": "implied-by-strong",
                  "details": {}, "evidence": "certificates/strong"}}
@@ -336,7 +331,7 @@ def _claim_exhausted(doc):
 
 
 # x(k+1) = 1.000000005 x(k) diverges; its vertex sits in the spectral band
-# and its report carries a feasible at-tolerance strong-lmi certificate
+# and its report carries no certificate
 BAND_FAMILY = {"mode": "dt", "matrices": [[[1.000000005]]]}
 
 # edits that make a verdict or a vertex verdict disagree with the evidence
@@ -349,7 +344,7 @@ FORGED_EDITS = {
         "diag-kernels",
         lambda d: d["verdicts"]["strong"]["details"].update(
             kernel_dims=[5, 5])),
-    "band-certificate-proven": (None, _claim_proven_by_strong_lmi),
+    "band-certificate-proven": (None, _claim_proven_by_cqlf),
     "band-vertex-proven": (
         None,
         lambda d: d["vertex_verdicts"][0].update(status="Proven",
@@ -409,8 +404,8 @@ def test_malformed_report_is_an_input_error_or_fails(cli, tmp_path, edit):
 
 
 # shares the kernel e3, but its off-kernel pair [[0, 2], [0, 0]] and
-# [[0, 0], [2, 0]] has the unstable product diag(4, 0): no CQLF, no strong
-# and no weak LMI certificate, and the cycle screen finds that product
+# [[0, 0], [2, 0]] has the unstable product diag(4, 0): no CQLF and no weak
+# LMI certificate, and the cycle screen finds that product
 _ALL_STAGES = MatrixFamily("dt", (np.array([[0, 2, 0], [0, 0, 0], [0, 0, 1]]),
                                   np.array([[0, 0, 0], [2, 0, 0], [0, 0, 1]])))
 
@@ -419,7 +414,7 @@ def _screen_undecided_pair() -> MatrixFamily:
     """A random 2 x 2 DT pair scaled so that its vertex cycles of up to 4
     steps reach spectral radius 0.97 per step: the Lyapunov-equation
     candidate fails and the cycle screen finds nothing, so analyze runs
-    every solver stage."""
+    every solver stage (and never the joint LMI, strong_lmi)."""
     rng = np.random.default_rng(0)
     for _ in range(9):
         pair = (rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
@@ -462,7 +457,7 @@ def test_each_entry_point_computes_the_vertex_kernels_once(cli,
     undecided = _screen_undecided_pair()
     report = analyze(undecided)
     assert calls == ["kernel_facts", "vertex_pass", "cqlf_stability",
-                     "strong_lmi", "weak_lmi"]
+                     "weak_lmi"]
     # the cycle screen finds the unstable product diag(4, 0, 1) before
     # any solver stage
     calls.clear()
@@ -480,7 +475,7 @@ def test_each_entry_point_computes_the_vertex_kernels_once(cli,
     family = json.dumps({"mode": "dt",
                          "matrices": [a.tolist() for a in
                                       _ALL_STAGES.matrices]})
-    for method in ("cqlf", "strong-lmi", "weak-lmi"):
+    for method in ("cqlf", "weak-lmi"):
         calls.clear()
         code, out, _ = cli("certify", "-", "--method", method, stdin=family)
         side = "weak" if method == "weak-lmi" else "strong"
@@ -504,15 +499,14 @@ SHARED_KERNEL_DT = {"mode": "dt", "matrices": [[[0.5, 0.0], [0.0, 1.0]],
                                                [[0.25, 0.0], [0.0, 1.0]]]}
 
 # families that do not converge, with every vertex in the spectral
-# tolerance band: strong-lmi finds a certificate that passes verify_lmi at
-# tolerance, and the verdict rule caps it to Unknown/vertex-band
+# tolerance band: no certificate stage proves them
 BAND_FAMILIES = [
     {"mode": "dt", "matrices": [[[1.000000005]]]},
     {"mode": "ct", "matrices": [[[5e-9]]]},
     {"mode": "dt", "matrices": [[[1.000000005, 0.0], [0.0, 0.5]],
                                 [[1.000000005, 0.0], [0.0, 0.25]]]}]
 
-CERTIFY_METHODS = ["cqlf", "strong-lmi", "weak-lmi"]
+CERTIFY_METHODS = ["cqlf", "weak-lmi"]
 
 
 class TestCertifyCommand:
@@ -523,12 +517,13 @@ class TestCertifyCommand:
         assert doc["rate"] is not None
         assert doc["diagnostics"] == {"stage": "cqlf_stability"}
 
-    def test_strong_lmi_proven_on_consensus(self, cli):
-        doc = certify_doc(cli, family_json("path-consensus"), "strong-lmi")
-        assert doc["verdicts"]["strong"]["status"] == "Proven"
-        assert doc["certificates"]["strong"]["kind"] == "strong-lmi"
-        assert doc["rate"] is None
-        assert doc["diagnostics"] == {"stage": "strong_lmi"}
+    def test_strong_lmi_is_an_input_error(self, cli):
+        code, out, err = cli("certify", "-", "--method", "strong-lmi",
+                             stdin=family_json("path-consensus"))
+        assert (code, out) == (1, "")
+        error = json.loads(err)["error"]
+        assert error["type"] == "input"
+        assert "strong-lmi" in error["message"]
 
     def test_weak_lmi_parameter_comes_from_the_grid(self, cli):
         doc = certify_doc(cli, family_json("scalar-half-one"), "weak-lmi")
@@ -545,12 +540,11 @@ class TestCertifyCommand:
     def test_strong_methods_unknown_when_kernels_differ(self, cli):
         # no strong stage runs, and the kernels that differ disprove
         # strong convergence, as analyze says
-        for method in ("cqlf", "strong-lmi"):
-            doc = certify_doc(cli, family_json("scalar-half-one"), method)
-            assert doc["certificates"] == {}
-            assert doc["verdicts"]["strong"]["status"] == "Disproven"
-            assert doc["verdicts"]["strong"]["method"] == "kernel-mismatch"
-            assert doc["verdicts"]["weak"]["status"] == "Unknown"
+        doc = certify_doc(cli, family_json("scalar-half-one"), "cqlf")
+        assert doc["certificates"] == {}
+        assert doc["verdicts"]["strong"]["status"] == "Disproven"
+        assert doc["verdicts"]["strong"]["method"] == "kernel-mismatch"
+        assert doc["verdicts"]["weak"]["status"] == "Unknown"
 
     def test_weak_lmi_unknown_on_rotation(self, cli):
         # the rotation's unit-modulus eigenvalues disprove the vertex, so

@@ -21,7 +21,12 @@ import polyconv.inclusion as inclusion
 from polyconv.cli import report_to_dict, verify_report
 from polyconv.errors import InputError
 from polyconv.examples import catalogue, catalogue_names
-from polyconv.feasibility import FEASIBLE, FeasibilityResult, verify_lmi
+from polyconv.feasibility import (
+    FEASIBLE,
+    INFEASIBLE,
+    FeasibilityResult,
+    verify_lmi,
+)
 from polyconv.inclusion import (
     MatrixFamily,
     StrongCertificate,
@@ -32,6 +37,7 @@ from polyconv.inclusion import (
     euler_family,
     kernel_facts,
     strong_lmi,
+    verdicts_from_evidence,
     weak_lmi,
 )
 from polyconv.lti import (
@@ -80,6 +86,35 @@ def decaying_blocks(rng, n, m, mode):
             mm *= rng.uniform(0.3, 0.8) / np.linalg.norm(mm, 2)
             blocks.append((u / np.sqrt(w)) @ u.T @ mm @ (u * np.sqrt(w)) @ u.T)
     return blocks
+
+
+def near_boundary_family(rng, mode: str) -> MatrixFamily:
+    """A family Q [[B_i, 0], [R_i, c I_k]] Q' (c = 1 in dt, 0 in ct) with a
+    planted common kernel of dimension k: n = 3-5, m = 2-3 random blocks
+    B_i scaled to spectral radius 0.8-1.1 of the largest (dt), or shifted
+    to spectral abscissa -0.3 to 0.1 of the largest (ct), so that a common
+    quadratic Lyapunov function of the B_i sometimes exists."""
+    n, m = int(rng.integers(3, 6)), int(rng.integers(2, 4))
+    k = int(rng.integers(1, n - 1))
+    r = n - k
+    gs = [rng.standard_normal((r, r)) for _ in range(m)]
+    if mode == "dt":
+        rho = max(np.abs(np.linalg.eigvals(g)).max() for g in gs)
+        blocks = [rng.uniform(0.8, 1.1) / rho * g for g in gs]
+    else:
+        gs = [g / np.linalg.norm(g, 2) for g in gs]
+        shift = (max(np.linalg.eigvals(g).real.max() for g in gs)
+                 + rng.uniform(-0.1, 0.3))
+        blocks = [g - shift * np.eye(r) for g in gs]
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    mats = []
+    for b in blocks:
+        core = np.zeros((n, n))
+        core[:r, :r] = b
+        core[r:, :r] = rng.standard_normal((k, r))
+        core[r:, r:] = (1.0 if mode == "dt" else 0.0) * np.eye(k)
+        mats.append(q @ core @ q.T)
+    return MatrixFamily(mode, mats)
 
 
 def tight_dt_pair(rng, rho=0.97, kmax=6):
@@ -278,6 +313,27 @@ class TestStrongLmi:
         with pytest.raises(InputError, match="shared kernel"):
             strong_lmi(facts(HALF_ONE))
 
+    @pytest.mark.parametrize("mode", ["dt", "ct"])
+    def test_equivalent_to_cqlf_on_shared_kernel_families(self, mode):
+        """In the kernel-aligned frame the joint LMI's vertex constraint is
+        a_as'P1 a_as - P1 + X'QX <= 0, X = [a_as - I; a_r] (dt), or
+        a_as'P1 + P1 a_as + Y'QY <= 0, Y = [a_as; a_r] (ct).  X and Y have
+        full column rank: a null vector would be a fixed (annihilated)
+        vector outside the common kernel, which holds all of them.  So with
+        Q > 0 the joint LMI is feasible exactly when the blocks a_as have a
+        strict common quadratic Lyapunov function, cqlf_stability's
+        problem, and the two stages must agree."""
+        rng = np.random.default_rng([0, mode == "ct"])
+        outcomes = []
+        for i in range(10):
+            f = facts(near_boundary_family(rng, mode))
+            assert f.holds
+            feasible = strong_lmi(f).feasible
+            assert feasible == cqlf_stability(f.decomposition.a_as,
+                                              mode).feasible, i
+            outcomes.append(feasible)
+        assert set(outcomes) == {True, False}
+
 
 class TestWeakLmi:
     def test_half_one_smallest_eta(self):
@@ -432,14 +488,76 @@ class TestAnalyzeCatalogue:
         assert rep.rate is None
 
     def test_tolerance_band_family_stays_unknown(self):
-        # 1 + 1e-9 diverges, but its LMI violation (2e-9) sits below the
-        # solver residual tolerance; the band cap keeps this honest
+        # 1 + 1e-9 diverges, but its vertex sits inside the spectral band;
+        # no certificate stage proves it, so the evidence is exhausted
         rep = analyze(MatrixFamily("dt", [[[1.0 + 1e-9]]]))
-        assert rep.strong.status == UNKNOWN
-        assert rep.strong.method == "vertex-band"
-        assert rep.weak.status == UNKNOWN
+        assert (rep.strong.status, rep.strong.method) == (UNKNOWN,
+                                                          "exhausted")
+        assert (rep.weak.status, rep.weak.method) == (UNKNOWN, "exhausted")
         assert rep.rate is None
         assert rep.diagnostics["vertices_in_tolerance_band"] == [1]
+
+    @pytest.mark.parametrize("name", ["diag-kernels", "scalar-half-one",
+                                      "spike-schedule"])
+    def test_each_vertex_eigendecomposition_is_computed_once(
+            self, monkeypatch, name):
+        # the weak stage probes several damped problems, and each asks
+        # vertex_duals for the vertex eigenpairs
+        calls = []
+        eig = np.linalg.eig
+
+        def counted(a):
+            calls.append(a.shape)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        fam = catalogue(name).family
+        assert analyze(fam).weak.status == PROVEN
+        assert len(calls) == fam.m_count == 2
+
+    @pytest.mark.parametrize("mats", [[[0.0, 1e3], [0.0, 0.0]],
+                                      [[0.5, 1e3], [0.0, 0.5]]])
+    def test_one_vertex_family_makes_no_joint_lmi_solve(self, monkeypatch,
+                                                        mats):
+        import polyconv.lti as lti
+
+        def boom(*args, **kwargs):
+            raise AssertionError("analyze ran the joint rank-reduced LMI")
+
+        for module, name in ((inclusion, "strong_lmi"),
+                             (inclusion, "reduced_lmi"),
+                             (lti, "reduced_lmi")):
+            monkeypatch.setattr(module, name, boom)
+        analyze(MatrixFamily("dt", [mats]))
+
+    def test_certify_has_no_joint_lmi_stage(self):
+        with pytest.raises(InputError, match="strong_lmi"):
+            inclusion.certify(PATH_CONSENSUS, "strong_lmi")
+
+
+# non-convergent families whose every vertex sits in the spectral band
+BAND_FAMILIES = [MatrixFamily("dt", [[[1.000000005]]]),
+                 MatrixFamily("ct", [[[5e-9]]]),
+                 MatrixFamily("dt", [np.diag([1.000000005, 0.5]),
+                                     np.diag([1.000000005, 0.25])])]
+
+
+@pytest.mark.parametrize("evidence", ["strong", "weak"])
+@pytest.mark.parametrize("fam", BAND_FAMILIES)
+def test_vertex_band_caps_a_proof_to_unknown(fam, evidence):
+    # analyze finds no certificate here, so the cap is reached only from
+    # evidence that passes at tolerance: a strong certificate, or a weak
+    # one at a grid parameter
+    f = facts(fam)
+    assert f.holds and f.vertex_verdicts[0].status == UNKNOWN
+    strong_kind, parameter = (("decomposition-cqlf", None)
+                              if evidence == "strong"
+                              else (None, (ETA_GRID if fam.mode == "dt"
+                                           else EPS_GRID)[0]))
+    verdicts = verdicts_from_evidence(f, strong_kind, f.common_dim,
+                                      parameter, None)
+    assert [(v.status, v.method) for v in verdicts] == [
+        (UNKNOWN, "vertex-band")] * 2
 
 
 class TestConvergenceRate:
@@ -451,8 +569,10 @@ class TestConvergenceRate:
         assert rep.rate.c0 == pytest.approx(1.0)
 
     def test_requires_cqlf_evidence(self):
-        f = facts(A11)
-        cert = StrongCertificate(f.decomposition, lmi=strong_lmi(f))
+        dec = facts(A11).decomposition
+        failed = FeasibilityResult(INFEASIBLE, {}, 0)
+        cert = StrongCertificate(dec, LmiOutcome(
+            None, failed, cqlf_problem(dec.a_as, "dt")))
         with pytest.raises(InputError, match="common-Lyapunov"):
             convergence_rate(A11, cert)
 
@@ -727,8 +847,7 @@ def test_no_entry_point_proves_a_planted_nonconvergent_vertex(mode, kind):
     for seed in range(12):
         fam = _planted_family(seed, mode, kind)
         reports = [analyze(fam)] + [
-            inclusion.certify(fam, stage)
-            for stage in ("cqlf_stability", "strong_lmi", "weak_lmi")]
+            inclusion.certify(fam, stage) for stage in inclusion.STAGES]
         for rep in reports:
             assert PROVEN not in (rep.strong.status, rep.weak.status), (
                 seed, rep.diagnostics)

@@ -34,6 +34,7 @@ from .lti import (
     eas,
     kernel_facts,
     lyapunov_candidates,
+    mean_block_candidate,
     reduced_lmi,
 )
 from .sim import divergent_cycle, find_nonconvergence_witness
@@ -305,24 +306,30 @@ def analyze(family: MatrixFamily,
     2. the vertex kernels, cut from the same SVDs (kernel_facts), whose
        sharing is necessary for strong; every later stage reads them, the
        decomposition and the aligned bases from these facts;
-    3. the Lyapunov-equation candidates of the common-Lyapunov stage
-       (lti.certified_feasible), which prove strong without the solver;
+    3. the Lyapunov-equation candidate of the mean off-kernel block
+       (lti.mean_block_candidate, checked by lti.certified_feasible),
+       which proves strong without the solver;
     4. the cycle screen: the periodic-orbit search
        (sim.find_nonconvergence_witness), then the first vertex cycle
        whose period map the DT spectral test disproves
        (sim.divergent_cycle); each walk builds the period maps in stacks
-       and settles most of them with one stacked SVD (and, for the
-       spectral test, eigvals) pass per stack, so that only the maps that
+       and settles most of them with one stacked SVD of Phi - I (and, for
+       the spectral test, eigvals) per stack, so that only the maps that
        might hold a fixed vector or a disproof get the exact tests;
     5. the solver stages, only when the screen finds neither: the
-       common-Lyapunov solve on the off-kernel blocks (cqlf_stability,
-       strong sufficient), then the damped vertex inequalities (weak
-       sufficient).  The joint rank-reduced LMI (strong_lmi) is no stage:
-       it proves exactly what cqlf_stability proves.
+       common-Lyapunov stage on the off-kernel blocks (cqlf_stability,
+       strong sufficient), which tries the Lyapunov-equation candidates
+       of the mean block and of each block before its solve, then the
+       damped vertex inequalities (weak sufficient).  The joint
+       rank-reduced LMI (strong_lmi) is no stage: it proves exactly what
+       cqlf_stability proves.
     verdicts_from_evidence turns the evidence into the verdict pair, and
     the rate is estimated only when that pair rests on the
     common-Lyapunov certificate.  Every stage decides at tol, which the
-    report carries as facts.tol.
+    report carries as facts.tol, except the orbit search: it cuts its
+    kernels at linalg.DEFAULT_TOL.  Its evidence is tol-free all the
+    same, because sim.verify_witness re-checks an orbit against fixed
+    thresholds.
 
     The screen goes before the solver because it cannot hide a
     certificate.  The samples x(kT) = Phi^k x of a periodic vertex signal
@@ -331,6 +338,9 @@ def analyze(family: MatrixFamily,
     radius from below) or a periodic orbit
     rules out weak convergence, and with it every certificate that
     stages 3 and 5 look for; the solver could only stall to infeasible.
+    Only the mean block's candidate runs before the screen, so a family
+    without a certificate pays one Lyapunov solve, not one per block; a
+    family that a per-block candidate certifies pays the screen first.
     A verified orbit disproves weak convergence (periodic-orbit).  A
     divergent period map ends the analysis Unknown/exhausted: it is
     recorded in diagnostics["divergent_cycle"], outside the evidence that
@@ -365,12 +375,12 @@ def analyze(family: MatrixFamily,
             dec = facts.decomposition
             problem = cqlf_problem(dec.a_as, family.mode, tol)
             res = certified_feasible(
-                problem, lyapunov_candidates(dec.a_as, family.mode))
+                problem, mean_block_candidate(dec.a_as, family.mode))
             if res is not None:
                 report.strong_certificate = StrongCertificate(
                     dec, cqlf=LmiOutcome(None, res, problem))
-        # cqlf_stability tries the candidates again before its solve, a
-        # millisecond against the solve
+        # cqlf_stability tries the mean block's candidate again before the
+        # per-block ones and its solve, one Lyapunov solve against the solve
         if report.strong_certificate is None and (band or not screen()):
             found = any(_run_stage(report, stage) for stage in STAGES)
             if not found and band:

@@ -634,46 +634,65 @@ def certified_infeasible(problem: LmiProblem,
         diagnostics=f"verify_dual margin {report['margin']:.3e}")
 
 
-def lyapunov_candidates(blocks, mode: str):
-    """Candidate values for the common-Lyapunov problem (cqlf_problem) from
-    Lyapunov equations: P with B'PB - P = -I (dt) or B'P + PB = -I (ct),
-    first for the mean block B, then for each block in turn.  Yields
-    (label, {"P": P}) pairs lazily, so a candidate that passes spares the
-    rest.
+def lyapunov_candidate(b, mode: str) -> np.ndarray | None:
+    """The Lyapunov-equation solution P of B'PB - P = -I (dt) or
+    B'P + PB = -I (ct), symmetrized, or None.
 
-    An equation is solved only for a B strictly stable by its eigenvalues,
-    spectral radius below 1 - UNKNOWN_BAND (dt) or spectral abscissa below
-    -UNKNOWN_BAND (1 + ||B||) (ct): only then does it have a unique
-    solution, and the margin keeps the solver clear of the near-singular
-    Sylvester systems it would perturb.  The candidates carry no trust:
-    certified_feasible checks them with verify_lmi.
+    The equation is solved only for a B strictly stable by its
+    eigenvalues, spectral radius below 1 - UNKNOWN_BAND (dt) or spectral
+    abscissa below -UNKNOWN_BAND (1 + ||B||) (ct): only then does it have
+    a unique solution, and the margin keeps the solver clear of the
+    near-singular Sylvester systems it would perturb.  None also for an
+    empty B, a failed solve or a non-finite P.
     """
     mode = _check_mode(mode)
-    if blocks[0].shape[0] == 0:
-        return
-    eye = np.eye(blocks[0].shape[0])
-    labelled = [("mean block", sum(blocks) / len(blocks))]
-    if len(blocks) > 1:
-        labelled += [(f"block {i + 1}", b) for i, b in enumerate(blocks)]
-    for label, b in labelled:
-        lam = np.linalg.eigvals(b)
+    if b.shape[0] == 0:
+        return None
+    lam = np.linalg.eigvals(b)
+    if mode == "dt":
+        stable = float(np.abs(lam).max()) < 1.0 - UNKNOWN_BAND
+    else:
+        stable = float(lam.real.max()) < -UNKNOWN_BAND * (
+            1.0 + float(np.linalg.norm(b, 2)))
+    if not stable:
+        return None
+    eye = np.eye(b.shape[0])
+    try:
         if mode == "dt":
-            stable = float(np.abs(lam).max()) < 1.0 - UNKNOWN_BAND
+            p = scipy.linalg.solve_discrete_lyapunov(b.T, eye)
         else:
-            stable = float(lam.real.max()) < -UNKNOWN_BAND * (
-                1.0 + float(np.linalg.norm(b, 2)))
-        if not stable:
-            continue
-        try:
-            if mode == "dt":
-                p = scipy.linalg.solve_discrete_lyapunov(b.T, eye)
-            else:
-                p = scipy.linalg.solve_continuous_lyapunov(b.T, -eye)
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(np.isfinite(p)):
-            yield (f"Lyapunov-equation candidate of the {label}",
-                   {"P": 0.5 * (p + p.T)})
+            p = scipy.linalg.solve_continuous_lyapunov(b.T, -eye)
+    except np.linalg.LinAlgError:
+        return None
+    return 0.5 * (p + p.T) if np.all(np.isfinite(p)) else None
+
+
+def _labelled_candidates(labelled, mode: str):
+    for label, b in labelled:
+        p = lyapunov_candidate(b, mode)
+        if p is not None:
+            yield f"Lyapunov-equation candidate of the {label}", {"P": p}
+
+
+def mean_block_candidate(blocks, mode: str):
+    """The first of lyapunov_candidates alone: the mean block's
+    (label, {"P": P}) pair, if lyapunov_candidate gives one."""
+    return _labelled_candidates([("mean block", sum(blocks) / len(blocks))],
+                                mode)
+
+
+def lyapunov_candidates(blocks, mode: str):
+    """Candidate values for the common-Lyapunov problem (cqlf_problem) from
+    Lyapunov equations (lyapunov_candidate), first for the mean block
+    (mean_block_candidate), then for each block in turn.  Yields
+    (label, {"P": P}) pairs lazily, so a candidate that passes spares the
+    rest.  The candidates carry no trust: certified_feasible checks them
+    with verify_lmi.
+    """
+    yield from mean_block_candidate(blocks, mode)
+    if len(blocks) > 1:
+        yield from _labelled_candidates(
+            ((f"block {i + 1}", b) for i, b in enumerate(blocks)), mode)
 
 
 def certified_feasible(problem: LmiProblem,

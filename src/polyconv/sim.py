@@ -488,36 +488,40 @@ def _period_maps(family: MatrixFamily, expm):
 
 
 def _fixed_space_gaps(maps: np.ndarray):
-    """||Phi||_2, and the largest and the smallest singular value of
-    Phi - I, of each stacked period map, from two stacked SVDs without
-    vectors; all nan for a stack with a non-finite entry, which no screen
-    then settles.
+    """||Phi||_F, which bounds ||Phi||_2, and the smallest singular value
+    of Phi - I, of each stacked period map, from one einsum and one
+    stacked SVD without vectors; both nan for a stack with a non-finite
+    entry, which no screen then settles.
 
     The walks use these to skip, without changing a decision, a map whose
     fixed space the exact rank test (linalg.rank_and_kernel, an SVD with
-    vectors) finds empty.  That test counts a singular value as zero when
-    it is at most c = rank_rel n max(sigma_max, scale).  The values here
-    come from LAPACK's gesdd without vectors, and the two sets differ by
-    at most k n eps sigma_max for a modest k (both are backward stable).
-    So a map whose sigma_min here exceeds 2c keeps
-    sigma_min > 2c - k n eps sigma_max >= (2 - k eps / rank_rel) c > c
-    under the exact test, for any k < rank_rel / eps (4.5e5 at the
-    default rank_rel = 1e-10); c computed from these values moves by the
-    same relative k n eps, inside that margin.  Below rank_rel = 1e-12 the
-    walks take c at rank_rel = 1e-12, which keeps k < 4.5e3 covered.
+    vectors) finds empty.  That test counts a singular value of Phi - I as
+    zero when it is at most c = rank_rel n max(sigma_max(Phi - I), scale),
+    with scale = 1 + ||Phi||_2 (orbit search) or 2 + ||Phi||_2 (spectral
+    test).  sigma_max(Phi - I) <= 1 + ||Phi||_2 never exceeds the scale,
+    and ||Phi||_2 <= ||Phi||_F (equal at rank one), so the cutoff at scale
+    1 + ||Phi||_F (or 2 + ||Phi||_F) is at least c.  The values here and
+    the exact test's differ by at most k n eps relative to the scale, for
+    a modest k (gesdd and the sum of squares are backward stable).  So a
+    map whose sigma_min here exceeds twice the cutoff at the Frobenius
+    scale keeps sigma_min > 2c - k n eps scale >= (2 - k eps / rank_rel) c
+    > c under the exact test, for any k < rank_rel / eps (4.5e5 at the
+    default rank_rel = 1e-10).  Below rank_rel = 1e-12 the walks take c at
+    rank_rel = 1e-12, which keeps k < 4.5e3 covered.  Squares that
+    overflow give an infinite bound, which skips no map.
     """
     if not np.isfinite(maps).all():
         nan = np.full(len(maps), np.nan)
-        return nan, nan, nan
-    norm = np.linalg.svd(maps, compute_uv=False)[:, 0]
+        return nan, nan
+    frobenius = np.sqrt(np.einsum("kij,kij->k", maps, maps))
     gaps = np.linalg.svd(maps - np.eye(maps.shape[1]), compute_uv=False)
-    return norm, gaps[:, 0], gaps[:, -1]
+    return frobenius, gaps[:, -1]
 
 
-def _screen_cutoff(rank_rel: float, n: int, top, scale):
-    """Twice the exact rank cutoff rank_rel n max(sigma_max, scale), at
-    rank_rel no smaller than 1e-12 (see _fixed_space_gaps)."""
-    return 2.0 * max(rank_rel, 1e-12) * n * np.maximum(top, scale)
+def _screen_cutoff(rank_rel: float, n: int, scale):
+    """Twice the exact rank cutoff rank_rel n scale, at rank_rel no smaller
+    than 1e-12 (see _fixed_space_gaps)."""
+    return 2.0 * max(rank_rel, 1e-12) * n * scale
 
 
 def _orbit_numbers(prop, stages, y0):
@@ -571,11 +575,12 @@ def find_nonconvergence_witness(family: MatrixFamily):
 
     The signals are walked in _period_maps order, one stack of maps at a
     time, and the first orbit found is returned.  One stacked SVD gives
-    each map's ||prop||, and one more the singular values of prop - I.  A
-    map whose smallest one exceeds twice the kernel cutoff has an empty
-    fixed space (the margin is derived in _fixed_space_gaps), so only the
-    other maps go on, in order, to the exact kernel above and to the
-    orbit test.  Each vertex exponential is computed once per search, and
+    the singular values of each prop - I, and ||prop||_F bounds ||prop||
+    (_fixed_space_gaps).  A map whose smallest singular value exceeds
+    twice the kernel cutoff at scale 1 + ||prop||_F has an empty fixed
+    space (the margin is derived in _fixed_space_gaps), so only the other
+    maps go on, in order, to the exact kernel above and to the orbit
+    test.  Each vertex exponential is computed once per search, and
     the within-period propagators only for a map whose fixed space is
     nonempty.
 
@@ -591,8 +596,8 @@ def find_nonconvergence_witness(family: MatrixFamily):
     eye = np.eye(n)
     expm = _vertex_exponentials(family)
     for signals, maps in _period_maps(family, expm):
-        norm, top, low = _fixed_space_gaps(maps)
-        cutoff = _screen_cutoff(DEFAULT_TOL.rank_rel, n, top, 1.0 + norm)
+        norm, low = _fixed_space_gaps(maps)
+        cutoff = _screen_cutoff(DEFAULT_TOL.rank_rel, n, 1.0 + norm)
         for i in np.flatnonzero(~(low > cutoff)):
             (cycle, dwell), prop = signals[i], maps[i]
             fixed = kernel(prop - eye,
@@ -619,10 +624,12 @@ def divergent_cycle(family: MatrixFamily,
     certificate of convergence can exist for the family.  Returns the
     cycle, its dwell, the spectral method and Phi's spectral radius.
 
-    Each stack of maps gets the two SVDs of find_nonconvergence_witness
-    and one stacked eigvals, which give the same eigenvalues as the
-    spectral test's own call.  A map is skipped only when the test
-    provably cannot disprove it, with a factor-2 margin on each rule:
+    Each stack of maps gets the one SVD and the Frobenius norms of
+    find_nonconvergence_witness (_fixed_space_gaps) and one stacked
+    eigvals, which give the same eigenvalues as the spectral test's own
+    call.  A map is skipped only when the test provably cannot disprove
+    it, with a factor-2 margin on each rule, and with ||Phi||_F >= ||Phi||
+    in place of the test's ||Phi||, which only makes the rules stricter:
     - sigma_min(Phi - I) exceeds twice the kernel cutoff of
       lti_convergent_dt (lti.VertexPass.nested_dims, scale 2 + ||Phi||),
       so ker(Phi - I) = 0, no defect can be found and every eigenvalue is
@@ -634,9 +641,9 @@ def divergent_cycle(family: MatrixFamily,
     """
     n = family.n
     for signals, maps in _period_maps(family, _vertex_exponentials(family)):
-        norm, top, low = _fixed_space_gaps(maps)
+        norm, low = _fixed_space_gaps(maps)
         scale = 2.0 + norm
-        quiet = low > _screen_cutoff(tol.rank_rel, n, top, scale)
+        quiet = low > _screen_cutoff(tol.rank_rel, n, scale)
         if quiet.any():
             excess = np.abs(np.linalg.eigvals(maps[quiet])) - 1.0
             quiet[quiet] = (np.all(excess < UNKNOWN_BAND / 2, axis=1)

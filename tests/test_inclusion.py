@@ -741,6 +741,51 @@ class TestCycleScreen:
             assert verify_report(report_to_dict(rep), fam)[0]
         assert calls == []
 
+    def test_one_candidate_before_the_screen(self, diverging, orbits,
+                                            monkeypatch):
+        # the screen decides these families, so only the mean block's
+        # Lyapunov-equation candidate is tried, not one per block too
+        import polyconv.lti as lti
+        calls = []
+
+        def counted(b, mode):
+            calls.append(b.shape)
+            return candidate(b, mode)
+
+        candidate = lti.lyapunov_candidate
+        monkeypatch.setattr(lti, "lyapunov_candidate", counted)
+        for fam in diverging + orbits:
+            calls.clear()
+            rep = analyze(fam)
+            assert rep.strong_certificate is None
+            assert len(calls) == 1
+
+    def test_per_block_candidates_certify_in_the_solver_stage(self):
+        # tight DT pairs, scaled so that the largest rho(product)^(1/k)
+        # over products of length k <= 6 is 0.97; the first five that a
+        # per-block candidate certifies get that certificate from analyze
+        # too, after the screen
+        rng = np.random.default_rng(0)
+        checked = 0
+        while checked < 5:
+            a, b = rng.standard_normal((2, 2, 2))
+            worst = max(
+                float(np.abs(np.linalg.eigvals(
+                    np.linalg.multi_dot([np.eye(2), *seq]))).max())
+                ** (1.0 / k)
+                for k in range(1, 7)
+                for seq in itertools.product((a, b), repeat=k))
+            fam = MatrixFamily("dt", (0.97 / worst * a, 0.97 / worst * b))
+            f = facts(fam)
+            out = cqlf_stability(f.decomposition.a_as, "dt")
+            if "of the block" not in (out.result.diagnostics or ""):
+                continue
+            checked += 1
+            cert = analyze(fam).strong_certificate
+            assert cert.cqlf.result.diagnostics == out.result.diagnostics
+            assert np.array_equal(cert.cqlf.result.values["P"],
+                                  out.result.values["P"])
+
     def test_divergent_period_map_re_derives(self, diverging):
         for fam in diverging:
             hit = analyze(fam).diagnostics["divergent_cycle"]

@@ -593,8 +593,25 @@ def _boundary_families():
     (about 6e-10 and 9e-10) to over 10 times them, and whose eigenvalue
     near 1 runs into UNKNOWN_BAND along the cycle powers; Jordan blocks
     at the critical value; and rotations by 2 pi / k, whose maps are
-    spectral-critical, or I up to rounding."""
+    spectral-critical, or I up to rounding.  Rank-one maps, for which the
+    screen's Frobenius bound equals ||Phi||_2: 1 x 1 maps 1 + shift and
+    rotated 2 x 2 oblique near-projections [[1 + 2 shift, 0.5], [0, 0]],
+    whose sigma_min(Phi - I) runs from a fifth of the screen's cutoff to
+    six times it; and u v' with v'u = -1, whose square is -u v' (an orbit
+    of period 2), and -u u' / |u|^2, for which sigma_max(Phi - I) =
+    1 + ||Phi||_2 exactly."""
     families = []
+    for i, shift in enumerate((1e-10, 2e-10, 4e-10, 6e-10, 1e-9, 3e-9)):
+        for sign in (1, -1):
+            families.append(MatrixFamily("dt", ([[1.0 + sign * shift]],)))
+            q = np.linalg.qr(np.random.default_rng([i, sign > 0])
+                             .standard_normal((2, 2)))[0]
+            near = np.array([[1.0 + 2 * sign * shift, 0.5], [0.0, 0.0]])
+            families.append(MatrixFamily("dt", (q @ near @ q.T,
+                                                0.5 * np.eye(2))))
+    u, v = np.array([1.0, 2.0]), np.array([1.0, -1.0])
+    families.append(MatrixFamily("dt", (np.outer(u, v), 0.5 * np.eye(2))))
+    families.append(MatrixFamily("dt", (-np.outer(u, u) / 5.0,)))
     for i, shift in enumerate((2e-10, 6e-10, 1e-9, 1.5e-9, 2e-9, 4e-9,
                                9e-9)):
         for sign in (1, -1):
@@ -674,6 +691,31 @@ class TestCycleScreenWalks:
         # the exact tests; without the screen each walk tests all 8,805
         assert calls["orbit"] <= 24
         assert 0 < calls["spectral"] <= 2 * 24
+
+    def test_gap_screen_takes_one_svd_per_stack(self, monkeypatch):
+        # ||Phi||_2 comes from the Frobenius bound, and sigma_max(Phi - I)
+        # is never needed: the SVD of Phi - I is the only one per stack
+        fams = [_padded(catalogue("diag-kernels").family, 10)]
+        fams += _boundary_families()
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        stacks = []
+        for fam in fams:
+            stacks += [maps for _, maps in sim_module._period_maps(
+                fam, sim_module._vertex_exponentials(fam))]
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        bounds = [sim_module._fixed_space_gaps(maps)[0] for maps in stacks]
+        monkeypatch.undo()
+        assert calls == [maps.shape for maps in stacks]
+        slack = 1.0 - 8 * np.finfo(float).eps
+        for maps, bound in zip(stacks, bounds):
+            assert np.all(bound >= slack * np.linalg.norm(maps, 2,
+                                                          axis=(1, 2)))
 
     def test_overflowing_period_map_goes_to_the_exact_test(self):
         # both vertices are nilpotent, but their product overflows: its

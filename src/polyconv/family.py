@@ -16,8 +16,18 @@ SIMPLEX_TOL = 1e-12
 
 
 def simplex_weights(w, m_count: int) -> np.ndarray:
-    """Validate w as a point of the unit simplex with m_count vertices."""
-    w = np.asarray(w, dtype=float).reshape(-1)
+    """Validate w as a point of the unit simplex with m_count vertices, or
+    each row of a (k, m_count) array as one, in one pass: a bad row then
+    raises the InputError of its own 1-D call, the first bad row first."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim == 2:
+        if not (w.shape[1] == m_count and np.isfinite(w).all()
+                and w.min(initial=0.0) >= -SIMPLEX_TOL
+                and np.all(np.abs(w.sum(axis=1) - 1.0) <= SIMPLEX_TOL)):
+            for row in w:
+                simplex_weights(row, m_count)
+        return np.clip(w, 0.0, None)
+    w = w.reshape(-1)
     if w.shape[0] != m_count:
         raise InputError(
             f"weight vector has {w.shape[0]} entries, family has {m_count}")

@@ -251,10 +251,20 @@ def spectra(stack) -> tuple:
 
 
 def matrix_exponential(a) -> np.ndarray:
-    """exp(A) by scaling-and-squaring Pade (scipy)."""
-    m = as_matrix(a)
-    if m.shape[0] == 0:
-        return np.zeros((0, 0))
+    """exp(A) by scaling-and-squaring Pade (scipy), of one matrix or of
+    each matrix of a stack (..., n, n).  A stack is validated, passed to
+    scipy.linalg.expm and checked for overflow once; expm works slice by
+    slice, so each slice is bit-identical to the exponential of its matrix
+    alone.  InputError for a non-square or non-finite input,
+    NumericalError when an exponential overflows."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise InputError("matrix must be square or a stack of square "
+                         f"matrices, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InputError("matrix contains non-finite entries")
+    if m.size == 0:
+        return np.zeros(m.shape)
     e = scipy.linalg.expm(m)
     if not np.all(np.isfinite(e)):
         raise NumericalError("matrix exponential overflowed")

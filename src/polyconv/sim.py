@@ -7,8 +7,9 @@ carry across segments.  Inside a segment the first sample is computed
 from the segment start and the next ones from the step exponential
 e^(A sample_dt), squared as the filled block doubles (Al-Mohy & Higham,
 "Computing the action of the matrix exponential", 2011): sampling density
-changes the sampled values at rounding level only.  A state that
-overflows is a NumericalError.
+changes the sampled values at rounding level only.  The exponentials of
+a chunk of segments come from one stacked call, each distinct one
+computed once.  A state that overflows is a NumericalError.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ WITNESS_PERIODS = 10
 # held for every dwell of the family's mode
 WITNESS_PERIOD_MAX = 4
 WITNESS_DWELLS = {"dt": (1, 2, 3), "ct": (0.5, 1.0, 2.0)}
-# period maps stacked for one matmul, SVD or eigvals call, so that the
-# screen's memory stays bounded whatever the vertex count
+# period maps stacked for one matmul, SVD or eigvals call, and simulate_ct
+# segments whose exponentials (at most 4 n x n each) are stacked for one
+# matrix_exponential call, so that memory stays bounded whatever the
+# vertex count or the schedule length
 _MAP_CHUNK = 256
 
 
@@ -118,21 +121,28 @@ class SwitchingSignal:
 
     def schedule(self, m_count: int, horizon: float) -> list:
         """(duration, w) pieces covering [0, horizon], the last one cut
-        short, an explicit signal's final weight held; iid draws at once."""
+        short, an explicit signal's final weight held; iid draws at once,
+        and an explicit signal's weights validated in one pass."""
         if self.kind == "constant":
             return [(horizon, simplex_weights(self.weights, m_count))]
         if self.kind == "explicit":
-            segs, t = [], 0.0
+            durations, rows, t = [], [], 0.0
             for dur, w in self.segments:
                 if t >= horizon:
                     break
-                dur = min(dur, horizon - t)
-                segs.append((dur, simplex_weights(w, m_count)))
-                t += dur
+                durations.append(min(dur, horizon - t))
+                rows.append(w)
+                t += durations[-1]
             if t < horizon - 1e-12:
-                segs.append((horizon - t, simplex_weights(
-                    self.segments[-1][1], m_count)))
-            return segs
+                durations.append(horizon - t)
+                rows.append(self.segments[-1][1])
+            # rows of another width cannot stack: check them one by one,
+            # so that the first bad row raises as a stacked check would
+            if any(len(w) != m_count for w in rows):
+                for w in rows:
+                    simplex_weights(w, m_count)
+            return list(zip(durations,
+                            simplex_weights(np.array(rows), m_count)))
         if self.kind == "vertex-cycle" and max(self.sequence) >= m_count:
             raise InputError(f"vertex index {max(self.sequence)} out of range")
         if self.kind not in ("vertex-cycle", "iid-random"):
@@ -232,6 +242,54 @@ def simulate_dt(family: MatrixFamily, signal: SwitchingSignal, x0,
     return traj
 
 
+def _plan_chunk(family: MatrixFamily, segs: list, lo: int,
+                times: np.ndarray, n_grid: int, sample_dt: float,
+                t_seg: float, j: int):
+    """simulate_ct's plan for segments lo to lo + _MAP_CHUNK, the first
+    starting at time t_seg and sample j.
+
+    Returns (plan, args, t_seg, j), the last two where the next chunk
+    starts.  plan holds one tuple per segment: its weight row, its samples
+    j:stop (grid samples up to stepped), and the index into args of each
+    exponential it needs, or None: of A (t_j - t_seg) for its first
+    sample, A sample_dt for the fill, A (t_end - t_seg) for an off-grid
+    t_end and A dur for the next segment's start.  args lists each
+    distinct (weight row, time) argument once, so a signal that repeats a
+    weight shares its step exponential.
+    """
+    count = times.shape[0]
+    plan, args, index, combined = [], [], {}, {}
+
+    def arg(key, a, t):
+        if (key, t) not in index:
+            index[key, t] = len(args)
+            args.append(a * t)
+        return index[key, t]
+
+    for idx in range(lo, min(lo + _MAP_CHUNK, len(segs))):
+        dur, w = segs[idx]
+        key = w.tobytes()
+        if key not in combined:
+            combined[key] = family.combine(w)
+        a = combined[key]
+        t_next = t_seg + dur
+        last = idx == len(segs) - 1
+        # the samples inside [t_seg, t_next), and all the rest on the last
+        # segment; stepped ones end before an off-grid t_end
+        stop = count if last else j + int(np.searchsorted(
+            times[j:], t_next - 1e-12 * max(1.0, t_next)))
+        stepped = min(stop, n_grid + 1)
+        plan.append((
+            w, j, stop, stepped,
+            arg(key, a, times[j] - t_seg) if j < stop else None,
+            arg(key, a, sample_dt) if j + 1 < stepped else None,
+            arg(key, a, times[stepped] - t_seg) if j < stepped < stop
+            else None,
+            None if last else arg(key, a, dur)))
+        t_seg, j = t_next, stop
+    return plan, args, t_seg, j
+
+
 def simulate_ct(family: MatrixFamily, signal: SwitchingSignal, x0,
                 t_end: float, sample_dt: float,
                 tol: Tolerances = DEFAULT_TOL) -> Trajectory:
@@ -244,10 +302,16 @@ def simulate_ct(family: MatrixFamily, signal: SwitchingSignal, x0,
     by doubling: the first d samples of the segment, times P = e^(A d
     sample_dt), give the next d, and P is squared as d doubles, so k
     samples take about log2(k) matrix products.  An off-grid t_end is
-    computed from the segment start again: at most three exponentials per
-    segment, and sampling density changes the values at rounding level
-    only.  More than SCHEDULE_PIECES_MAX grid steps is an InputError, a
-    state that overflows a NumericalError.
+    computed from the segment start again, so sampling density changes the
+    values at rounding level only.
+
+    The segments are planned, then filled, _MAP_CHUNK at a time
+    (_plan_chunk): the exponentials a chunk needs (at most four per
+    segment, each distinct weight row and time once) come from one
+    stacked matrix_exponential call, whose slices are bit-identical to
+    single calls, so the samples are those of a per-segment loop.  More
+    than SCHEDULE_PIECES_MAX grid steps is an InputError, a state that
+    overflows a NumericalError.
     """
     if family.mode != "ct":
         raise InputError("simulate_ct needs a CT family")
@@ -269,37 +333,32 @@ def simulate_ct(family: MatrixFamily, signal: SwitchingSignal, x0,
     t_seg = 0.0
     j = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for idx, (dur, w) in enumerate(segs):
-            a = family.combine(w)
-            t_next = t_seg + dur
-            last = idx == len(segs) - 1
-            # the samples inside [t_seg, t_next), and all the rest on the
-            # last segment; stepped ones end before an off-grid t_end
-            stop = count if last else j + int(np.searchsorted(
-                times[j:], t_next - 1e-12 * max(1.0, t_next)))
-            stepped = min(stop, n_grid + 1)
-            weights[j:stop] = w
-            if j < stop:
-                states[j] = matrix_exponential(a * (times[j] - t_seg)) @ x_seg
-            if j + 1 < stepped:
-                # the d samples after a block of d are that block times
-                # P = e^(A d sample_dt); P is squared as d doubles
-                step = matrix_exponential(a * sample_dt)
-                k, d = j + 1, 1
-                while True:
-                    block = min(d, stepped - k)
-                    states[k:k + block] = states[k - d:k - d + block] @ step.T
-                    k += block
-                    if k == stepped:
-                        break
-                    step, d = step @ step, 2 * d
-            if j < stepped < stop:
-                states[stepped] = matrix_exponential(
-                    a * (times[stepped] - t_seg)) @ x_seg
-            if not last:
-                x_seg = matrix_exponential(a * dur) @ x_seg
-            t_seg = t_next
-            j = stop
+        for lo in range(0, len(segs), _MAP_CHUNK):
+            plan, args, t_seg, j = _plan_chunk(
+                family, segs, lo, times, n_grid, sample_dt, t_seg, j)
+            exps = matrix_exponential(
+                np.array(args).reshape(-1, family.n, family.n))
+            for w, start, stop, stepped, first, step, off, whole in plan:
+                weights[start:stop] = w
+                if first is not None:
+                    states[start] = exps[first] @ x_seg
+                if step is not None:
+                    # the d samples after a block of d are that block times
+                    # P = e^(A d sample_dt); P is squared as d doubles
+                    step = exps[step]
+                    k, d = start + 1, 1
+                    while True:
+                        block = min(d, stepped - k)
+                        states[k:k + block] = (states[k - d:k - d + block]
+                                               @ step.T)
+                        k += block
+                        if k == stepped:
+                            break
+                        step, d = step @ step, 2 * d
+                if off is not None:
+                    states[stepped] = exps[off] @ x_seg
+                if whole is not None:
+                    x_seg = exps[whole] @ x_seg
     _check_finite(states)
     traj = Trajectory("ct", times, states, weights, signal)
     _attach_limit(traj, tol)
@@ -416,11 +475,18 @@ def _cycle_groups(m_count: int, period_max: int) -> tuple:
     return stacked
 
 
-def _vertex_exponentials(family: MatrixFamily):
+def _vertex_exponentials(family: MatrixFamily, dwells=()):
     """A function giving e^(A_v t) for vertex v and time t, each computed
     once per returned function: one search shares them across its cycles
-    and dwells."""
+    and dwells.  In CT, e^(A_v t) for every vertex v and every t in dwells
+    comes from one stacked matrix_exponential call made here; any other
+    time, such as a period's interior fractions, costs one call on first
+    use."""
     memo = {}
+    if family.mode == "ct" and dwells:
+        pairs = [(v, t) for t in dwells for v in range(family.m_count)]
+        memo.update(zip(pairs, matrix_exponential(
+            np.array([family.matrices[v] * t for v, t in pairs]))))
 
     def expm(v: int, t: float) -> np.ndarray:
         if (v, t) not in memo:
@@ -594,7 +660,7 @@ def find_nonconvergence_witness(family: MatrixFamily):
     """
     n = family.n
     eye = np.eye(n)
-    expm = _vertex_exponentials(family)
+    expm = _vertex_exponentials(family, WITNESS_DWELLS[family.mode])
     for signals, maps in _period_maps(family, expm):
         norm, low = _fixed_space_gaps(maps)
         cutoff = _screen_cutoff(DEFAULT_TOL.rank_rel, n, 1.0 + norm)
@@ -640,7 +706,8 @@ def divergent_cycle(family: MatrixFamily,
     The other maps go on, in order, to lti_convergent_dt.
     """
     n = family.n
-    for signals, maps in _period_maps(family, _vertex_exponentials(family)):
+    expm = _vertex_exponentials(family, WITNESS_DWELLS[family.mode])
+    for signals, maps in _period_maps(family, expm):
         norm, low = _fixed_space_gaps(maps)
         scale = 2.0 + norm
         quiet = low > _screen_cutoff(tol.rank_rel, n, scale)

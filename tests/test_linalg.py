@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyconv.errors import InputError
+from polyconv.errors import InputError, NumericalError
 from polyconv.linalg import (
     Subspace,
     Tolerances,
@@ -242,3 +242,34 @@ def test_expm_group_inverse(n, seed):
     e = matrix_exponential(m) @ matrix_exponential(-m)
     assert np.linalg.norm(e - np.eye(n)) < 1e-10 * np.exp(
         2 * np.linalg.norm(m, 2))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 7])
+def test_expm_stack_slices_match_single_calls(n):
+    # diagonal, triangular and full slices take different scipy branches
+    rng = np.random.default_rng(n)
+    stack = [random_matrix(rng, n, scale=s) for s in (0.01, 1.0, 4.0)]
+    stack += [np.diag(rng.standard_normal(n)),
+              np.triu(random_matrix(rng, n, scale=6.0)), np.zeros((n, n))]
+    stack = np.array(stack)
+    got = matrix_exponential(stack)
+    assert got.shape == (6, n, n)
+    for a, e in zip(stack, got):
+        assert np.array_equal(e, matrix_exponential(a))
+    grid = matrix_exponential(stack.reshape(2, 3, n, n))
+    assert np.array_equal(grid.reshape(6, n, n), got)
+
+
+def test_expm_stack_errors():
+    stack = np.zeros((3, 2, 2))
+    stack[1, 0, 1] = np.nan
+    with pytest.raises(InputError, match="non-finite"):
+        matrix_exponential(stack)
+    with pytest.raises(InputError, match="square"):
+        matrix_exponential(np.zeros((3, 2, 3)))
+    with pytest.raises(InputError, match="square"):
+        matrix_exponential(np.zeros(3))
+    # e^800 overflows in one slice only
+    stack = np.array([np.eye(2), 800.0 * np.eye(2)])
+    with np.errstate(over="ignore"), pytest.raises(NumericalError):
+        matrix_exponential(stack)

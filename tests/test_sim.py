@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import polyconv.lti as lti_module
 import polyconv.sim as sim_module
 from polyconv.errors import InputError, NumericalError
-from polyconv.family import MatrixFamily
+from polyconv.family import MatrixFamily, simplex_weights
 from polyconv.examples import catalogue
 from polyconv.inclusion import analyze
 from polyconv.linalg import DEFAULT_TOL, Tolerances, kernel, matrix_exponential
@@ -66,6 +66,45 @@ class TestSignals:
         s = SwitchingSignal.constant([0.5, 0.6])
         with pytest.raises(InputError):
             s.schedule(2, 1)
+
+    @pytest.mark.parametrize("rows", [
+        [[0.5, 0.5], [0.2, 0.9], [np.nan, 1.0]],
+        [[0.5, 0.5], [np.inf, 0.0], [-0.5, 1.5]],
+        [[1.0, 0.0], [0.0, 1.0], [-1e-9, 1.0 + 1e-9]],
+        [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]],
+        [[1.0, 0.0], [0.25, 0.75 + 1e-13], [-1e-13, 1.0]],
+    ], ids=["sum", "finite", "sign", "width", "within-tol"])
+    def test_stacked_simplex_weights_raise_the_first_rows_error(self, rows):
+        # the 1-D calls in row order are the reference
+        want = None
+        for row in rows:
+            try:
+                simplex_weights(row, 2)
+            except InputError as exc:
+                want = str(exc)
+                break
+        if want is None:
+            got = simplex_weights(np.array(rows), 2)
+            assert np.array_equal(got, [simplex_weights(r, 2) for r in rows])
+        else:
+            with pytest.raises(InputError) as exc:
+                simplex_weights(np.array(rows), 2)
+            assert str(exc.value) == want
+
+    @pytest.mark.parametrize("rows, match", [
+        ([[0.5, 0.5], [0.2, 0.9], [0.5, 0.5, 0.0]], "sum to 1"),
+        ([[0.5, 0.5], [0.5, 0.5, 0.0], [0.2, 0.9]], "3 entries"),
+        ([[0.5, 0.5], [0.2, 0.8], [0.2, 0.9, 0.0]], "3 entries"),
+    ])
+    def test_explicit_weights_fail_at_the_first_bad_row(self, rows, match):
+        s = SwitchingSignal.explicit([(1.0, w) for w in rows])
+        with pytest.raises(InputError, match=match):
+            s.schedule(2, 3.0)
+
+    def test_explicit_weights_past_the_horizon_are_not_read(self):
+        s = SwitchingSignal.explicit([(1.0, [0.5, 0.5]), (1.0, [0.2, 0.9]),
+                                      (1.0, [1.0])])
+        assert len(s.schedule(2, 1.0)) == 1
 
     def test_vertex_cycle_dt(self):
         s = SwitchingSignal.vertex_cycle([0, 1], dwell=2)
@@ -226,6 +265,97 @@ class TestSimulateDt:
                         400)
 
 
+def _per_segment_simulate_ct(family, signal, x0, t_end, sample_dt):
+    """(times, states, weights) of simulate_ct from a loop that makes its
+    own matrix_exponential call per exponential, segment by segment, with
+    the same first sample, doubling fill, off-grid sample and restart."""
+    x0 = np.asarray(x0, dtype=float)
+    segs = signal.schedule(family.m_count, t_end)
+    n_grid = int(np.floor(t_end / sample_dt + 1e-9))
+    times = np.arange(n_grid + 1) * sample_dt
+    if times[-1] < t_end - 1e-12 * max(1.0, t_end):
+        times = np.append(times, t_end)
+    count = times.shape[0]
+    states = np.empty((count, family.n))
+    weights = np.empty((count, family.m_count))
+    x_seg, t_seg, j = x0, 0.0, 0
+    for idx, (dur, w) in enumerate(segs):
+        a = family.combine(w)
+        t_next = t_seg + dur
+        last = idx == len(segs) - 1
+        stop = count if last else j + int(np.searchsorted(
+            times[j:], t_next - 1e-12 * max(1.0, t_next)))
+        stepped = min(stop, n_grid + 1)
+        weights[j:stop] = w
+        if j < stop:
+            states[j] = matrix_exponential(a * (times[j] - t_seg)) @ x_seg
+        if j + 1 < stepped:
+            step = matrix_exponential(a * sample_dt)
+            k, d = j + 1, 1
+            while True:
+                block = min(d, stepped - k)
+                states[k:k + block] = states[k - d:k - d + block] @ step.T
+                k += block
+                if k == stepped:
+                    break
+                step, d = step @ step, 2 * d
+        if j < stepped < stop:
+            states[stepped] = matrix_exponential(
+                a * (times[stepped] - t_seg)) @ x_seg
+        if not last:
+            x_seg = matrix_exponential(a * dur) @ x_seg
+        t_seg = t_next
+        j = stop
+    return times, states, weights
+
+
+def _stable_ct_family(seed, n, m):
+    """m random n x n vertices with spectral abscissa -0.1."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for _ in range(m):
+        a = rng.standard_normal((n, n))
+        mats.append(a - (0.1 + np.linalg.eigvals(a).real.max()) * np.eye(n))
+    return MatrixFamily("ct", tuple(mats))
+
+
+def _explicit_signal(seed, m, t_end, short, vertex):
+    """Random explicit segments covering t_end, each at most short long."""
+    rng = np.random.default_rng(seed)
+    segs, t = [], 0.0
+    while t < t_end:
+        dur = float(rng.uniform(0.1, 1.0) * short)
+        segs.append((dur, np.eye(m)[rng.integers(m)] if vertex
+                     else rng.dirichlet(np.ones(m))))
+        t += dur
+    return SwitchingSignal.explicit(segs)
+
+
+# (family seed, n, m, signal, t_end, sample_dt): off-grid t_ends, segments
+# shorter than sample_dt, schedules of more than _MAP_CHUNK segments
+PER_SEGMENT_CASES = {
+    "explicit-dirichlet": (1, 3, 3, _explicit_signal(1, 3, 7.33, 0.5, False),
+                           7.33, 0.05),
+    "explicit-vertex": (2, 4, 2, _explicit_signal(2, 2, 9.0, 1.0, True),
+                        9.0, 0.01),
+    "explicit-short": (3, 2, 3, _explicit_signal(3, 3, 3.1, 0.03, True),
+                       3.1, 0.05),
+    "iid-vertex": (4, 4, 2, SwitchingSignal.iid_random(4, "vertex", 0.37),
+                   9.05, 0.1),
+    "iid-dirichlet-short": (5, 3, 2, SwitchingSignal.iid_random(
+        5, "dirichlet", 0.02), 3.0, 0.05),
+    "iid-vertex-chunks": (6, 3, 3, SwitchingSignal.iid_random(
+        6, "vertex", 0.01), 6.0, 0.004),
+    "vertex-cycle-chunks": (7, 2, 2, SwitchingSignal.vertex_cycle(
+        [0, 1, 1], 0.013), 4.0, 0.01),
+    "constant-n1-m1": (8, 1, 1, SwitchingSignal.constant([1.0]), 5.5, 0.2),
+    "vertex-cycle-n1": (9, 1, 3, SwitchingSignal.vertex_cycle(
+        [2, 0, 1], 0.3), 2.95, 0.1),
+    "explicit-m1": (10, 3, 1, _explicit_signal(10, 1, 6.0, 0.8, False),
+                    6.0, 0.3),
+}
+
+
 class TestSimulateCt:
     def test_zero_matrix_constant(self):
         fam = MatrixFamily("ct", (np.zeros((2, 2)),))
@@ -369,20 +499,55 @@ class TestSimulateCt:
         err = np.abs(traj.states[picks] - want).max()
         assert err <= 1e-12 * (1.0 + np.abs(want).max())
 
-    def test_at_most_three_exponentials_per_segment(self, monkeypatch):
+    @pytest.mark.parametrize("case", PER_SEGMENT_CASES.values(),
+                             ids=PER_SEGMENT_CASES.keys())
+    def test_samples_match_a_per_segment_loop(self, case):
+        seed, n, m, signal, t_end, sample_dt = case
+        fam = _stable_ct_family(seed, n, m)
+        x0 = np.random.default_rng(seed).standard_normal(n)
+        traj = simulate_ct(fam, signal, x0, t_end, sample_dt)
+        want = _per_segment_simulate_ct(fam, signal, x0, t_end, sample_dt)
+        for got, ref in zip((traj.times, traj.states, traj.weights), want):
+            assert np.array_equal(got, ref)
+
+    def test_chunk_boundaries_are_crossed(self):
+        for case in ("iid-vertex-chunks", "vertex-cycle-chunks"):
+            _, _, m, signal, t_end, _ = PER_SEGMENT_CASES[case]
+            assert len(signal.schedule(m, t_end)) > sim_module._MAP_CHUNK
+
+    @pytest.mark.parametrize("dwell", [0.7, 0.013])
+    def test_one_stacked_exponential_call_per_chunk(self, monkeypatch,
+                                                    dwell):
         calls = []
 
         def spy(a):
-            calls.append(a)
+            calls.append(np.shape(a))
             return matrix_exponential(a)
 
         monkeypatch.setattr(sim_module, "matrix_exponential", spy)
         sig = SwitchingSignal.iid_random(seed=5, sampling="dirichlet",
-                                         dwell=0.7)
+                                         dwell=dwell)
         traj = simulate_ct(PATH_CONSENSUS, sig, [1.0, 0.0], 8.05, 0.01)
         segments = len(sig.schedule(2, 8.05))
         assert traj.times.shape[0] == 806
-        assert len(calls) <= 3 * segments
+        assert len(calls) == -(-segments // sim_module._MAP_CHUNK)
+        assert all(len(shape) == 3 for shape in calls)
+        assert sum(shape[0] for shape in calls) <= 3 * segments + 1
+
+    def test_a_vertex_cycle_computes_each_step_exponential_once(
+            self, monkeypatch):
+        stacks = []
+
+        def spy(a):
+            stacks.append(np.array(a))
+            return matrix_exponential(a)
+
+        monkeypatch.setattr(sim_module, "matrix_exponential", spy)
+        sig = SwitchingSignal.vertex_cycle([0, 1, 1], dwell=0.37)
+        simulate_ct(PATH_CONSENSUS, sig, [1.0, 0.0], 8.05, 0.01)
+        stack, = stacks
+        for a in PATH_CONSENSUS.matrices:
+            assert sum(np.array_equal(s, a * 0.01) for s in stack) == 1
 
 
 class TestDetectLimit:
@@ -716,6 +881,33 @@ class TestCycleScreenWalks:
         for maps, bound in zip(stacks, bounds):
             assert np.all(bound >= slack * np.linalg.norm(maps, 2,
                                                           axis=(1, 2)))
+
+    @pytest.mark.parametrize("search", [find_nonconvergence_witness,
+                                        divergent_cycle])
+    def test_ct_walk_stacks_its_vertex_exponentials(self, monkeypatch,
+                                                    search):
+        # every (vertex, dwell) pair in one call; a period's interior
+        # fractions only for a map with a fixed space, one call each
+        calls = []
+
+        def spy(a):
+            calls.append(np.shape(a))
+            return matrix_exponential(a)
+
+        monkeypatch.setattr(sim_module, "matrix_exponential", spy)
+        dwells = len(sim_module.WITNESS_DWELLS["ct"])
+        stable = _stable_ct_family(3, 3, 3)
+        assert search(stable) is None
+        assert calls == [(3 * dwells, 3, 3)]
+        calls.clear()
+        orbit = MatrixFamily("ct", ([[-1.0, 2.0], [1.0, -2.0]],
+                                    [[-2.0, 1.0], [2.0, -1.0]]))
+        search(orbit)
+        assert calls[0] == (2 * dwells, 2, 2)
+        # the orbit search forms the within-period propagators of the maps
+        # with a fixed space; the spectral test never needs them
+        assert all(shape == (2, 2) for shape in calls[1:])
+        assert bool(calls[1:]) == (search is find_nonconvergence_witness)
 
     def test_overflowing_period_map_goes_to_the_exact_test(self):
         # both vertices are nilpotent, but their product overflows: its
